@@ -4,91 +4,38 @@ The restoration model combines a nonconvex |.|^p data-fitting term with
 area-weighted total variation of the piecewise-linear interpolant.  It is
 minimized by proximal linearization with support shrinking; each convex
 subproblem is solved by ADMM, warm-started from an L1-TV solution.
+
+The package root exports what a restoration run needs; solver internals stay
+importable from their submodules.
 """
 
-from .admm import (
-    NormalEquationSystem,
-    admm_solve,
-    shrink_1d,
-    shrink_vec,
-    solve_l1tv,
-    solve_normal_equation,
-)
-from .config import SolverConfig, SupportSet
+from .admm import solve_l1tv
+from .config import SolverConfig
 from .errors import MeshTVError
-from .experiment import ExperimentSpec, ResultRow, run_experiment
-from .gradient import (
-    GradientOperator,
-    apply_adjoint,
-    assemble_gram,
-    block_spectral_norms,
-    build_gradient_operator,
-)
-from .imaging import (
-    MeshImage,
-    NoiseSpec,
-    add_salt_pepper,
-    clamp_to_unit,
-    psnr,
-    read_image,
-    write_image_txt,
-    write_ply_with_image,
-)
-from .lptv import (
-    SolverTrace,
-    TraceRecord,
-    objective,
-    plm_solve,
-    residual_gap_report,
-    support_eps,
-    theta_bound,
-    weights,
-)
-from .mesh import TriangleMesh, control_cell_areas, load_mesh, save_mesh, triangle_areas
-from .synthetic import generate_synthetic, icosphere, planar_grid
+from .experiment import ExperimentSpec, run_experiment
+from .gradient import build_gradient_operator
+from .imaging import MeshImage, NoiseSpec, add_salt_pepper, psnr, read_image
+from .lptv import objective, plm_solve
+from .mesh import load_mesh
+from .synthetic import generate_synthetic, icosphere
 
 __all__ = [
     "ExperimentSpec",
-    "GradientOperator",
     "MeshImage",
     "MeshTVError",
     "NoiseSpec",
-    "NormalEquationSystem",
-    "ResultRow",
     "SolverConfig",
-    "SolverTrace",
-    "SupportSet",
-    "TraceRecord",
-    "TriangleMesh",
     "add_salt_pepper",
-    "admm_solve",
-    "apply_adjoint",
-    "assemble_gram",
-    "block_spectral_norms",
     "build_gradient_operator",
-    "clamp_to_unit",
-    "control_cell_areas",
     "generate_synthetic",
     "icosphere",
     "load_mesh",
     "objective",
-    "planar_grid",
     "plm_solve",
     "psnr",
     "read_image",
-    "residual_gap_report",
     "run_experiment",
-    "save_mesh",
-    "shrink_1d",
-    "shrink_vec",
     "solve_l1tv",
-    "solve_normal_equation",
-    "support_eps",
-    "theta_bound",
-    "triangle_areas",
-    "weights",
-    "write_image_txt",
-    "write_ply_with_image",
 ]
 
 __version__ = "0.1.0"

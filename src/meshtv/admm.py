@@ -72,7 +72,8 @@ class NormalEquationSystem:
 
     The matrix is independent of the support set, so one factorization (or
     preconditioner) serves every inner iteration and, for fixed penalties,
-    every outer iteration as well.
+    every outer iteration as well.  ``prox_weight`` is kept because the ADMM
+    right-hand side carries the matching ``prox_weight * u_ref`` term.
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
@@ -80,9 +81,9 @@ class NormalEquationSystem:
         if beta1 <= 0.0 or beta2 <= 0.0 or prox_weight < 0.0:
             raise ValueError("penalties must be positive, prox_weight nonnegative")
         n = gram.shape[0]
+        self.prox_weight = prox_weight
         self.matrix = (beta2 * gram + (prox_weight + beta1) * sp.identity(n)).tocsr()
-        self._direct = n <= DIRECT_SOLVE_MAX_VERTICES
-        if self._direct:
+        if n <= DIRECT_SOLVE_MAX_VERTICES:
             try:
                 self._lu = spla.splu(self.matrix.tocsc())
             except RuntimeError as exc:
@@ -100,13 +101,6 @@ class NormalEquationSystem:
         return self.matrix.shape[0]
 
 
-def _cg_compat(matrix, rhs, rtol, maxiter, M):
-    try:
-        return spla.cg(matrix, rhs, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
-    except TypeError:  # scipy < 1.12 spells the tolerance 'tol'
-        return spla.cg(matrix, rhs, tol=rtol, atol=0.0, maxiter=maxiter, M=M)
-
-
 def solve_normal_equation(
     system: NormalEquationSystem, rhs: np.ndarray, config: SolverConfig
 ) -> np.ndarray:
@@ -119,8 +113,8 @@ def solve_normal_equation(
     cols = rhs[:, None] if rhs.ndim == 1 else rhs
     out = np.empty_like(cols)
     for j in range(cols.shape[1]):
-        x, info = _cg_compat(
-            system.matrix, cols[:, j], rtol=config.cg_tol,
+        x, info = spla.cg(
+            system.matrix, cols[:, j], rtol=config.cg_tol, atol=0.0,
             maxiter=config.cg_max_iter, M=system._precond,
         )
         if info > 0:
@@ -133,34 +127,49 @@ def solve_normal_equation(
     return out[:, 0] if rhs.ndim == 1 else out
 
 
-def _solve_subproblem(
-    f2: np.ndarray,
-    u_ref: np.ndarray,
+def admm_solve(
+    f: MeshImage,
+    u_k: MeshImage,
     support: SupportSet,
     w: np.ndarray,
     op: GradientOperator,
-    prox_weight: float,
     config: SolverConfig,
-    system: NormalEquationSystem,
+    system: NormalEquationSystem | None = None,
 ):
-    """Run the inner ADMM loop on raw (n_vertices, channels) arrays.
+    """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
 
-    Returns (values, iterations, converged).  Off-support entries of the
-    result are overwritten with the observed data exactly, so the pinning
+    Minimizes lam * sum_j w_j |v_j - f_j| over the support, plus the
+    area-weighted TV term and prox_weight/2 * ||v - u_k||^2, subject to
+    v_j = f_j off the support.  The proximal weight is the one ``system`` was
+    built with; without a system, one is built from ``config.prox_weight``.
+    Returns (image, inner_iterations, converged); a False flag means the
+    residual rule was not met within inner_max_iter.  Off-support entries of
+    the result are overwritten with the observed data exactly, so the pinning
     constraint holds bit-for-bit.
     """
+    if f.values.shape != u_k.values.shape:
+        raise DimensionMismatch("f and u_k must have identical shapes")
+    if f.vertex_count != op.n_vertices:
+        raise DimensionMismatch("image and operator vertex counts differ")
+    f2, u_ref = f.values, u_k.values
     n_vert, channels = f2.shape
     if support.total != f2.size:
         raise DimensionMismatch("support set sized for a different image")
+    w = np.asarray(w, dtype=np.float64)
     if w.shape != (len(support),):
         raise DimensionMismatch("one weight per support index required")
+    if system is None:
+        system = NormalEquationSystem(
+            assemble_gram(op), config.beta1, config.beta2, config.prox_weight
+        )
 
     smask = support.mask().reshape(n_vert, channels)
     pinned = ~smask
     if len(support) == 0:
-        return f2.copy(), 0, True
+        return MeshImage(f2.copy()), 0, True
 
     beta1, beta2 = config.beta1, config.beta2
+    prox_weight = system.prox_weight
     y_threshold = config.lam * w / beta1
     z_threshold = 1.0 / beta2
     f_sup = f2[smask]
@@ -171,6 +180,7 @@ def _solve_subproblem(
     ybar = np.zeros_like(v)
     grad_v = gradient.apply(op, v)
     scale = np.sqrt(f2.size)
+    iters, converged = config.inner_max_iter, False
 
     for t in range(config.inner_max_iter):
         y = shrink_1d(v[smask] - f_sup + eta[smask] / beta1, y_threshold)
@@ -195,81 +205,28 @@ def _solve_subproblem(
         r_pin = np.linalg.norm(v[pinned] - f2[pinned])
         r_grad = np.linalg.norm((grad_v - z).ravel())
         if max(r_fit, r_pin, r_grad) / scale < config.inner_tol:
-            out = v.copy()
-            out[pinned] = f2[pinned]
-            return out, t + 1, True
+            iters, converged = t + 1, True
+            break
 
     out = v.copy()
     out[pinned] = f2[pinned]
-    return out, config.inner_max_iter, False
+    return MeshImage(out), iters, converged
 
 
-def admm_solve(
-    f: MeshImage,
-    u_k: MeshImage,
-    support: SupportSet,
-    w: np.ndarray,
-    op: GradientOperator,
-    config: SolverConfig,
-    system: NormalEquationSystem | None = None,
-):
-    """Solve one proximal-linearized subproblem around ``u_k``.
-
-    Minimizes lam * sum_j w_j |v_j - f_j| over the support, plus the
-    area-weighted TV term and prox_weight/2 * ||v - u_k||^2, subject to
-    v_j = f_j off the support.  Returns (image, inner_iterations, converged);
-    a False flag means the residual rule was not met within inner_max_iter.
-    """
-    if f.values.shape != u_k.values.shape:
-        raise DimensionMismatch("f and u_k must have identical shapes")
-    if f.vertex_count != op.n_vertices:
-        raise DimensionMismatch("image and operator vertex counts differ")
-    w = np.asarray(w, dtype=np.float64)
-    if system is None:
-        system = NormalEquationSystem(
-            assemble_gram(op), config.beta1, config.beta2, config.prox_weight
-        )
-    values, iters, converged = _solve_subproblem(
-        f.values, u_k.values, support, w, op, config.prox_weight, config, system
-    )
-    return MeshImage(values), iters, converged
-
-
-def _l1tv_solve_full(
-    f: MeshImage,
-    op: GradientOperator,
-    config: SolverConfig,
-    u0: MeshImage | None = None,
-    system: NormalEquationSystem | None = None,
-):
-    """L1-TV solve returning (image, inner_iterations, converged)."""
-    if f.vertex_count != op.n_vertices:
-        raise DimensionMismatch("image and operator vertex counts differ")
-    start = f if u0 is None else u0
-    if start.values.shape != f.values.shape:
-        raise DimensionMismatch("u0 and f must have identical shapes")
+def _l1tv_solve_full(f: MeshImage, u0: MeshImage, op: GradientOperator,
+                     config: SolverConfig, system: NormalEquationSystem):
+    """L1-TV from ``u0``: the subproblem with full support, unit weights and a
+    prox-free ``system``.  Returns (image, inner_iterations, converged)."""
     support = SupportSet.full(f.values.size, f.channel_count)
-    w = np.ones(len(support))
-    if system is None:
-        system = NormalEquationSystem(assemble_gram(op), config.beta1,
-                                      config.beta2, 0.0)
-    values, iters, converged = _solve_subproblem(
-        f.values, start.values, support, w, op, 0.0, config, system
-    )
-    return MeshImage(values), iters, converged
+    return admm_solve(f, u0, support, np.ones(len(support)), op, config, system)
 
 
-def solve_l1tv(
-    f: MeshImage,
-    op: GradientOperator,
-    config: SolverConfig,
-    u0: MeshImage | None = None,
-    system: NormalEquationSystem | None = None,
-) -> MeshImage:
-    """Minimize lam * ||u - f||_1 + TV(u) by ADMM.
+def solve_l1tv(f: MeshImage, op: GradientOperator,
+               config: SolverConfig) -> MeshImage:
+    """Minimize lam * ||u - f||_1 + TV(u) by ADMM, starting from ``f``.
 
-    Reuses the subproblem machinery with full support, unit weights, and no
-    proximal term.  This is the convex warm start for the nonconvex solver.
+    This is the convex warm start for the nonconvex solver.
     """
-    image, _, _ = _l1tv_solve_full(f, op, config, u0=u0, system=system)
-    return image
+    system = NormalEquationSystem(assemble_gram(op), config.beta1,
+                                  config.beta2, 0.0)
+    return _l1tv_solve_full(f, f, op, config, system)[0]

@@ -77,9 +77,6 @@ class SupportSet:
         m[self.gamma] = True
         return m
 
-    def complement(self) -> np.ndarray:
-        return np.flatnonzero(~self.mask())
-
     def vertex_ids(self) -> np.ndarray:
         """Vertices with at least one supported channel."""
         return np.unique(self.gamma // self.channels)

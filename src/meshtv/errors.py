@@ -37,11 +37,8 @@ class InvalidP(MeshTVError):
     """Operation requires an exponent strictly inside (0, 1)."""
 
 
-class InnerSolverFailure(MeshTVError):
-    """Inner ADMM did not reach its tolerance.
-
-    Normally reported via the trace and a warning instead of being raised.
-    """
+class SupportGrew(MeshTVError):
+    """An outer iteration's support gained an index that had been pinned."""
 
 
 class NonFiniteIterate(MeshTVError):

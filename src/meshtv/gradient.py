@@ -20,17 +20,14 @@ from .mesh import TriangleMesh, triangle_areas
 
 @dataclass(frozen=True)
 class GradientOperator:
-    """Per-triangle gradient blocks of a mesh, plus a fast sparse form.
+    """Per-triangle gradient blocks of a mesh, stored as one sparse matrix.
 
-    ``columns[i, m]`` is the 3-vector multiplying the value at vertex
-    ``triangles[i, m]`` in the gradient on triangle i; all other columns of
-    block i are zero.  ``matrix`` assembles the same data as a
-    (3 * n_triangles, n_vertices) CSR operator so that applying the operator
-    and its adjoint are single sparse products.
+    ``matrix`` is the (3 * n_triangles, n_vertices) CSR operator: rows
+    3i..3i+2 hold the gradient on triangle i, so applying the operator and
+    its adjoint are single sparse products.
     """
 
     triangles: np.ndarray        # (n_tri, 3) vertex ids
-    columns: np.ndarray          # (n_tri, 3, 3) hat-gradient columns
     tri_areas: np.ndarray        # (n_tri,)
     block_norms: np.ndarray      # (n_tri,) spectral norm of each block
     n_vertices: int
@@ -39,6 +36,23 @@ class GradientOperator:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Read-only (n_tri, 3, 3) hat-gradient columns gathered from ``matrix``.
+
+        ``columns[i, m]`` is the 3-vector multiplying the value at vertex
+        ``triangles[i, m]`` in the gradient on triangle i, i.e. entry
+        ``[3i + r, triangles[i, m]]`` of ``matrix`` for r = 0, 1, 2; all other
+        columns of block i are zero.
+        """
+        rows, cols = np.broadcast_arrays(
+            3 * np.arange(self.n_triangles)[:, None, None] + np.arange(3),
+            self.triangles[:, :, None],
+        )
+        out = np.asarray(self.matrix[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+        out.setflags(write=False)
+        return out
 
 
 def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
@@ -75,11 +89,10 @@ def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
         (data, (rows, cols)), shape=(3 * n_tri, mesh.n_vertices)
     ).tocsr()
 
-    for arr in (columns, areas, block_norms):
+    for arr in (areas, block_norms):
         arr.setflags(write=False)
     return GradientOperator(
         triangles=tris,
-        columns=columns,
         tri_areas=areas,
         block_norms=block_norms,
         n_vertices=mesh.n_vertices,
@@ -125,16 +138,11 @@ def assemble_gram(op: GradientOperator) -> sp.csr_matrix:
     """Area-weighted Gram matrix sum_i |tau_i| D_i^T D_i (sparse, symmetric PSD).
 
     Constant vectors on each connected component lie in its kernel.  The
-    matrix only depends on the mesh, so it is assembled once and reused for
-    every solver configuration.
+    matrix only depends on the mesh, yet nothing caches it: ``plm_solve``
+    assembles it again on every call.
     """
     warea = np.repeat(op.tri_areas, 3)
     weighted = sp.diags(warea) @ op.matrix
     gram = (op.matrix.T @ weighted).tocsr()
     gram = (gram + gram.T) * 0.5
     return gram.tocsr()
-
-
-def block_spectral_norms(op: GradientOperator) -> np.ndarray:
-    """Largest singular value of each triangle's gradient block."""
-    return op.block_norms.copy()

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     InvalidP,
     NonFiniteIterate,
+    SupportGrew,
     ZeroResidualInSupport,
 )
 from .gradient import GradientOperator, assemble_gram
@@ -61,9 +62,6 @@ class SolverTrace:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
     def column(self, name: str) -> np.ndarray:
         field = {"iter": "iteration"}.get(name, name)
@@ -157,15 +155,14 @@ def plm_solve(
     if u0.values.shape != f.values.shape:
         raise DimensionMismatch("u0 and f must have identical shapes")
 
-    gram = assemble_gram(op)
+    prox = 0.0 if config.p == 1.0 else config.prox_weight
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
+                                  prox)
     trace = SolverTrace()
 
     if config.p == 1.0:
-        system = NormalEquationSystem(gram, config.beta1, config.beta2, 0.0)
         f_start = _objective_raw(u0.values, f.values, op, config.lam, 1.0)
-        result, inner_iters, inner_ok = _l1tv_solve_full(
-            f, op, config, u0=u0, system=system
-        )
+        result, inner_iters, inner_ok = _l1tv_solve_full(f, u0, op, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
         f_end = _objective_raw(result.values, f.values, op, config.lam, 1.0)
@@ -175,8 +172,6 @@ def plm_solve(
         trace.converged = inner_ok
         return result, trace
 
-    system = NormalEquationSystem(gram, config.beta1, config.beta2,
-                                  config.prox_weight)
     u = MeshImage(u0.values.copy())
     f_prev = _objective_raw(u.values, f.values, op, config.lam, config.p)
     prev_gamma: np.ndarray | None = None
@@ -186,7 +181,7 @@ def plm_solve(
         if prev_gamma is not None and not np.isin(
             support.gamma, prev_gamma, assume_unique=True
         ).all():
-            raise RuntimeError("support grew between iterations; pinning is broken")
+            raise SupportGrew(f"support grew at outer iteration {k}; pinning is broken")
         prev_gamma = support.gamma
         w = weights(u, f, support, config.p)
 

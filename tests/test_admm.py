@@ -8,9 +8,15 @@ from grid_oracles import (
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
-from meshtv.admm import admm_solve, shrink_1d, shrink_vec, solve_l1tv
+from meshtv.admm import (
+    NormalEquationSystem,
+    admm_solve,
+    shrink_1d,
+    shrink_vec,
+    solve_l1tv,
+)
 from meshtv.config import SolverConfig, SupportSet
-from meshtv.gradient import build_gradient_operator
+from meshtv.gradient import assemble_gram, build_gradient_operator
 from meshtv.imaging import MeshImage
 from meshtv.synthetic import icosphere
 
@@ -94,6 +100,21 @@ def test_admm_matches_grid_oracle_on_tiny_instance(two_triangle_mesh, rng):
         lam = rng.uniform(0.05, 0.5)
         got, expected = _tiny_admm_case(op, f_values, lam, rng)
         assert np.abs(got - expected).max() < 2e-3
+
+
+def test_full_support_prox_free_subproblem_is_l1tv(rng):
+    # the proximal weight comes from the system, not from config.prox_weight
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
+    config = SolverConfig(lam=0.5, p=1.0, prox_weight=1.0, beta1=2.0, beta2=2.0,
+                          inner_tol=1e-8, inner_max_iter=20_000)
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2, 0.0)
+    support = SupportSet.full(mesh.n_vertices)
+    out, _, converged = admm_solve(f, f, support, np.ones(len(support)), op,
+                                   config, system=system)
+    assert converged
+    assert np.array_equal(out.values, solve_l1tv(f, op, config).values)
 
 
 def test_l1tv_matches_nested_grid_oracle(two_triangle_mesh, rng):

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshtv import lptv
 from meshtv.config import SolverConfig, SupportSet
-from meshtv.errors import DimensionMismatch, InvalidP, ZeroResidualInSupport
+from meshtv.errors import (
+    DimensionMismatch,
+    InvalidP,
+    SupportGrew,
+    ZeroResidualInSupport,
+)
 from meshtv.gradient import build_gradient_operator
 from meshtv.imaging import MeshImage, NoiseSpec, add_salt_pepper
 from meshtv.lptv import (
@@ -225,7 +231,23 @@ def test_plm_p_one_is_single_l1tv_solve():
     from meshtv.admm import solve_l1tv
 
     direct = solve_l1tv(noisy, op, config)
-    assert np.abs(out.values - direct.values).max() < 1e-12
+    assert np.array_equal(out.values, direct.values)
+
+
+def test_plm_raises_typed_error_when_support_grows(monkeypatch):
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    clean = two_patch_image(mesh)
+    noisy = add_salt_pepper(clean, NoiseSpec(0.2, 5))
+    # an empty support on the first outer step, the full one on the second
+    sizes = iter([0, noisy.values.size])
+
+    def growing_support(u, f, eps):
+        return SupportSet(np.arange(next(sizes)), f.values.size, f.channel_count)
+
+    monkeypatch.setattr(lptv, "support_eps", growing_support)
+    with pytest.raises(SupportGrew):
+        plm_solve(noisy, mesh, op, PLM_CONFIG, u0=clean)
 
 
 def test_plm_dimension_checks():
