@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import gradient
-from .config import SolverConfig, SupportSet
+from .config import SolverConfig
 from .errors import (
     DimensionMismatch,
     IterationLimitExceeded,
@@ -70,7 +70,7 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
 class NormalEquationSystem:
     """The SPD vertex system beta2 * Gram + (prox_weight + beta1) * I.
 
-    The matrix is independent of the support set, so one factorization (or
+    The matrix is independent of the support, so one factorization (or
     preconditioner) serves every inner iteration and, for fixed penalties,
     every outer iteration as well.  ``prox_weight`` is kept because the ADMM
     right-hand side carries the matching ``prox_weight * u_ref`` term.
@@ -130,18 +130,19 @@ def solve_normal_equation(
 def admm_solve(
     f: MeshImage,
     u_k: MeshImage,
-    support: SupportSet,
+    support: np.ndarray,
     w: np.ndarray,
     op: GradientOperator,
     config: SolverConfig,
-    system: NormalEquationSystem | None = None,
+    system: NormalEquationSystem,
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
 
-    Minimizes lam * sum_j w_j |v_j - f_j| over the support, plus the
-    area-weighted TV term and prox_weight/2 * ||v - u_k||^2, subject to
-    v_j = f_j off the support.  The proximal weight is the one ``system`` was
-    built with; without a system, one is built from ``config.prox_weight``.
+    ``support`` is a boolean mask shaped like ``f.values``; ``w`` holds one
+    weight per True entry, in C order.  Minimizes lam * sum_j w_j |v_j - f_j|
+    over the support, plus the area-weighted TV term and
+    prox_weight/2 * ||v - u_k||^2, subject to v_j = f_j where the mask is
+    False.  The proximal weight is the one ``system`` was built with.
     Returns (image, inner_iterations, converged); a False flag means the
     residual rule was not met within inner_max_iter.  Off-support entries of
     the result are overwritten with the observed data exactly, so the pinning
@@ -152,27 +153,21 @@ def admm_solve(
     if f.vertex_count != op.n_vertices:
         raise DimensionMismatch("image and operator vertex counts differ")
     f2, u_ref = f.values, u_k.values
-    n_vert, channels = f2.shape
-    if support.total != f2.size:
-        raise DimensionMismatch("support set sized for a different image")
+    channels = f2.shape[1]
+    if support.shape != f2.shape or support.dtype != bool:
+        raise DimensionMismatch("support must be a boolean mask shaped like f")
+    pinned = ~support
+    f_sup = f2[support]
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (len(support),):
-        raise DimensionMismatch("one weight per support index required")
-    if system is None:
-        system = NormalEquationSystem(
-            assemble_gram(op), config.beta1, config.beta2, config.prox_weight
-        )
-
-    smask = support.mask().reshape(n_vert, channels)
-    pinned = ~smask
-    if len(support) == 0:
+    if w.shape != f_sup.shape:
+        raise DimensionMismatch("one weight per support entry required")
+    if f_sup.size == 0:
         return MeshImage(f2.copy()), 0, True
 
     beta1, beta2 = config.beta1, config.beta2
     prox_weight = system.prox_weight
     y_threshold = config.lam * w / beta1
     z_threshold = 1.0 / beta2
-    f_sup = f2[smask]
 
     v = u_ref.copy()
     eta = np.zeros_like(v)
@@ -183,10 +178,10 @@ def admm_solve(
     iters, converged = config.inner_max_iter, False
 
     for t in range(config.inner_max_iter):
-        y = shrink_1d(v[smask] - f_sup + eta[smask] / beta1, y_threshold)
+        y = shrink_1d(v[support] - f_sup + eta[support] / beta1, y_threshold)
         z = _shrink_groups(grad_v + mu / beta2, z_threshold)
 
-        ybar[smask] = y
+        ybar[support] = y
         rhs = (
             gradient.apply_adjoint(op, beta2 * z - mu, op.tri_areas)
             + beta1 * (ybar + f2)
@@ -201,7 +196,7 @@ def admm_solve(
         eta = eta + beta1 * (v - f2 - ybar)
         mu = mu + beta2 * (grad_v - z)
 
-        r_fit = np.linalg.norm(v[smask] - f_sup - y)
+        r_fit = np.linalg.norm(v[support] - f_sup - y)
         r_pin = np.linalg.norm(v[pinned] - f2[pinned])
         r_grad = np.linalg.norm((grad_v - z).ravel())
         if max(r_fit, r_pin, r_grad) / scale < config.inner_tol:
@@ -217,8 +212,8 @@ def _l1tv_solve_full(f: MeshImage, u0: MeshImage, op: GradientOperator,
                      config: SolverConfig, system: NormalEquationSystem):
     """L1-TV from ``u0``: the subproblem with full support, unit weights and a
     prox-free ``system``.  Returns (image, inner_iterations, converged)."""
-    support = SupportSet.full(f.values.size, f.channel_count)
-    return admm_solve(f, u0, support, np.ones(len(support)), op, config, system)
+    support = np.ones(f.values.shape, dtype=bool)
+    return admm_solve(f, u0, support, np.ones(f.values.size), op, config, system)
 
 
 def solve_l1tv(f: MeshImage, op: GradientOperator,

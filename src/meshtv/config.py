@@ -1,10 +1,13 @@
-"""Solver configuration and support-set bookkeeping."""
+"""Solver configuration.
+
+The support of the fidelity term is not a type of its own: the solver passes
+it as a boolean array shaped like the image values, True where a value is
+still fitted and False where it is pinned to the observed data.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass
@@ -47,44 +50,3 @@ class SolverConfig:
         for name in ("outer_max_iter", "inner_max_iter", "cg_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Active indices of the data-fitting term.
-
-    ``gamma`` holds sorted flat positions into the (n_vertices, channels)
-    value array, so for grayscale images the entries are vertex ids and for
-    color images the bookkeeping is per (vertex, channel).  The complement
-    of ``gamma`` is pinned to the observed data by the solver.
-    """
-
-    gamma: np.ndarray
-    total: int
-    channels: int = 1
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.int64)
-        object.__setattr__(self, "gamma", g)
-        if g.size and (g[0] < 0 or g[-1] >= self.total):
-            raise ValueError("support indices out of range")
-
-    def __len__(self) -> int:
-        return int(self.gamma.size)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.total, dtype=bool)
-        m[self.gamma] = True
-        return m
-
-    def vertex_ids(self) -> np.ndarray:
-        """Vertices with at least one supported channel."""
-        return np.unique(self.gamma // self.channels)
-
-    @classmethod
-    def full(cls, total: int, channels: int = 1) -> "SupportSet":
-        return cls(np.arange(total, dtype=np.int64), total, channels)
-
-    @classmethod
-    def empty(cls, total: int, channels: int = 1) -> "SupportSet":
-        return cls(np.empty(0, dtype=np.int64), total, channels)

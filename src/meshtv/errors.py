@@ -30,7 +30,7 @@ class NaNInput(MeshTVError):
 
 
 class ZeroResidualInSupport(MeshTVError):
-    """A support index has an exactly zero residual (support bookkeeping bug)."""
+    """A supported value has an exactly zero residual (support bookkeeping bug)."""
 
 
 class InvalidP(MeshTVError):

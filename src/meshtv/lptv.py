@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .admm import NormalEquationSystem, admm_solve, _l1tv_solve_full
-from .config import SolverConfig, SupportSet
+from .config import SolverConfig
 from .errors import (
     DimensionMismatch,
     InvalidP,
@@ -31,9 +31,6 @@ from .imaging import MeshImage
 from .mesh import TriangleMesh
 
 logger = logging.getLogger(__name__)
-
-_TRACE_COLUMNS = ("iter", "objective", "support_size", "iterate_gap",
-                  "decrease_slack", "inner_iterations")
 
 
 @dataclass(frozen=True)
@@ -64,18 +61,18 @@ class SolverTrace:
         return len(self.records)
 
     def column(self, name: str) -> np.ndarray:
-        field = {"iter": "iteration"}.get(name, name)
-        return np.array([getattr(r, field) for r in self.records])
+        return np.array([getattr(r, name) for r in self.records])
 
     def write_csv(self, path: str) -> None:
+        """One column per ``TraceRecord`` field, floats as ``.12g``."""
+        names = [f.name for f in fields(TraceRecord)]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(_TRACE_COLUMNS) + "\n")
+            fh.write(",".join(names) + "\n")
             for r in self.records:
-                fh.write(
-                    f"{r.iteration},{r.objective:.12g},{r.support_size},"
-                    f"{r.iterate_gap:.12g},{r.decrease_slack:.12g},"
-                    f"{r.inner_iterations}\n"
-                )
+                row = (getattr(r, name) for name in names)
+                fh.write(",".join(
+                    format(v, ".12g") if isinstance(v, float) else str(v)
+                    for v in row) + "\n")
 
 
 def _objective_raw(u2: np.ndarray, f2: np.ndarray, op: GradientOperator,
@@ -101,31 +98,30 @@ def objective(u: MeshImage, f: MeshImage, op: GradientOperator,
     return _objective_raw(u.values, f.values, op, config.lam, config.p)
 
 
-def support_eps(u: MeshImage, f: MeshImage, eps: float) -> SupportSet:
-    """Indices with residual strictly above eps.
+def support_eps(u: MeshImage, f: MeshImage, eps: float) -> np.ndarray:
+    """Boolean mask, shaped like the image values, of residuals above eps.
 
     Bookkeeping is per value entry, i.e. per (vertex, channel) for color
-    images; a vertex counts as supported when any of its channels is (see
-    SupportSet.vertex_ids).  Residuals exactly equal to eps are excluded.
+    images; ``mask.any(axis=1)`` marks the vertices with a supported
+    channel.  Residuals exactly equal to eps are excluded.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if u.values.shape != f.values.shape:
         raise DimensionMismatch("u and f must have identical shapes")
-    residual = np.abs(u.values - f.values).ravel()
-    gamma = np.flatnonzero(residual > eps)
-    return SupportSet(gamma, residual.size, u.channel_count)
+    return np.abs(u.values - f.values) > eps
 
 
-def weights(u: MeshImage, f: MeshImage, support: SupportSet, p: float) -> np.ndarray:
-    """Linearization weights p * |u_j - f_j|^(p-1) on the support.
+def weights(u: MeshImage, f: MeshImage, support: np.ndarray, p: float) -> np.ndarray:
+    """Linearization weights p * |u_j - f_j|^(p-1) on the support mask.
 
-    Requires strictly positive residuals there; a zero residual means the
-    support bookkeeping is broken.  For p = 1 all weights are 1.
+    One weight per True entry of ``support``, in C order.  Requires strictly
+    positive residuals there; a zero residual means the support bookkeeping
+    is broken.  For p = 1 all weights are 1.
     """
     if u.values.shape != f.values.shape:
         raise DimensionMismatch("u and f must have identical shapes")
-    residual = np.abs(u.values - f.values).ravel()[support.gamma]
+    residual = np.abs(u.values - f.values)[support]
     if np.any(residual == 0.0):
         raise ZeroResidualInSupport("zero residual inside the support")
     return p * residual ** (p - 1.0)
@@ -174,15 +170,13 @@ def plm_solve(
 
     u = MeshImage(u0.values.copy())
     f_prev = _objective_raw(u.values, f.values, op, config.lam, config.p)
-    prev_gamma: np.ndarray | None = None
+    prev_support = np.ones(f.values.shape, dtype=bool)
 
     for k in range(config.outer_max_iter):
         support = support_eps(u, f, config.eps_support)
-        if prev_gamma is not None and not np.isin(
-            support.gamma, prev_gamma, assume_unique=True
-        ).all():
+        if (support & ~prev_support).any():
             raise SupportGrew(f"support grew at outer iteration {k}; pinning is broken")
-        prev_gamma = support.gamma
+        prev_support = support
         w = weights(u, f, support, config.p)
 
         u_next, inner_iters, inner_ok = admm_solve(
@@ -197,8 +191,8 @@ def plm_solve(
             raise NonFiniteIterate(f"objective became non-finite at iteration {k}")
         gap = float(np.linalg.norm(u_next.values - u.values))
         slack = f_prev - f_next - 0.5 * config.prox_weight * gap**2
-        trace.append(TraceRecord(k, f_prev, len(support), gap, slack,
-                                 inner_iters, inner_ok))
+        trace.append(TraceRecord(k, f_prev, int(np.count_nonzero(support)), gap,
+                                 slack, inner_iters, inner_ok))
 
         u_norm = float(np.linalg.norm(u_next.values))
         u, f_prev = u_next, f_next

@@ -41,9 +41,6 @@ class TriangleMesh:
         (n_vertices, 3) float64, read-only.
     triangles : np.ndarray
         (n_triangles, 3) int64, read-only.
-    boundary_flags : np.ndarray
-        (n_vertices,) bool; True for vertices touching an edge that belongs
-        to exactly one triangle.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -93,8 +90,6 @@ class TriangleMesh:
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        self.boundary_flags = _boundary_flags(v.shape[0], t)
-        self.boundary_flags.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -104,10 +99,6 @@ class TriangleMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def bounding_box_diagonal(self) -> float:
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(span))
-
 
 def _areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     a = vertices[triangles[:, 0]]
@@ -115,18 +106,6 @@ def _areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     c = vertices[triangles[:, 2]]
     cross = np.cross(b - a, c - a)
     return 0.5 * np.linalg.norm(cross, axis=1)
-
-
-def _boundary_flags(n_vertices: int, triangles: np.ndarray) -> np.ndarray:
-    edges = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    edges = np.sort(edges, axis=1)
-    _, inverse, counts = np.unique(
-        edges, axis=0, return_inverse=True, return_counts=True
-    )
-    flags = np.zeros(n_vertices, dtype=bool)
-    boundary_edges = edges[counts[inverse] == 1]
-    flags[boundary_edges.ravel()] = True
-    return flags
 
 
 def triangle_areas(mesh: TriangleMesh) -> np.ndarray:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from meshtv.admm import NormalEquationSystem
+from meshtv.gradient import assemble_gram
 from meshtv.mesh import TriangleMesh
+
+
+def prox_system(op, config):
+    """The subproblem system with ``config``'s penalties and proximal weight."""
+    return NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
+                                config.prox_weight)
 
 
 @pytest.fixture

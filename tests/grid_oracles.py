@@ -158,6 +158,17 @@ def char_poly_max_eig(mat3):
     return float(np.max(roots.real))
 
 
+def edge_incidence_counts(triangles):
+    """Number of triangles on each undirected edge, keyed by (low, high)
+    vertex id.  A closed manifold mesh has every count equal to 2."""
+    counts = {}
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def subdivision_counts(levels):
     """(n_vertices, n_triangles) of a subdivided icosahedron: every edge gains
     a midpoint vertex and every face splits in four."""

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import prox_system
 from grid_oracles import (
     grid2_argmin,
     make_constrained_objective,
@@ -18,7 +19,7 @@ from grid_oracles import (
     shrink_vec_oracle,
 )
 from meshtv.admm import admm_solve, shrink_1d, shrink_vec, solve_l1tv
-from meshtv.config import SolverConfig, SupportSet
+from meshtv.config import SolverConfig
 from meshtv.experiment import ExperimentSpec, run_experiment
 from meshtv.gradient import apply as apply_gradient
 from meshtv.gradient import build_gradient_operator
@@ -99,9 +100,10 @@ def test_criterion_3_tiny_instance_equivalence(two_triangle_mesh):
         lam = rng.uniform(0.05, 0.5)
         config = SolverConfig(lam=lam, p=0.5, prox_weight=1.0, beta1=2.0,
                               beta2=2.0, inner_tol=1e-10, inner_max_iter=50_000)
-        support = SupportSet(np.array([0, 3]), 4)
+        support = np.array([[True], [False], [False], [True]])
         got, _, converged = admm_solve(f, MeshImage(f_values.copy()), support,
-                                       np.ones(2), op, config)
+                                       np.ones(2), op, config,
+                                       prox_system(op, config))
         assert converged
         hk = make_constrained_objective(op, f_values, f_values, [0, 3],
                                         np.ones(2), lam, 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import prox_system
 from grid_oracles import (
     grid2_argmin,
     make_constrained_objective,
@@ -15,7 +16,8 @@ from meshtv.admm import (
     shrink_vec,
     solve_l1tv,
 )
-from meshtv.config import SolverConfig, SupportSet
+from meshtv.config import SolverConfig
+from meshtv.errors import DimensionMismatch
 from meshtv.gradient import assemble_gram, build_gradient_operator
 from meshtv.imaging import MeshImage
 from meshtv.synthetic import icosphere
@@ -30,18 +32,31 @@ def test_empty_support_returns_data(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     f = MeshImage(rng.uniform(0, 1, size=4))
     u_k = MeshImage(rng.uniform(0, 1, size=4))
-    support = SupportSet.empty(4)
-    out, iters, converged = admm_solve(f, u_k, support, np.empty(0), op, TINY_CONFIG)
+    support = np.zeros((4, 1), dtype=bool)
+    out, iters, converged = admm_solve(f, u_k, support, np.empty(0), op,
+                                       TINY_CONFIG, prox_system(op, TINY_CONFIG))
     assert converged
     assert np.array_equal(out.values, f.values)
+
+
+def test_support_mask_must_match_image_shape(rng):
+    # an RGB image needs an (n, 3) mask; the flat mask of the same size is refused
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    f = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
+    system = prox_system(op, TINY_CONFIG)
+    flat = np.ones(f.values.size, dtype=bool)
+    with pytest.raises(DimensionMismatch):
+        admm_solve(f, f, flat, np.ones(f.values.size), op, TINY_CONFIG, system)
 
 
 def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     f = MeshImage(rng.uniform(0, 1, size=4))
-    support = SupportSet(np.array([1, 2]), 4)
+    support = np.array([[False], [True], [True], [False]])
     u_k = MeshImage(f.values.copy())
-    out, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG)
+    out, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG,
+                           prox_system(op, TINY_CONFIG))
     assert out.values[0, 0] == f.values[0, 0]
     assert out.values[3, 0] == f.values[3, 0]
 
@@ -49,10 +64,11 @@ def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
 def test_admm_is_deterministic(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     f = MeshImage(rng.uniform(0, 1, size=4))
-    support = SupportSet(np.array([0, 3]), 4)
+    support = np.array([[True], [False], [False], [True]])
     u_k = MeshImage(f.values.copy())
-    a, it_a, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG)
-    b, it_b, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG)
+    system = prox_system(op, TINY_CONFIG)
+    a, it_a, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
+    b, it_b, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     assert it_a == it_b
     assert np.array_equal(a.values, b.values)
 
@@ -81,10 +97,11 @@ def _tiny_admm_case(op, f_values, lam, rng):
         inner_tol=1e-10, inner_max_iter=50_000,
     )
     f = MeshImage(f_values)
-    support = SupportSet(np.array([0, 3]), 4)
+    support = np.array([[True], [False], [False], [True]])
     w = np.ones(2)
     u_k = MeshImage(f_values.copy())
-    out, _, converged = admm_solve(f, u_k, support, w, op, config)
+    out, _, converged = admm_solve(f, u_k, support, w, op, config,
+                                   prox_system(op, config))
     assert converged
     objective = make_constrained_objective(
         op, f_values, f_values, [0, 3], w, lam, config.prox_weight
@@ -110,8 +127,8 @@ def test_full_support_prox_free_subproblem_is_l1tv(rng):
     config = SolverConfig(lam=0.5, p=1.0, prox_weight=1.0, beta1=2.0, beta2=2.0,
                           inner_tol=1e-8, inner_max_iter=20_000)
     system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2, 0.0)
-    support = SupportSet.full(mesh.n_vertices)
-    out, _, converged = admm_solve(f, f, support, np.ones(len(support)), op,
+    support = np.ones((mesh.n_vertices, 1), dtype=bool)
+    out, _, converged = admm_solve(f, f, support, np.ones(mesh.n_vertices), op,
                                    config, system=system)
     assert converged
     assert np.array_equal(out.values, solve_l1tv(f, op, config).values)

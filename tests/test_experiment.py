@@ -186,3 +186,29 @@ def test_cli_missing_file_fails(tmp_path):
     )
     assert result.returncode == 1
     assert "error" in result.stderr.lower()
+
+
+def test_cli_trace_records_unconverged_inner_solves(tmp_path):
+    # one ADMM step per subproblem cannot meet the inner tolerance
+    result = _run_cli(
+        [
+            "--synthetic", "icosphere_k=1,pattern=two_patch",
+            "--out", str(tmp_path / "out"),
+            "--noise-levels", "0.1",
+            "--p-values", "0.5",
+            "--trials", "1",
+            "--lambda", "0.15",
+            "--beta1", "2.0", "--beta2", "2.0",
+            "--inner-max", "1", "--outer-max", "3",
+            "--no-time",
+        ],
+        cwd=str(tmp_path),
+    )
+    assert result.returncode == 0, result.stderr
+    traces = sorted((tmp_path / "out").rglob("trace.csv"))
+    assert len(traces) == 2  # L1TV and LpTV_p0.5
+    for path in traces:
+        header, *rows = path.read_text().splitlines()
+        assert header.endswith(",inner_converged")
+        assert rows
+        assert all(row.rsplit(",", 1)[1] == "False" for row in rows)

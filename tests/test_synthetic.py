@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grid_oracles import subdivision_counts
+from grid_oracles import edge_incidence_counts, subdivision_counts
 from meshtv.errors import InvalidParams
 from meshtv.mesh import triangle_areas
 from meshtv.synthetic import (
@@ -28,7 +28,8 @@ def test_icosphere_1_and_2_counts():
 
 def test_icosphere_is_closed_unit_sphere():
     mesh = icosphere(2)
-    assert not mesh.boundary_flags.any()
+    counts = edge_incidence_counts(mesh.triangles)
+    assert all(c == 2 for c in counts.values())
     radii = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(radii - 1.0).max() < 1e-12
 
@@ -55,7 +56,9 @@ def test_planar_grid_structure():
     assert mesh.n_vertices == 121
     assert mesh.n_triangles == 200
     assert np.allclose(triangle_areas(mesh).sum(), 1.0)
-    assert mesh.boundary_flags.sum() == 40  # perimeter vertices
+    counts = edge_incidence_counts(mesh.triangles)
+    boundary = {v for edge, c in counts.items() if c == 1 for v in edge}
+    assert len(boundary) == 40  # perimeter vertices
 
 
 def test_generate_synthetic_kinds():
