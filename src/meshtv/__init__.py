@@ -9,7 +9,6 @@ The package root exports what a restoration run needs; solver internals stay
 importable from their submodules.
 """
 
-from .admm import solve_l1tv
 from .config import SolverConfig
 from .errors import MeshTVError
 from .experiment import ExperimentSpec, run_experiment
@@ -35,7 +34,6 @@ __all__ = [
     "psnr",
     "read_image",
     "run_experiment",
-    "solve_l1tv",
 ]
 
 __version__ = "0.1.0"

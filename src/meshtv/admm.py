@@ -25,12 +25,14 @@ from .errors import (
     NonFiniteIterate,
     SingularSystem,
 )
-from .gradient import GradientOperator, assemble_gram
+from .gradient import GradientOperator
 from .imaging import MeshImage
 
 # Above this size the normal equation switches from a direct factorization to
-# Jacobi-preconditioned CG.
+# Jacobi-preconditioned CG, run to this relative tolerance and step limit.
 DIRECT_SOLVE_MAX_VERTICES = 50_000
+CG_TOL = 1e-10
+CG_MAX_ITER = 2000
 
 
 def shrink_1d(x, threshold):
@@ -70,10 +72,12 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
 class NormalEquationSystem:
     """The SPD vertex system beta2 * Gram + (prox_weight + beta1) * I.
 
-    The matrix is independent of the support, so one factorization (or
-    preconditioner) serves every inner iteration and, for fixed penalties,
-    every outer iteration as well.  ``prox_weight`` is kept because the ADMM
-    right-hand side carries the matching ``prox_weight * u_ref`` term.
+    The matrix is independent of the support: a pinned value enters the ADMM
+    loop as an infinite y threshold, not as a smaller system, so one
+    factorization (or preconditioner) serves every inner iteration and, for
+    fixed penalties, every outer iteration as well.  The penalties and the
+    proximal weight are kept because the ADMM steps must use the ones the
+    matrix was built with; this system is their only source.
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
@@ -81,7 +85,7 @@ class NormalEquationSystem:
         if beta1 <= 0.0 or beta2 <= 0.0 or prox_weight < 0.0:
             raise ValueError("penalties must be positive, prox_weight nonnegative")
         n = gram.shape[0]
-        self.prox_weight = prox_weight
+        self.beta1, self.beta2, self.prox_weight = beta1, beta2, prox_weight
         self.matrix = (beta2 * gram + (prox_weight + beta1) * sp.identity(n)).tocsr()
         if n <= DIRECT_SOLVE_MAX_VERTICES:
             try:
@@ -101,9 +105,8 @@ class NormalEquationSystem:
         return self.matrix.shape[0]
 
 
-def solve_normal_equation(
-    system: NormalEquationSystem, rhs: np.ndarray, config: SolverConfig
-) -> np.ndarray:
+def solve_normal_equation(system: NormalEquationSystem,
+                          rhs: np.ndarray) -> np.ndarray:
     """Solve the vertex system for one or several right-hand-side columns."""
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != system.n:
@@ -114,13 +117,11 @@ def solve_normal_equation(
     out = np.empty_like(cols)
     for j in range(cols.shape[1]):
         x, info = spla.cg(
-            system.matrix, cols[:, j], rtol=config.cg_tol, atol=0.0,
-            maxiter=config.cg_max_iter, M=system._precond,
+            system.matrix, cols[:, j], rtol=CG_TOL, atol=0.0,
+            maxiter=CG_MAX_ITER, M=system._precond,
         )
         if info > 0:
-            raise IterationLimitExceeded(
-                f"CG stopped after {config.cg_max_iter} iterations"
-            )
+            raise IterationLimitExceeded(f"CG stopped after {CG_MAX_ITER} iterations")
         if info < 0:
             raise SingularSystem("CG reported an invalid system")
         out[:, j] = x
@@ -142,7 +143,10 @@ def admm_solve(
     weight per True entry, in C order.  Minimizes lam * sum_j w_j |v_j - f_j|
     over the support, plus the area-weighted TV term and
     prox_weight/2 * ||v - u_k||^2, subject to v_j = f_j where the mask is
-    False.  The proximal weight is the one ``system`` was built with.
+    False.  A pinned value is a weight of +inf: its y threshold is +inf, so
+    its y stays 0 and its ``r_pin`` residual measures v_j - f_j.  The
+    penalties and the proximal weight are those ``system`` was built with;
+    from ``config`` only lam, inner_tol and inner_max_iter are read.
     Returns (image, inner_iterations, converged); a False flag means the
     residual rule was not met within inner_max_iter.  Off-support entries of
     the result are overwritten with the observed data exactly, so the pinning
@@ -157,47 +161,45 @@ def admm_solve(
     if support.shape != f2.shape or support.dtype != bool:
         raise DimensionMismatch("support must be a boolean mask shaped like f")
     pinned = ~support
-    f_sup = f2[support]
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != f_sup.shape:
+    if w.shape != (np.count_nonzero(support),):
         raise DimensionMismatch("one weight per support entry required")
-    if f_sup.size == 0:
+    if w.size == 0:
         return MeshImage(f2.copy()), 0, True
 
-    beta1, beta2 = config.beta1, config.beta2
-    prox_weight = system.prox_weight
-    y_threshold = config.lam * w / beta1
+    beta1, beta2, prox_weight = system.beta1, system.beta2, system.prox_weight
+    y_threshold = np.full(f2.shape, np.inf)
+    y_threshold[support] = config.lam * w / beta1
     z_threshold = 1.0 / beta2
 
     v = u_ref.copy()
     eta = np.zeros_like(v)
     mu = np.zeros((op.n_triangles, 3, channels))
-    ybar = np.zeros_like(v)
     grad_v = gradient.apply(op, v)
     scale = np.sqrt(f2.size)
     iters, converged = config.inner_max_iter, False
 
     for t in range(config.inner_max_iter):
-        y = shrink_1d(v[support] - f_sup + eta[support] / beta1, y_threshold)
+        y = shrink_1d(v - f2 + eta / beta1, y_threshold)
         z = _shrink_groups(grad_v + mu / beta2, z_threshold)
 
-        ybar[support] = y
         rhs = (
             gradient.apply_adjoint(op, beta2 * z - mu, op.tri_areas)
-            + beta1 * (ybar + f2)
+            + beta1 * (y + f2)
             - eta
             + prox_weight * u_ref
         )
-        v = solve_normal_equation(system, rhs, config)
+        v = solve_normal_equation(system, rhs)
         if not np.all(np.isfinite(v)):
             raise NonFiniteIterate("ADMM produced non-finite vertex values")
         grad_v = gradient.apply(op, v)
 
-        eta = eta + beta1 * (v - f2 - ybar)
+        r_y = v - f2 - y
+        eta = eta + beta1 * r_y
         mu = mu + beta2 * (grad_v - z)
 
-        r_fit = np.linalg.norm(v[support] - f_sup - y)
-        r_pin = np.linalg.norm(v[pinned] - f2[pinned])
+        r_fit = np.linalg.norm(r_y[support])
+        r_pin = np.linalg.norm(r_y[pinned])
         r_grad = np.linalg.norm((grad_v - z).ravel())
         if max(r_fit, r_pin, r_grad) / scale < config.inner_tol:
             iters, converged = t + 1, True
@@ -214,14 +216,3 @@ def _l1tv_solve_full(f: MeshImage, u0: MeshImage, op: GradientOperator,
     prox-free ``system``.  Returns (image, inner_iterations, converged)."""
     support = np.ones(f.values.shape, dtype=bool)
     return admm_solve(f, u0, support, np.ones(f.values.size), op, config, system)
-
-
-def solve_l1tv(f: MeshImage, op: GradientOperator,
-               config: SolverConfig) -> MeshImage:
-    """Minimize lam * ||u - f||_1 + TV(u) by ADMM, starting from ``f``.
-
-    This is the convex warm start for the nonconvex solver.
-    """
-    system = NormalEquationSystem(assemble_gram(op), config.beta1,
-                                  config.beta2, 0.0)
-    return _l1tv_solve_full(f, f, op, config, system)[0]

@@ -8,12 +8,7 @@ import sys
 
 from .config import SolverConfig
 from .errors import MeshTVError
-from .experiment import (
-    DEFAULT_NOISE_LEVELS,
-    DEFAULT_P_VALUES,
-    ExperimentSpec,
-    run_experiment,
-)
+from .experiment import ExperimentSpec, run_experiment
 
 
 def _float_list(text: str) -> list[float]:
@@ -24,6 +19,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's options; every default is the matching dataclass default."""
     parser = argparse.ArgumentParser(
         prog="meshtv",
         description=(
@@ -43,27 +39,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", required=True,
                         help="output directory (results.csv plus per-method "
                              "restored.ply and trace.csv)")
-    parser.add_argument("--noise-levels", type=_float_list,
-                        default=list(DEFAULT_NOISE_LEVELS), metavar="A,B,...")
-    parser.add_argument("--p-values", type=_float_list,
-                        default=list(DEFAULT_P_VALUES), metavar="A,B,...")
-    parser.add_argument("--trials", type=int, default=10, metavar="N")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="base RNG seed; trial t uses seed + t")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    parser.add_argument("--noise-levels", type=_float_list, metavar="A,B,...",
+                        default=list(ExperimentSpec.noise_levels))
+    parser.add_argument("--p-values", type=_float_list, metavar="A,B,...",
+                        default=list(ExperimentSpec.p_values))
+    parser.add_argument("--trials", type=int, default=ExperimentSpec.trials,
+                        metavar="N")
+    parser.add_argument("--seed", type=int, default=ExperimentSpec.base_seed,
+                        metavar="N", help="base RNG seed; trial t uses seed + t")
+    parser.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
                         metavar="X", help="data-fitting weight")
-    parser.add_argument("--rho", type=float, default=1.0, metavar="X",
-                        help="proximal weight of the outer subproblems")
-    parser.add_argument("--beta1", type=float, default=None, metavar="X",
+    parser.add_argument("--rho", type=float, default=SolverConfig.prox_weight,
+                        metavar="X", help="proximal weight of the outer subproblems")
+    parser.add_argument("--beta1", type=float, default=SolverConfig.beta1, metavar="X",
                         help="ADMM fidelity penalty (default 10*lambda)")
-    parser.add_argument("--beta2", type=float, default=None, metavar="X",
+    parser.add_argument("--beta2", type=float, default=SolverConfig.beta2, metavar="X",
                         help="ADMM gradient penalty (default 10*lambda)")
-    parser.add_argument("--eps", type=float, default=1e-3, metavar="X",
-                        help="support threshold on the [0,1] scale")
-    parser.add_argument("--outer-tol", type=float, default=1e-6, metavar="X")
-    parser.add_argument("--outer-max", type=int, default=500, metavar="N")
-    parser.add_argument("--inner-tol", type=float, default=1e-6, metavar="X")
-    parser.add_argument("--inner-max", type=int, default=2000, metavar="N")
+    parser.add_argument("--eps", type=float, default=SolverConfig.eps_support,
+                        metavar="X", help="support threshold on the [0,1] scale")
+    parser.add_argument("--outer-tol", type=float, default=SolverConfig.outer_tol,
+                        metavar="X")
+    parser.add_argument("--outer-max", type=int, default=SolverConfig.outer_max_iter,
+                        metavar="N")
+    parser.add_argument("--inner-tol", type=float, default=SolverConfig.inner_tol,
+                        metavar="X")
+    parser.add_argument("--inner-max", type=int, default=SolverConfig.inner_max_iter,
+                        metavar="N")
     parser.add_argument("--no-time", action="store_true",
                         help="write zeros for wall time so repeated runs "
                              "produce byte-identical results.csv")
@@ -102,6 +103,10 @@ def main(argv: list[str] | None = None) -> int:
             solver=solver,
             record_time=not args.no_time,
         )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    try:
         rows = run_experiment(spec)
     except (MeshTVError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ still fitted and False where it is pinned to the observed data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,7 +21,8 @@ class SolverConfig:
     coefficient of the outer linearized subproblems, and ``eps_support`` is
     the residual threshold below which a value counts as exactly fitted.
     ``beta1``/``beta2`` are the ADMM penalties for the fidelity and gradient
-    splittings; they default to 10 * lam.
+    splittings; they default to 10 * lam and reach the ADMM loop only through
+    the normal-equation system built from them.
     """
 
     lam: float = 1.0
@@ -33,8 +35,6 @@ class SolverConfig:
     beta2: float | None = None
     inner_tol: float = 1e-6
     inner_max_iter: int = 2000
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 2000
 
     def __post_init__(self):
         if self.beta1 is None:
@@ -44,9 +44,10 @@ class SolverConfig:
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         for name in ("lam", "prox_weight", "eps_support", "outer_tol",
-                     "beta1", "beta2", "inner_tol", "cg_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("outer_max_iter", "inner_max_iter", "cg_max_iter"):
+                     "beta1", "beta2", "inner_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("outer_max_iter", "inner_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -35,9 +35,6 @@ from .synthetic import generate_synthetic
 
 RESULTS_HEADER = "image,noise_level,method,psnr_db,wall_time_s,outer_iters"
 
-DEFAULT_NOISE_LEVELS = (0.05, 0.10, 0.20, 0.30)
-DEFAULT_P_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
-
 
 @dataclass
 class ExperimentSpec:
@@ -53,8 +50,8 @@ class ExperimentSpec:
     mesh_path: str | None = None
     image_path: str | None = None
     synthetic: str | None = None
-    noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
-    p_values: tuple[float, ...] = DEFAULT_P_VALUES
+    noise_levels: tuple[float, ...] = (0.05, 0.10, 0.20, 0.30)
+    p_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     trials: int = 10
     base_seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)

@@ -179,9 +179,8 @@ def plm_solve(
         prev_support = support
         w = weights(u, f, support, config.p)
 
-        u_next, inner_iters, inner_ok = admm_solve(
-            f, u, support, w, op, config, system=system
-        )
+        u_next, inner_iters, inner_ok = admm_solve(f, u, support, w, op,
+                                                   config, system)
         if not inner_ok:
             logger.warning(
                 "inner ADMM hit inner_max_iter at outer iteration %d", k
@@ -190,7 +189,7 @@ def plm_solve(
         if not math.isfinite(f_next):
             raise NonFiniteIterate(f"objective became non-finite at iteration {k}")
         gap = float(np.linalg.norm(u_next.values - u.values))
-        slack = f_prev - f_next - 0.5 * config.prox_weight * gap**2
+        slack = f_prev - f_next - 0.5 * system.prox_weight * gap**2
         trace.append(TraceRecord(k, f_prev, int(np.count_nonzero(support)), gap,
                                  slack, inner_iters, inner_ok))
 

@@ -296,13 +296,13 @@ def read_ply_elements(path: str) -> dict:
                 raise ParseError("only ASCII PLY is supported")
             fmt_seen = True
         elif toks[0] == "element":
-            if len(toks) != 3:
+            if len(toks) != 3 or not toks[2].isdecimal():
                 raise ParseError(f"bad element line: {lines[i - 1]!r}")
             elements.append((toks[1], int(toks[2]), []))
         elif toks[0] == "property":
             if not elements:
                 raise ParseError("property before any element")
-            if toks[1] == "list":
+            if toks[1:2] == ["list"]:
                 if len(toks) != 5:
                     raise ParseError(f"bad list property: {lines[i - 1]!r}")
                 elements[-1][2].append((toks[4], "list"))
@@ -366,7 +366,9 @@ def _parse_ply_mesh(path: str):
         if key not in vert:
             raise ParseError(f"PLY vertex element lacks property {key!r}")
     verts = np.column_stack([vert["x"], vert["y"], vert["z"]])
-    face_lists = next(iter(elements["face"].values()))
+    face_lists = next(iter(elements["face"].values()), None)
+    if not isinstance(face_lists, list):
+        raise ParseError("PLY face element lacks a vertex-index list property")
     for face in face_lists:
         if len(face) != 3:
             raise ParseError("only triangular faces are supported")

@@ -18,7 +18,7 @@ from grid_oracles import (
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
-from meshtv.admm import admm_solve, shrink_1d, shrink_vec, solve_l1tv
+from meshtv.admm import admm_solve, shrink_1d, shrink_vec
 from meshtv.config import SolverConfig
 from meshtv.experiment import ExperimentSpec, run_experiment
 from meshtv.gradient import apply as apply_gradient
@@ -114,7 +114,7 @@ def test_criterion_3_tiny_instance_equivalence(two_triangle_mesh):
         lam1 = rng.uniform(0.5, 2.0)
         config1 = SolverConfig(lam=lam1, p=1.0, beta1=2.0, beta2=2.0,
                                inner_tol=1e-10, inner_max_iter=50_000)
-        out = solve_l1tv(f, op, config1)
+        out, _ = plm_solve(f, two_triangle_mesh, op, config1, f)
         l1_obj = make_constrained_objective(op, f_values, f_values,
                                             [0, 1, 2, 3], np.ones(4), lam1, 0.0)
         lo = np.full(4, f_values.min() - 0.25)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,12 @@ from meshtv.admm import (
     admm_solve,
     shrink_1d,
     shrink_vec,
-    solve_l1tv,
 )
 from meshtv.config import SolverConfig
 from meshtv.errors import DimensionMismatch
 from meshtv.gradient import assemble_gram, build_gradient_operator
 from meshtv.imaging import MeshImage
+from meshtv.lptv import plm_solve
 from meshtv.synthetic import icosphere
 
 TINY_CONFIG = SolverConfig(
@@ -70,6 +72,23 @@ def test_admm_is_deterministic(two_triangle_mesh, rng):
     a, it_a, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     b, it_b, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     assert it_a == it_b
+    assert np.array_equal(a.values, b.values)
+
+
+def test_penalties_come_from_the_system(rng):
+    # config.beta1/beta2 disagree with the factorized system; the system wins
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
+    support = rng.uniform(size=(mesh.n_vertices, 1)) < 0.3
+    w = rng.uniform(0.5, 2.0, size=np.count_nonzero(support))
+    matching = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=4.0,
+                            beta2=1.0, inner_tol=1e-8, inner_max_iter=5000)
+    other = dataclasses.replace(matching, beta1=2.0, beta2=2.0)
+    system = prox_system(op, matching)
+    a, it_a, ok_a = admm_solve(f, f, support, w, op, matching, system)
+    b, it_b, ok_b = admm_solve(f, f, support, w, op, other, system)
+    assert (it_a, ok_a) == (it_b, ok_b)
     assert np.array_equal(a.values, b.values)
 
 
@@ -131,7 +150,8 @@ def test_full_support_prox_free_subproblem_is_l1tv(rng):
     out, _, converged = admm_solve(f, f, support, np.ones(mesh.n_vertices), op,
                                    config, system=system)
     assert converged
-    assert np.array_equal(out.values, solve_l1tv(f, op, config).values)
+    l1tv, _ = plm_solve(f, mesh, op, config, f)
+    assert np.array_equal(out.values, l1tv.values)
 
 
 def test_l1tv_matches_nested_grid_oracle(two_triangle_mesh, rng):
@@ -141,7 +161,8 @@ def test_l1tv_matches_nested_grid_oracle(two_triangle_mesh, rng):
         lam = rng.uniform(0.5, 2.0)
         config = SolverConfig(lam=lam, p=1.0, beta1=2.0, beta2=2.0,
                               inner_tol=1e-10, inner_max_iter=50_000)
-        out = solve_l1tv(MeshImage(f_values), op, config)
+        f = MeshImage(f_values)
+        out, _ = plm_solve(f, two_triangle_mesh, op, config, f)
         objective = make_constrained_objective(
             op, f_values, f_values, [0, 1, 2, 3], np.ones(4), lam, 0.0
         )
@@ -157,7 +178,7 @@ def test_l1tv_large_lambda_returns_data(rng):
     f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
     config = SolverConfig(lam=1e6, p=1.0, beta1=10.0, beta2=10.0,
                           inner_tol=1e-9, inner_max_iter=20_000)
-    out = solve_l1tv(f, op, config)
+    out, _ = plm_solve(f, mesh, op, config, f)
     assert np.abs(out.values - f.values).max() < 1e-3
 
 
@@ -167,6 +188,6 @@ def test_l1tv_small_lambda_flattens(rng):
     f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
     config = SolverConfig(lam=1e-6, p=1.0, beta1=1.0, beta2=1.0,
                           inner_tol=1e-9, inner_max_iter=20_000)
-    out = solve_l1tv(f, op, config)
+    out, _ = plm_solve(f, mesh, op, config, f)
     spread = out.values.max() - out.values.min()
     assert spread < 1e-2

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from meshtv import cli
 from meshtv.config import SolverConfig
 from meshtv.experiment import (
     ExperimentSpec,
@@ -186,6 +187,23 @@ def test_cli_missing_file_fails(tmp_path):
     )
     assert result.returncode == 1
     assert "error" in result.stderr.lower()
+
+
+@pytest.mark.parametrize("bad", [
+    ["--trials", "0"],
+    ["--noise-levels", "1.5"],
+    ["--lambda", "-1"],
+    ["--lambda", "nan"],
+    ["--eps", "nan"],
+    ["--beta1", "inf"],
+])
+def test_cli_invalid_values_exit_2(tmp_path, bad):
+    argv = ["--synthetic", "icosphere_k=1,pattern=two_patch",
+            "--out", str(tmp_path / "out"), *bad]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_trace_records_unconverged_inner_solves(tmp_path):

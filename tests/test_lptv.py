@@ -229,9 +229,11 @@ def test_plm_p_one_is_single_l1tv_solve():
                           inner_tol=1e-8, inner_max_iter=6000)
     out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
     assert len(trace) == 1
-    from meshtv.admm import solve_l1tv
+    from meshtv.admm import NormalEquationSystem, _l1tv_solve_full
+    from meshtv.gradient import assemble_gram
 
-    direct = solve_l1tv(noisy, op, config)
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2, 0.0)
+    direct = _l1tv_solve_full(noisy, noisy, op, config, system)[0]
     assert np.array_equal(out.values, direct.values)
 
 
@@ -281,6 +283,10 @@ def test_solver_config_validation():
         SolverConfig(p=1.2)
     with pytest.raises(ValueError):
         SolverConfig(lam=-1.0)
+    for name in ("lam", "eps_support", "beta1", "prox_weight", "inner_tol"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: bad})
     config = SolverConfig(lam=0.3)
     assert config.beta1 == pytest.approx(3.0)
     assert config.beta2 == pytest.approx(3.0)

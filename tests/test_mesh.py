@@ -175,6 +175,30 @@ def test_ply_binary_rejected(tmp_path):
         load_mesh(str(path))
 
 
+_PLY_TRIANGLE_VERTICES = ("property float x\nproperty float y\n"
+                          "property float z\n")
+
+
+@pytest.mark.parametrize("header, body", [
+    # a face element without a vertex-index list
+    ("element vertex 3\n" + _PLY_TRIANGLE_VERTICES
+     + "element face 1\nproperty float a\n", "0 0 0\n1 0 0\n0 1 0\n2\n"),
+    # a face element with no property at all
+    ("element vertex 3\n" + _PLY_TRIANGLE_VERTICES + "element face 1\n",
+     "0 0 0\n1 0 0\n0 1 0\n\n"),
+    # an element count that is not a number
+    ("element vertex abc\n" + _PLY_TRIANGLE_VERTICES, ""),
+    ("element vertex -3\n" + _PLY_TRIANGLE_VERTICES, ""),
+    # a property line with no type
+    ("element vertex 3\nproperty\n", ""),
+])
+def test_ply_malformed_header_rejected(tmp_path, header, body):
+    path = tmp_path / "bad.ply"
+    path.write_text("ply\nformat ascii 1.0\n" + header + "end_header\n" + body)
+    with pytest.raises(ParseError):
+        load_mesh(str(path))
+
+
 def test_mesh_arrays_are_read_only(right_triangle_mesh):
     with pytest.raises(ValueError):
         right_triangle_mesh.vertices[0, 0] = 5.0

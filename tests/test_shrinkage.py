@@ -10,7 +10,6 @@ from meshtv.admm import (
     shrink_vec,
     solve_normal_equation,
 )
-from meshtv.config import SolverConfig
 from meshtv.gradient import assemble_gram, build_gradient_operator
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
@@ -78,7 +77,7 @@ def _identity_system(scale, n):
 
 def test_solve_scaled_identity():
     system = _identity_system(2.0, 2)
-    out = solve_normal_equation(system, np.array([2.0, 4.0]), SolverConfig())
+    out = solve_normal_equation(system, np.array([2.0, 4.0]))
     assert np.allclose(out, [1.0, 2.0], atol=1e-12)
 
 
@@ -89,7 +88,7 @@ def test_solve_matches_dense_lu(two_triangle_mesh, rng):
     dense = system.matrix.toarray()
     for _ in range(20):
         rhs = rng.normal(size=4)
-        x = solve_normal_equation(system, rhs, SolverConfig())
+        x = solve_normal_equation(system, rhs)
         expected = np.linalg.solve(dense, rhs)
         assert np.abs(x - expected).max() < 1e-8
 
@@ -98,7 +97,7 @@ def test_solve_consistency_constant(two_triangle_mesh):
     op = build_gradient_operator(two_triangle_mesh)
     system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0)
     rhs = system.matrix @ np.ones(4)
-    out = solve_normal_equation(system, rhs, SolverConfig())
+    out = solve_normal_equation(system, rhs)
     assert np.abs(out - 1.0).max() < 1e-10
 
 
@@ -106,7 +105,7 @@ def test_solve_multiple_channels(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0)
     rhs = rng.normal(size=(4, 3))
-    out = solve_normal_equation(system, rhs, SolverConfig())
+    out = solve_normal_equation(system, rhs)
     assert np.abs(system.matrix @ out - rhs).max() < 1e-10
 
 
@@ -119,7 +118,6 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
     monkeypatch.setattr(admm_mod, "DIRECT_SOLVE_MAX_VERTICES", 0)
     iterative = NormalEquationSystem(gram, 1.0, 1.0, 1.0)
     rhs = rng.normal(size=4)
-    config = SolverConfig(cg_tol=1e-12)
-    a = solve_normal_equation(direct, rhs, config)
-    b = solve_normal_equation(iterative, rhs, config)
+    a = solve_normal_equation(direct, rhs)
+    b = solve_normal_equation(iterative, rhs)
     assert np.abs(a - b).max() < 1e-8
