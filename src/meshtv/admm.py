@@ -13,6 +13,8 @@ the plain L1-TV solver used as a warm start.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -75,13 +77,17 @@ class NormalEquationSystem:
     The matrix is independent of the support: a pinned value enters the ADMM
     loop as an infinite y threshold, not as a smaller system, so one
     factorization (or preconditioner) serves every inner iteration and, for
-    fixed penalties, every outer iteration as well.  The penalties and the
-    proximal weight are kept because the ADMM steps must use the ones the
-    matrix was built with; this system is their only source.
+    fixed penalties, every outer iteration as well.  Because the penalties
+    stay fixed, the multipliers of one outer iteration are also a valid
+    starting point for the next, and ``plm_solve`` passes them on.  The
+    penalties and the proximal weight are kept because the ADMM steps must
+    use the ones the matrix was built with; this system is their only source.
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
                  prox_weight: float):
+        if not all(map(math.isfinite, (beta1, beta2, prox_weight))):
+            raise ValueError("penalties and prox_weight must be finite")
         if beta1 <= 0.0 or beta2 <= 0.0 or prox_weight < 0.0:
             raise ValueError("penalties must be positive, prox_weight nonnegative")
         n = gram.shape[0]
@@ -136,6 +142,7 @@ def admm_solve(
     op: GradientOperator,
     config: SolverConfig,
     system: NormalEquationSystem,
+    duals: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
 
@@ -147,10 +154,17 @@ def admm_solve(
     its y stays 0 and its ``r_pin`` residual measures v_j - f_j.  The
     penalties and the proximal weight are those ``system`` was built with;
     from ``config`` only lam, inner_tol and inner_max_iter are read.
-    Returns (image, inner_iterations, converged); a False flag means the
-    residual rule was not met within inner_max_iter.  Off-support entries of
-    the result are overwritten with the observed data exactly, so the pinning
-    constraint holds bit-for-bit.
+
+    ``duals`` is the multiplier pair (eta, mu), shaped like ``f.values`` and
+    (n_triangles, 3, channels); the loop starts from it, or from zeros when
+    it is None.  The vertex iterate starts from ``u_k`` and the splitting
+    variables (y, z) are computed from it and the duals, so the duals are
+    the whole state a warm start needs.  The inputs are not modified.
+
+    Returns (image, inner_iterations, converged, duals), the last being the
+    final (eta, mu); a False flag means the residual rule was not met within
+    inner_max_iter.  Off-support entries of the result are overwritten with
+    the observed data exactly, so the pinning constraint holds bit-for-bit.
     """
     if f.values.shape != u_k.values.shape:
         raise DimensionMismatch("f and u_k must have identical shapes")
@@ -164,8 +178,15 @@ def admm_solve(
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (np.count_nonzero(support),):
         raise DimensionMismatch("one weight per support entry required")
+    mu_shape = (op.n_triangles, 3, channels)
+    if duals is None:
+        eta, mu = np.zeros_like(f2), np.zeros(mu_shape)
+    else:
+        eta, mu = duals
+        if eta.shape != f2.shape or mu.shape != mu_shape:
+            raise DimensionMismatch("duals must be shaped like f and its gradient")
     if w.size == 0:
-        return MeshImage(f2.copy()), 0, True
+        return MeshImage(f2.copy()), 0, True, (eta, mu)
 
     beta1, beta2, prox_weight = system.beta1, system.beta2, system.prox_weight
     y_threshold = np.full(f2.shape, np.inf)
@@ -173,8 +194,6 @@ def admm_solve(
     z_threshold = 1.0 / beta2
 
     v = u_ref.copy()
-    eta = np.zeros_like(v)
-    mu = np.zeros((op.n_triangles, 3, channels))
     grad_v = gradient.apply(op, v)
     scale = np.sqrt(f2.size)
     iters, converged = config.inner_max_iter, False
@@ -207,12 +226,14 @@ def admm_solve(
 
     out = v.copy()
     out[pinned] = f2[pinned]
-    return MeshImage(out), iters, converged
+    return MeshImage(out), iters, converged, (eta, mu)
 
 
 def _l1tv_solve_full(f: MeshImage, u0: MeshImage, op: GradientOperator,
                      config: SolverConfig, system: NormalEquationSystem):
-    """L1-TV from ``u0``: the subproblem with full support, unit weights and a
-    prox-free ``system``.  Returns (image, inner_iterations, converged)."""
+    """L1-TV from ``u0``: the subproblem with full support, unit weights, a
+    prox-free ``system`` and zero starting duals.  Returns (image,
+    inner_iterations, converged)."""
     support = np.ones(f.values.shape, dtype=bool)
-    return admm_solve(f, u0, support, np.ones(f.values.size), op, config, system)
+    return admm_solve(f, u0, support, np.ones(f.values.size), op, config,
+                      system)[:3]

@@ -33,10 +33,6 @@ class ZeroResidualInSupport(MeshTVError):
     """A supported value has an exactly zero residual (support bookkeeping bug)."""
 
 
-class InvalidP(MeshTVError):
-    """Operation requires an exponent strictly inside (0, 1)."""
-
-
 class SupportGrew(MeshTVError):
     """An outer iteration's support gained an index that had been pinned."""
 

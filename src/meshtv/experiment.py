@@ -63,6 +63,14 @@ class ExperimentSpec:
             raise ValueError("need either synthetic or mesh_path + image_path")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not self.noise_levels:
+            raise ValueError("need at least one noise level")
+        # a repeated value would write its result row twice and overwrite
+        # its own restored.ply and trace.csv
+        for name in ("noise_levels", "p_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated value in {name}: {values}")
         for level in self.noise_levels:
             if not 0.0 <= level <= 1.0:
                 raise ValueError(f"noise level {level} outside [0, 1]")

@@ -29,7 +29,6 @@ class GradientOperator:
 
     triangles: np.ndarray        # (n_tri, 3) vertex ids
     tri_areas: np.ndarray        # (n_tri,)
-    block_norms: np.ndarray      # (n_tri,) spectral norm of each block
     n_vertices: int
     matrix: sp.csr_matrix = field(repr=False)
 
@@ -76,11 +75,6 @@ def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
 
     areas = triangle_areas(mesh)
 
-    # spectral norm of each block from the 3x3 Gram of its nonzero columns
-    grams = np.einsum("tmr,tnr->tmn", columns, columns)
-    eigs = np.linalg.eigvalsh(grams)
-    block_norms = np.sqrt(np.maximum(eigs[:, -1], 0.0))
-
     rows = np.repeat(3 * np.arange(n_tri), 9) + np.tile(np.tile(np.arange(3), 3), n_tri)
     cols = np.repeat(tris.ravel(), 3)
     # data order must match: triangle i, slot m, component r
@@ -89,12 +83,10 @@ def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
         (data, (rows, cols)), shape=(3 * n_tri, mesh.n_vertices)
     ).tocsr()
 
-    for arr in (areas, block_norms):
-        arr.setflags(write=False)
+    areas.setflags(write=False)
     return GradientOperator(
         triangles=tris,
         tri_areas=areas,
-        block_norms=block_norms,
         n_vertices=mesh.n_vertices,
         matrix=matrix,
     )

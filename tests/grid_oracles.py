@@ -143,21 +143,6 @@ def dense_blocks(op):
     return blocks
 
 
-def char_poly_max_eig(mat3):
-    """Largest eigenvalue of a symmetric 3x3 matrix from its characteristic
-    polynomial, solved with the cubic companion roots."""
-    a = np.asarray(mat3, dtype=float)
-    tr = np.trace(a)
-    minors = (
-        a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    )
-    det = float(np.linalg.det(a))
-    roots = np.roots([1.0, -tr, minors, -det])
-    return float(np.max(roots.real))
-
-
 def edge_incidence_counts(triangles):
     """Number of triangles on each undirected edge, keyed by (low, high)
     vertex id.  A closed manifold mesh has every count equal to 2."""

@@ -101,9 +101,9 @@ def test_criterion_3_tiny_instance_equivalence(two_triangle_mesh):
         config = SolverConfig(lam=lam, p=0.5, prox_weight=1.0, beta1=2.0,
                               beta2=2.0, inner_tol=1e-10, inner_max_iter=50_000)
         support = np.array([[True], [False], [False], [True]])
-        got, _, converged = admm_solve(f, MeshImage(f_values.copy()), support,
-                                       np.ones(2), op, config,
-                                       prox_system(op, config))
+        got, _, converged, _ = admm_solve(f, MeshImage(f_values.copy()), support,
+                                          np.ones(2), op, config,
+                                          prox_system(op, config))
         assert converged
         hk = make_constrained_objective(op, f_values, f_values, [0, 3],
                                         np.ones(2), lam, 1.0)

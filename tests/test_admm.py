@@ -35,8 +35,8 @@ def test_empty_support_returns_data(two_triangle_mesh, rng):
     f = MeshImage(rng.uniform(0, 1, size=4))
     u_k = MeshImage(rng.uniform(0, 1, size=4))
     support = np.zeros((4, 1), dtype=bool)
-    out, iters, converged = admm_solve(f, u_k, support, np.empty(0), op,
-                                       TINY_CONFIG, prox_system(op, TINY_CONFIG))
+    out, iters, converged, _ = admm_solve(f, u_k, support, np.empty(0), op,
+                                          TINY_CONFIG, prox_system(op, TINY_CONFIG))
     assert converged
     assert np.array_equal(out.values, f.values)
 
@@ -57,8 +57,8 @@ def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
     f = MeshImage(rng.uniform(0, 1, size=4))
     support = np.array([[False], [True], [True], [False]])
     u_k = MeshImage(f.values.copy())
-    out, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG,
-                           prox_system(op, TINY_CONFIG))
+    out, _, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG,
+                              prox_system(op, TINY_CONFIG))
     assert out.values[0, 0] == f.values[0, 0]
     assert out.values[3, 0] == f.values[3, 0]
 
@@ -69,8 +69,8 @@ def test_admm_is_deterministic(two_triangle_mesh, rng):
     support = np.array([[True], [False], [False], [True]])
     u_k = MeshImage(f.values.copy())
     system = prox_system(op, TINY_CONFIG)
-    a, it_a, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
-    b, it_b, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
+    a, it_a, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
+    b, it_b, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     assert it_a == it_b
     assert np.array_equal(a.values, b.values)
 
@@ -86,10 +86,47 @@ def test_penalties_come_from_the_system(rng):
                             beta2=1.0, inner_tol=1e-8, inner_max_iter=5000)
     other = dataclasses.replace(matching, beta1=2.0, beta2=2.0)
     system = prox_system(op, matching)
-    a, it_a, ok_a = admm_solve(f, f, support, w, op, matching, system)
-    b, it_b, ok_b = admm_solve(f, f, support, w, op, other, system)
+    a, it_a, ok_a, _ = admm_solve(f, f, support, w, op, matching, system)
+    b, it_b, ok_b, _ = admm_solve(f, f, support, w, op, other, system)
     assert (it_a, ok_a) == (it_b, ok_b)
     assert np.array_equal(a.values, b.values)
+
+
+def test_restart_from_returned_duals_is_shorter(rng):
+    # the duals a converged solve returns are the subproblem's multipliers:
+    # starting from them again reaches the same point in fewer steps
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
+    support = rng.uniform(size=(mesh.n_vertices, 1)) < 0.3
+    w = rng.uniform(0.5, 2.0, size=np.count_nonzero(support))
+    config = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=2.0,
+                          beta2=2.0, inner_tol=1e-8, inner_max_iter=5000)
+    system = prox_system(op, config)
+    cold, it_cold, ok_cold, duals = admm_solve(f, f, support, w, op, config,
+                                               system)
+    kept = [d.copy() for d in duals]
+    warm, it_warm, ok_warm, _ = admm_solve(f, f, support, w, op, config,
+                                           system, duals)
+    assert ok_cold and ok_warm
+    assert it_warm < it_cold
+    # the inputs are left as they were, so a caller can start from them twice
+    assert all(np.array_equal(a, b) for a, b in zip(duals, kept))
+    # the stopping rule bounds residual norms over sqrt(size); so does this
+    rms = np.linalg.norm(warm.values - cold.values) / np.sqrt(f.values.size)
+    assert rms < config.inner_tol
+
+
+def test_duals_must_match_the_image(rng):
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    rgb = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
+    gray_duals = (np.zeros((mesh.n_vertices, 1)),
+                  np.zeros((mesh.n_triangles, 3, 1)))
+    support = np.ones(rgb.values.shape, dtype=bool)
+    with pytest.raises(DimensionMismatch):
+        admm_solve(rgb, rgb, support, np.ones(rgb.values.size), op,
+                   TINY_CONFIG, prox_system(op, TINY_CONFIG), gray_duals)
 
 
 def test_joint_yz_step_matches_per_coordinate_oracles(rng):
@@ -119,8 +156,8 @@ def _tiny_admm_case(op, f_values, lam, rng):
     support = np.array([[True], [False], [False], [True]])
     w = np.ones(2)
     u_k = MeshImage(f_values.copy())
-    out, _, converged = admm_solve(f, u_k, support, w, op, config,
-                                   prox_system(op, config))
+    out, _, converged, _ = admm_solve(f, u_k, support, w, op, config,
+                                      prox_system(op, config))
     assert converged
     objective = make_constrained_objective(
         op, f_values, f_values, [0, 3], w, lam, config.prox_weight
@@ -147,8 +184,8 @@ def test_full_support_prox_free_subproblem_is_l1tv(rng):
                           inner_tol=1e-8, inner_max_iter=20_000)
     system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2, 0.0)
     support = np.ones((mesh.n_vertices, 1), dtype=bool)
-    out, _, converged = admm_solve(f, f, support, np.ones(mesh.n_vertices), op,
-                                   config, system=system)
+    out, _, converged, _ = admm_solve(f, f, support, np.ones(mesh.n_vertices),
+                                      op, config, system=system)
     assert converged
     l1tv, _ = plm_solve(f, mesh, op, config, f)
     assert np.array_equal(out.values, l1tv.values)

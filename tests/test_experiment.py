@@ -196,6 +196,9 @@ def test_cli_missing_file_fails(tmp_path):
     ["--lambda", "nan"],
     ["--eps", "nan"],
     ["--beta1", "inf"],
+    ["--noise-levels", ""],
+    ["--noise-levels", "0.1,0.1"],
+    ["--p-values", "0.5,0.5"],
 ])
 def test_cli_invalid_values_exit_2(tmp_path, bad):
     argv = ["--synthetic", "icosphere_k=1,pattern=two_patch",

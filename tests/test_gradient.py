@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grid_oracles import char_poly_max_eig, dense_blocks, dense_gram, interp_gradient
+from grid_oracles import dense_blocks, dense_gram, interp_gradient
 from meshtv.errors import DimensionMismatch
 from meshtv.gradient import (
     apply,
@@ -173,26 +173,3 @@ def test_gradient_lies_in_triangle_plane(rng):
     assert np.abs(np.einsum("ij,ij->i", grads, normals)).max() < 1e-10 * np.abs(
         grads
     ).max()
-
-
-def test_block_norm_char_poly_oracle(right_triangle_mesh):
-    op = build_gradient_operator(right_triangle_mesh)
-    block = op.columns[0].T  # columns of D restricted to its support
-    expected = np.sqrt(char_poly_max_eig(block.T @ block))
-    assert op.block_norms[0] == pytest.approx(expected, rel=1e-10)
-    assert op.block_norms[0] == pytest.approx(np.sqrt(3.0), rel=1e-10)
-
-
-def test_block_norms_scale_inversely_with_mesh():
-    from meshtv.mesh import TriangleMesh
-
-    base = icosphere(1)
-    op1 = build_gradient_operator(base)
-    scaled = TriangleMesh(base.vertices * 3.0, base.triangles)
-    op3 = build_gradient_operator(scaled)
-    assert np.allclose(op3.block_norms, op1.block_norms / 3.0, rtol=1e-12)
-
-
-def test_block_norms_positive():
-    op = build_gradient_operator(icosphere(1))
-    assert np.all(op.block_norms > 0.0)

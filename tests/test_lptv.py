@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -9,7 +11,6 @@ from meshtv import lptv
 from meshtv.config import SolverConfig
 from meshtv.errors import (
     DimensionMismatch,
-    InvalidP,
     SupportGrew,
     ZeroResidualInSupport,
 )
@@ -22,7 +23,6 @@ from meshtv.lptv import (
     plm_solve,
     residual_gap_report,
     support_eps,
-    theta_bound,
     weights,
 )
 from meshtv.synthetic import icosphere, two_patch_image
@@ -109,32 +109,6 @@ def test_majorization_inequality(p, t, r):
     lhs = abs(t) ** p
     rhs = w * abs(t) + (r**p - w * r)
     assert lhs <= rhs + 1e-12
-
-
-def test_theta_bound_values(right_triangle_mesh):
-    op = build_gradient_operator(right_triangle_mesh)
-    total = float(op.tri_areas @ op.block_norms)
-    # mu chosen so mu * total = lam * p: base 1, theta 1
-    config = SolverConfig(lam=2.0, p=0.5)
-    assert theta_bound(op, config, (2.0 * 0.5) / total) == pytest.approx(1.0)
-    # base 4 with lam*p = 0.5 -> 4^(-2)
-    config = SolverConfig(lam=1.0, p=0.5)
-    assert theta_bound(op, config, 2.0 / total) == pytest.approx(0.0625)
-
-
-def test_theta_bound_monotone_in_lambda(right_triangle_mesh):
-    op = build_gradient_operator(right_triangle_mesh)
-    thetas = [
-        theta_bound(op, SolverConfig(lam=lam, p=0.5), mu_estimate=1.0)
-        for lam in (0.5, 1.0, 2.0, 4.0)
-    ]
-    assert all(a < b for a, b in zip(thetas, thetas[1:]))
-
-
-def test_theta_bound_rejects_p_one(right_triangle_mesh):
-    op = build_gradient_operator(right_triangle_mesh)
-    with pytest.raises(InvalidP):
-        theta_bound(op, SolverConfig(lam=1.0, p=1.0), mu_estimate=1.0)
 
 
 def test_residual_gap_report_cases():
@@ -237,6 +211,75 @@ def test_plm_p_one_is_single_l1tv_solve():
     assert np.array_equal(out.values, direct.values)
 
 
+def _spy_on_admm(monkeypatch):
+    """Record (inner_tol, duals in, duals out) of every inner solve."""
+    calls = []
+    original = lptv.admm_solve
+
+    def spy(f, u_k, support, w, op, config, system, duals=None):
+        result = original(f, u_k, support, w, op, config, system, duals)
+        calls.append((config.inner_tol, duals, result[3]))
+        return result
+
+    monkeypatch.setattr(lptv, "admm_solve", spy)
+    return calls
+
+
+def test_plm_passes_each_steps_duals_to_the_next(monkeypatch):
+    mesh, op, noisy, warm, _, _, config = _denoise_run()
+    calls = _spy_on_admm(monkeypatch)
+    _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    assert trace.converged
+    assert trace.column("inner_redos").sum() == 0
+    assert len(calls) == len(trace) > 2
+    assert calls[0][1] is None
+    for (_, _, returned), (_, received, _) in zip(calls, calls[1:]):
+        assert received is returned
+
+
+def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
+    # icosphere k=1, 10% noise, seed 0: one Lp-TV step lands below the
+    # decrease floor at the default inner tolerance
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.10, 0))
+    config = SolverConfig(lam=0.3, p=1.0, beta1=6.0, beta2=6.0,
+                          inner_max_iter=4000)
+    warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
+    config = dataclasses.replace(config, p=0.5)
+    calls = _spy_on_admm(monkeypatch)
+    _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    redos = trace.column("inner_redos")
+    assert redos.sum() == 1 and len(calls) == len(trace) + 1
+    k = int(np.argmax(redos))
+    first, redo = calls[k], calls[k + 1]
+    assert first[0] == config.inner_tol
+    assert redo[0] == config.inner_tol / 100.0
+    assert redo[1] is first[1]
+    floor = -1e-6 * max(1.0, trace.records[0].objective)  # criterion 4
+    assert trace.column("decrease_slack").min() >= floor
+    assert trace.converged
+
+
+def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog):
+    # lam 1e-6 with tiny penalties: every inner solve stops at inner_max_iter
+    # and the outer steps raise the objective; the outer iterates still
+    # settle below outer_tol
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.10, 0))
+    config = SolverConfig(lam=1e-6, p=1.0, beta1=2e-5, beta2=2e-5,
+                          outer_max_iter=100)
+    warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
+    config = dataclasses.replace(config, p=0.5)
+    with caplog.at_level(logging.WARNING, logger="meshtv.lptv"):
+        _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    floor = -1e-6 * max(1.0, trace.records[0].objective)  # criterion 4
+    assert trace.column("decrease_slack").min() < floor
+    assert not trace.converged
+    assert any("below the floor" in message for message in caplog.messages)
+
+
 def test_plm_raises_typed_error_when_support_grows(monkeypatch):
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
@@ -271,7 +314,8 @@ def test_trace_csv_round_trip(tmp_path):
     trace.write_csv(str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == ("iteration,objective,support_size,iterate_gap,"
-                        "decrease_slack,inner_iterations,inner_converged")
+                        "decrease_slack,inner_iterations,inner_redos,"
+                        "inner_converged")
     assert lines[1].startswith("0,12.5,100,")
     assert len(lines) == 3
 

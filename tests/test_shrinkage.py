@@ -121,3 +121,12 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
     a = solve_normal_equation(direct, rhs)
     b = solve_normal_equation(iterative, rhs)
     assert np.abs(a - b).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["beta1", "beta2", "prox_weight"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_system_rejects_non_finite_penalties(two_triangle_mesh, name, bad):
+    gram = assemble_gram(build_gradient_operator(two_triangle_mesh))
+    kwargs = {"beta1": 1.0, "beta2": 1.0, "prox_weight": 1.0, name: bad}
+    with pytest.raises(ValueError, match="finite"):
+        NormalEquationSystem(gram, **kwargs)
