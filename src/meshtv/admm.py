@@ -146,6 +146,9 @@ def admm_solve(
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
 
+    ``u_k`` is both the proximal center and the starting vertex iterate;
+    ``plm_solve`` passes either its current iterate or an extrapolated one.
+
     ``support`` is a boolean mask shaped like ``f.values``; ``w`` holds one
     weight per True entry, in C order.  Minimizes lam * sum_j w_j |v_j - f_j|
     over the support, plus the area-weighted TV term and

@@ -37,15 +37,22 @@ logger = logging.getLogger(__name__)
 # inner solves (acceptance criterion 4).
 SLACK_FLOOR_FACTOR = 1e-6
 
+# Inertial weight b of the extrapolated proximal center u^k + b (u^k - u^{k-1}).
+# Measured against 0.3, 0.7 and FISTA's t_k schedule with restarts, 0.5 took
+# the fewest ADMM steps on both Lp-TV benchmark workloads.
+EXTRAPOLATION = 0.5
+
 
 @dataclass(frozen=True)
 class TraceRecord:
     """One outer iteration: the objective before the step, the support it
     used, and how far and how profitably the step moved.
 
-    ``inner_iterations`` counts every ADMM step the outer iteration ran, a
-    redo's included; ``inner_redos`` is the number of times the step was
-    solved again because its decrease slack fell below the floor, and
+    ``inner_iterations`` counts every ADMM step the outer iteration ran,
+    those of a rejected or redone solve included; ``inner_redos`` is the
+    number of times the step was solved again because its decrease slack fell
+    below the floor, ``rejected_extrapolations`` the number of extrapolated
+    solves discarded because their slack was negative, and
     ``inner_converged`` the flag of the inner solve that was kept.
     """
 
@@ -56,6 +63,7 @@ class TraceRecord:
     decrease_slack: float
     inner_iterations: int
     inner_redos: int = 0
+    rejected_extrapolations: int = 0
     inner_converged: bool = True
 
 
@@ -154,16 +162,25 @@ def plm_solve(
     support shrinking, no proximal term) from zero duals.
 
     Each inner ADMM solve starts from the multipliers the previous outer
-    step ended with.  The proximal sufficient decrease is enforced at run
-    time: a step whose slack f(u^k) - f(u^{k+1}) - prox/2 * ||u^{k+1} - u^k||^2
-    falls below -SLACK_FLOOR_FACTOR * max(1, f(u0)) is solved once more, from
-    the same starting duals at ``inner_tol / 100``, and the redo is counted
-    in the trace.  A step whose inner solve hit ``inner_max_iter`` is not
-    redone: the redo would repeat the same iterates.  A step that ends below
-    the floor is logged as a warning.  ``trace.converged`` is True only when
-    the outer loop met ``outer_tol``, the last inner solve converged and
-    every step ended at or above the floor.  A non-converged inner solve is
-    logged and recorded rather than raised.
+    step ended with.  Its proximal center is extrapolated to
+    c^k = u^k + EXTRAPOLATION * (u^k - u^{k-1}), with pinned entries reset to
+    the data; the support, the weights and the decrease slack
+    f(u^k) - f(u^{k+1}) - prox/2 * ||u^{k+1} - u^k||^2 are still taken at
+    u^k.  An extrapolated step is kept only if its slack is nonnegative;
+    otherwise it is counted as rejected and solved again with center u^k
+    from the same starting duals.  The first step is not extrapolated, nor
+    is a step after an inner solve that hit ``inner_max_iter``.
+
+    The proximal sufficient decrease is enforced at run time: a step with
+    center u^k whose slack falls below -SLACK_FLOOR_FACTOR * max(1, f(u0)) is
+    solved once more, from the same starting duals at ``inner_tol / 100``,
+    and the redo is counted in the trace.  A step whose inner solve hit
+    ``inner_max_iter`` is not redone: the redo would repeat the same
+    iterates.  A step that ends below the floor is logged as a warning.
+    ``trace.converged`` is True only when the outer loop met ``outer_tol``,
+    the last inner solve converged and every step ended at or above the
+    floor.  A non-converged inner solve is logged and recorded rather than
+    raised.
     """
     if mesh.n_vertices != op.n_vertices:
         raise DimensionMismatch("mesh and operator vertex counts differ")
@@ -196,6 +213,8 @@ def plm_solve(
     redo_config = dataclasses.replace(config, inner_tol=config.inner_tol / 100.0)
     prev_support = np.ones(f.values.shape, dtype=bool)
     duals = None
+    # the iterate before u, or None when the next step is not extrapolated
+    u_prev = None
     outer_ok, decrease_held = False, True
 
     for k in range(config.outer_max_iter):
@@ -205,13 +224,28 @@ def plm_solve(
         prev_support = support
         w = weights(u, f, support, config.p)
 
+        center = u
+        if u_prev is not None:
+            c = u.values + EXTRAPOLATION * (u.values - u_prev.values)
+            c[~support] = f.values[~support]
+            center = MeshImage(c)
         u_next, inner_iters, inner_ok, duals_next = admm_solve(
-            f, u, support, w, op, config, system, duals)
+            f, center, support, w, op, config, system, duals)
         f_next, gap, slack = _step_decrease(u_next, u, f, f_prev, op, config,
                                             system.prox_weight, k)
+        rejected = 0
+        if center is not u and slack < 0.0:
+            rejected = 1
+            u_next, plain_iters, inner_ok, duals_next = admm_solve(
+                f, u, support, w, op, config, system, duals)
+            inner_iters += plain_iters
+            f_next, gap, slack = _step_decrease(u_next, u, f, f_prev, op, config,
+                                                system.prox_weight, k)
         redos = 0
-        # A solve that stopped at inner_max_iter would repeat its iterates
-        # exactly under a tighter tolerance, so only a converged one is redone.
+        # A kept extrapolated step has a nonnegative slack, so only a solve
+        # centered at u^k can land below the floor.  A solve that stopped at
+        # inner_max_iter would repeat its iterates exactly under a tighter
+        # tolerance, so only a converged one is redone.
         if slack < slack_floor and inner_ok:
             redos = 1
             u_next, redo_iters, inner_ok, duals_next = admm_solve(
@@ -228,9 +262,10 @@ def plm_solve(
                 "inner ADMM hit inner_max_iter at outer iteration %d", k
             )
         trace.append(TraceRecord(k, f_prev, int(np.count_nonzero(support)), gap,
-                                 slack, inner_iters, redos, inner_ok))
+                                 slack, inner_iters, redos, rejected, inner_ok))
 
         u_norm = float(np.linalg.norm(u_next.values))
+        u_prev = u if inner_ok else None
         u, f_prev, duals = u_next, f_next, duals_next
         rel_change = gap / u_norm if u_norm > 0.0 else gap
         if rel_change < config.outer_tol:

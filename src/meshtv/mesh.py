@@ -113,18 +113,6 @@ def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
     return _areas(mesh.vertices, mesh.triangles)
 
 
-def control_cell_areas(mesh: TriangleMesh) -> np.ndarray:
-    """Per-vertex control-cell areas.
-
-    Each triangle contributes one third of its area to each of its vertices,
-    so the cell areas partition the total mesh area exactly.
-    """
-    areas = triangle_areas(mesh)
-    s = np.zeros(mesh.n_vertices)
-    np.add.at(s, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
-    return s
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 

@@ -25,6 +25,7 @@ from meshtv.lptv import (
     support_eps,
     weights,
 )
+from meshtv.mesh import TriangleMesh
 from meshtv.synthetic import icosphere, two_patch_image
 
 PLM_CONFIG = SolverConfig(
@@ -212,17 +213,29 @@ def test_plm_p_one_is_single_l1tv_solve():
 
 
 def _spy_on_admm(monkeypatch):
-    """Record (inner_tol, duals in, duals out) of every inner solve."""
+    """Record (inner_tol, duals in, duals out, center, result) of every inner
+    solve; the center and result are value arrays."""
     calls = []
     original = lptv.admm_solve
 
     def spy(f, u_k, support, w, op, config, system, duals=None):
         result = original(f, u_k, support, w, op, config, system, duals)
-        calls.append((config.inner_tol, duals, result[3]))
+        calls.append((config.inner_tol, duals, result[3], u_k.values.copy(),
+                      result[0].values))
         return result
 
     monkeypatch.setattr(lptv, "admm_solve", spy)
     return calls
+
+
+def _calls_by_step(calls, trace):
+    """Split the spied calls into one list per outer step: the first solve,
+    a re-solve after a rejected extrapolation, then a floor redo."""
+    counts = (1 + trace.column("rejected_extrapolations")
+              + trace.column("inner_redos"))
+    assert len(calls) == counts.sum()
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return [calls[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def test_plm_passes_each_steps_duals_to_the_next(monkeypatch):
@@ -231,10 +244,46 @@ def test_plm_passes_each_steps_duals_to_the_next(monkeypatch):
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     assert trace.converged
     assert trace.column("inner_redos").sum() == 0
-    assert len(calls) == len(trace) > 2
+    assert len(calls) == (len(trace) + trace.column("rejected_extrapolations").sum()
+                          + trace.column("inner_redos").sum()) > 2
     assert calls[0][1] is None
-    for (_, _, returned), (_, received, _) in zip(calls, calls[1:]):
-        assert received is returned
+    steps = _calls_by_step(calls, trace)
+    # every solve of a step starts from the duals the previous step kept
+    for kept, following in zip(steps, steps[1:]):
+        for _, received, _, _, _ in following:
+            assert received is kept[-1][2]
+
+
+def test_plm_extrapolates_the_center_and_keeps_only_a_decrease(monkeypatch):
+    mesh, op, noisy, warm, _, _, config = _denoise_run()
+    calls = _spy_on_admm(monkeypatch)
+    _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    assert trace.converged and trace.column("inner_converged").all()
+    steps = _calls_by_step(calls, trace)
+    rejected = trace.column("rejected_extrapolations")
+    assert 0 < rejected.sum() < len(trace) - 1
+    iterates = [warm.values] + [step[-1][4] for step in steps]
+    for k, (step, record) in enumerate(zip(steps, trace.records)):
+        u, center = iterates[k], step[0][3]
+        if k == 0:
+            assert np.array_equal(center, u)
+            continue
+        pinned = np.abs(u - noisy.values) <= config.eps_support
+        expected = u + lptv.EXTRAPOLATION * (u - iterates[k - 1])
+        assert np.array_equal(center[~pinned], expected[~pinned])
+        assert np.array_equal(center[pinned], noisy.values[pinned])
+        # the slack of the extrapolated solve, measured against u^k
+        out = step[0][4]
+        slack = (record.objective - objective(MeshImage(out), noisy, op, config)
+                 - 0.5 * config.prox_weight * np.linalg.norm(out - u) ** 2)
+        assert record.rejected_extrapolations == int(slack < 0.0)
+        if record.rejected_extrapolations:
+            # re-solved around u^k from the same starting duals
+            assert np.array_equal(step[1][3], u)
+            assert step[1][1] is step[0][1]
+        else:
+            assert slack >= 0.0
+            assert record.decrease_slack == slack
 
 
 def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
@@ -250,9 +299,10 @@ def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
     calls = _spy_on_admm(monkeypatch)
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     redos = trace.column("inner_redos")
-    assert redos.sum() == 1 and len(calls) == len(trace) + 1
-    k = int(np.argmax(redos))
-    first, redo = calls[k], calls[k + 1]
+    assert redos.sum() == 1 and len(calls) == (
+        len(trace) + trace.column("rejected_extrapolations").sum() + redos.sum())
+    # the redo is the last solve of its step, the solve it repeats the one before
+    first, redo = _calls_by_step(calls, trace)[int(np.argmax(redos))][-2:]
     assert first[0] == config.inner_tol
     assert redo[0] == config.inner_tol / 100.0
     assert redo[1] is first[1]
@@ -261,7 +311,7 @@ def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
     assert trace.converged
 
 
-def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog):
+def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog, monkeypatch):
     # lam 1e-6 with tiny penalties: every inner solve stops at inner_max_iter
     # and the outer steps raise the objective; the outer iterates still
     # settle below outer_tol
@@ -272,12 +322,58 @@ def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog):
                           outer_max_iter=100)
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
     config = dataclasses.replace(config, p=0.5)
+    calls = _spy_on_admm(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="meshtv.lptv"):
         _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     floor = -1e-6 * max(1.0, trace.records[0].objective)  # criterion 4
     assert trace.column("decrease_slack").min() < floor
     assert not trace.converged
     assert any("below the floor" in message for message in caplog.messages)
+    # no step follows a converged inner solve, so none is extrapolated: each
+    # solve is centered at the iterate the previous one returned
+    assert not trace.column("inner_converged").any()
+    assert trace.column("rejected_extrapolations").sum() == 0
+    assert len(calls) == len(trace)
+    for call, u in zip(calls, [warm.values] + [call[4] for call in calls]):
+        assert np.array_equal(call[3], u)
+
+
+def _two_spheres():
+    sphere = icosphere(2)
+    return TriangleMesh(
+        np.vstack([sphere.vertices, sphere.vertices + [3.0, 0.0, 0.0]]),
+        np.vstack([sphere.triangles, sphere.triangles + sphere.n_vertices]))
+
+
+def _rgb_image(mesh):
+    base = two_patch_image(mesh).values[:, 0]
+    return MeshImage(np.column_stack([base, 1.0 - base,
+                                      np.full(mesh.n_vertices, 0.5)]))
+
+
+@pytest.mark.parametrize("make_mesh, make_image, level, lam", [
+    (lambda: icosphere(2), two_patch_image, 0.0, 0.15),
+    (lambda: icosphere(2), two_patch_image, 1.0, 0.15),
+    (lambda: icosphere(2), _rgb_image, 0.3, 0.15),
+    (lambda: icosphere(2), _rgb_image, 1.0, 0.15),
+    (_two_spheres, two_patch_image, 0.1, 0.15),
+    (lambda: icosphere(2), two_patch_image, 0.1, 1e4),
+], ids=["gray-0%", "gray-100%", "rgb-30%", "rgb-100%", "two-spheres-10%",
+        "lam-1e4"])
+def test_plm_edge_cases_keep_the_run_time_guarantees(make_mesh, make_image,
+                                                     level, lam):
+    mesh = make_mesh()
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(make_image(mesh), NoiseSpec(level, 0))
+    config = SolverConfig(lam=lam, p=1.0, beta1=2.0, beta2=2.0)
+    warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
+    config = dataclasses.replace(config, p=0.5)
+    restored, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    assert trace.converged
+    assert np.all(np.diff(trace.column("support_size")) <= 0)
+    floor = -1e-6 * max(1.0, objective(warm, noisy, op, config))  # criterion 4
+    assert trace.column("decrease_slack").min() >= floor
+    assert residual_gap_report(restored, noisy)[0] > config.eps_support
 
 
 def test_plm_raises_typed_error_when_support_grows(monkeypatch):
@@ -315,7 +411,7 @@ def test_trace_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ("iteration,objective,support_size,iterate_gap,"
                         "decrease_slack,inner_iterations,inner_redos,"
-                        "inner_converged")
+                        "rejected_extrapolations,inner_converged")
     assert lines[1].startswith("0,12.5,100,")
     assert len(lines) == 3
 

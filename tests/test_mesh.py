@@ -8,10 +8,8 @@ from meshtv.errors import (
     IsolatedVertex,
     ParseError,
 )
-from meshtv.imaging import MeshImage
 from meshtv.mesh import (
     TriangleMesh,
-    control_cell_areas,
     load_mesh,
     save_mesh,
     triangle_areas,
@@ -104,37 +102,6 @@ def test_icosahedron_areas_match_closed_form():
     # unit circumradius: edge a = 4 / sqrt(10 + 2 sqrt(5)), area 20 * sqrt(3)/4 * a^2
     edge = 4.0 / np.sqrt(10.0 + 2.0 * np.sqrt(5.0))
     assert areas.sum() == pytest.approx(5.0 * np.sqrt(3.0) * edge**2, rel=1e-12)
-
-
-def test_control_cells_single_triangle(right_triangle_mesh):
-    s = control_cell_areas(right_triangle_mesh)
-    assert np.allclose(s, [1 / 6, 1 / 6, 1 / 6], atol=1e-15)
-
-
-def test_control_cells_shared_edge():
-    # two unit-area triangles sharing edge (1, 2)
-    verts = [[0, 0, 0], [2, 0, 0], [0, 1, 0], [2, 1, 0]]
-    mesh = TriangleMesh(verts, [[0, 1, 2], [1, 3, 2]])
-    assert np.allclose(triangle_areas(mesh), 1.0)
-    s = control_cell_areas(mesh)
-    assert np.allclose(s, [1 / 3, 2 / 3, 2 / 3, 1 / 3], atol=1e-14)
-
-
-@pytest.mark.parametrize("level", [0, 1, 2])
-def test_area_partition(level):
-    mesh = icosphere(level)
-    s = control_cell_areas(mesh)
-    total = triangle_areas(mesh).sum()
-    assert abs(s.sum() - total) <= 1e-12 * total
-
-
-def test_constant_image_integral():
-    mesh = icosphere(2)
-    c = 0.37
-    u = MeshImage(np.full(mesh.n_vertices, c))
-    s = control_cell_areas(mesh)
-    total_area = triangle_areas(mesh).sum()
-    assert float(u.values[:, 0] @ s) == pytest.approx(c * total_area, rel=1e-12)
 
 
 @pytest.mark.parametrize("fmt", ["off", "obj", "ply"])
