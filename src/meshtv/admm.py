@@ -206,7 +206,7 @@ def admm_solve(
         z = _shrink_groups(grad_v + mu / beta2, z_threshold)
 
         rhs = (
-            gradient.apply_adjoint(op, beta2 * z - mu, op.tri_areas)
+            gradient.apply_adjoint(op, beta2 * z - mu)
             + beta1 * (y + f2)
             - eta
             + prox_weight * u_ref

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateTriangle, DimensionMismatch
-from .mesh import TriangleMesh, triangle_areas
+from .mesh import TriangleMesh
 
 
 @dataclass(frozen=True)
@@ -24,34 +24,21 @@ class GradientOperator:
 
     ``matrix`` is the (3 * n_triangles, n_vertices) CSR operator: rows
     3i..3i+2 hold the gradient on triangle i, so applying the operator and
-    its adjoint are single sparse products.
+    its adjoint are single sparse products.  Its only nonzero columns in
+    those rows are the three vertices of triangle i.  ``tri_areas`` is the
+    mesh's own read-only ``areas`` array, the weights of the TV term.
     """
 
-    triangles: np.ndarray        # (n_tri, 3) vertex ids
     tri_areas: np.ndarray        # (n_tri,)
-    n_vertices: int
     matrix: sp.csr_matrix = field(repr=False)
 
     @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+    def n_vertices(self) -> int:
+        return self.matrix.shape[1]
 
     @property
-    def columns(self) -> np.ndarray:
-        """Read-only (n_tri, 3, 3) hat-gradient columns gathered from ``matrix``.
-
-        ``columns[i, m]`` is the 3-vector multiplying the value at vertex
-        ``triangles[i, m]`` in the gradient on triangle i, i.e. entry
-        ``[3i + r, triangles[i, m]]`` of ``matrix`` for r = 0, 1, 2; all other
-        columns of block i are zero.
-        """
-        rows, cols = np.broadcast_arrays(
-            3 * np.arange(self.n_triangles)[:, None, None] + np.arange(3),
-            self.triangles[:, :, None],
-        )
-        out = np.asarray(self.matrix[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-        out.setflags(write=False)
-        return out
+    def n_triangles(self) -> int:
+        return self.tri_areas.shape[0]
 
 
 def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
@@ -73,8 +60,6 @@ def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
             raise DegenerateTriangle("zero-height triangle slipped past validation")
         columns[:, m, :] = h / hh[:, None]
 
-    areas = triangle_areas(mesh)
-
     rows = np.repeat(3 * np.arange(n_tri), 9) + np.tile(np.tile(np.arange(3), 3), n_tri)
     cols = np.repeat(tris.ravel(), 3)
     # data order must match: triangle i, slot m, component r
@@ -83,13 +68,7 @@ def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
         (data, (rows, cols)), shape=(3 * n_tri, mesh.n_vertices)
     ).tocsr()
 
-    areas.setflags(write=False)
-    return GradientOperator(
-        triangles=tris,
-        tri_areas=areas,
-        n_vertices=mesh.n_vertices,
-        matrix=matrix,
-    )
+    return GradientOperator(tri_areas=mesh.areas, matrix=matrix)
 
 
 def apply(op: GradientOperator, u: np.ndarray) -> np.ndarray:
@@ -105,24 +84,19 @@ def apply(op: GradientOperator, u: np.ndarray) -> np.ndarray:
     return flat.reshape(-1, 3, u.shape[1])
 
 
-def apply_adjoint(
-    op: GradientOperator, z: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Weighted adjoint: sum_i weights[i] * D_i^T z[i].
+def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
+    """Area-weighted adjoint: sum_i |tau_i| D_i^T z[i].
 
-    ``z`` has shape (n_tri, 3) or (n_tri, 3, c); ``weights`` has one entry
-    per triangle.  Returns per-vertex data matching the trailing shape of z.
+    ``z`` has shape (n_tri, 3) or (n_tri, 3, c).  Returns per-vertex data
+    matching the trailing shape of z.
     """
     z = np.asarray(z, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     if z.shape[0] != op.n_triangles or z.shape[1] != 3:
         raise DimensionMismatch(f"bad gradient-data shape {z.shape}")
-    if weights.shape != (op.n_triangles,):
-        raise DimensionMismatch("weights must have one entry per triangle")
     if z.ndim == 2:
-        zw = (z * weights[:, None]).reshape(-1)
+        zw = (z * op.tri_areas[:, None]).reshape(-1)
     else:
-        zw = (z * weights[:, None, None]).reshape(-1, z.shape[2])
+        zw = (z * op.tri_areas[:, None, None]).reshape(-1, z.shape[2])
     return op.matrix.T @ zw
 
 

@@ -146,19 +146,14 @@ def read_image_txt(path: str) -> MeshImage:
     return image
 
 
-def write_image_txt(path: str, image: MeshImage) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in image.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def read_image_ply(path: str) -> MeshImage:
     """Read vertex intensities from PLY properties.
 
     Grayscale images use a float ``quality`` property; color images use
     ``red``, ``green``, ``blue`` stored as 0-255 integers.
     """
-    elements = meshmod.read_ply_elements(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        elements = meshmod.parse_ply_elements(fh.read())
     if "vertex" not in elements:
         raise ParseError("PLY file has no vertex element")
     props = elements["vertex"]

@@ -1,4 +1,4 @@
-"""Triangle mesh container, validation, and OFF/OBJ/PLY file I/O.
+"""Triangle mesh container, validation, OFF/OBJ/PLY reading and PLY writing.
 
 Meshes are plain vertex/triangle index arrays.  Validation happens once at
 construction: index range checks, rejection of degenerate (repeated-vertex or
@@ -41,6 +41,9 @@ class TriangleMesh:
         (n_vertices, 3) float64, read-only.
     triangles : np.ndarray
         (n_triangles, 3) int64, read-only.
+    areas : np.ndarray
+        (n_triangles,) float64 triangle areas (half cross-product
+        magnitude), all positive, read-only.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -88,8 +91,10 @@ class TriangleMesh:
 
         v.setflags(write=False)
         t.setflags(write=False)
+        areas.setflags(write=False)
         self.vertices = v
         self.triangles = t
+        self.areas = areas
 
     @property
     def n_vertices(self) -> int:
@@ -108,57 +113,24 @@ def _areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
-    """Per-triangle areas (half cross-product magnitude), all positive."""
-    return _areas(mesh.vertices, mesh.triangles)
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 
 
-_EXTENSIONS = {".off": "off", ".obj": "obj", ".ply": "ply"}
-
-
-def _infer_format(path: str, format: str | None) -> str:
-    if format is not None:
-        fmt = format.lower()
-        if fmt not in ("off", "obj", "ply"):
-            raise ValueError(f"unsupported mesh format: {format!r}")
-        return fmt
-    ext = os.path.splitext(path)[1].lower()
-    if ext not in _EXTENSIONS:
-        raise ValueError(f"cannot infer mesh format from {path!r}")
-    return _EXTENSIONS[ext]
-
-
-def load_mesh(path: str, format: str | None = None) -> TriangleMesh:
+def load_mesh(path: str) -> TriangleMesh:
     """Read and validate a triangle mesh from an OFF, OBJ, or ASCII PLY file.
 
-    The format is inferred from the extension unless given explicitly.
-    OBJ's 1-based indices are converted to 0-based here.
+    The format is inferred from the extension.  OBJ's 1-based indices are
+    converted to 0-based here.
     """
-    fmt = _infer_format(path, format)
+    ext = os.path.splitext(path)[1].lower()
+    parse = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply_mesh}.get(ext)
+    if parse is None:
+        raise ValueError(f"cannot infer mesh format from {path!r}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if fmt == "off":
-        verts, tris = _parse_off(text)
-    elif fmt == "obj":
-        verts, tris = _parse_obj(text)
-    else:
-        verts, tris = _parse_ply_mesh(path)
+    verts, tris = parse(text)
     return TriangleMesh(verts, tris)
-
-
-def save_mesh(path: str, mesh: TriangleMesh, format: str | None = None) -> None:
-    """Write a mesh as OFF, OBJ, or ASCII PLY (inferred from the extension)."""
-    fmt = _infer_format(path, format)
-    if fmt == "off":
-        _write_off(path, mesh)
-    elif fmt == "obj":
-        _write_obj(path, mesh)
-    else:
-        write_ply(path, mesh.vertices, mesh.triangles)
 
 
 def _significant_lines(text: str) -> list[str]:
@@ -189,6 +161,8 @@ def _parse_off(text: str):
         nv, nf = counts[0], counts[1]
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad OFF counts line: {counts_line!r}") from exc
+    if nv < 0 or nf < 0:
+        raise ParseError(f"negative OFF counts: {counts_line!r}")
     if len(body) < nv + nf:
         raise ParseError("OFF file truncated")
     verts = []
@@ -253,22 +227,20 @@ def _parse_obj(text: str):
 
 # --- ASCII PLY -------------------------------------------------------------
 
-_PLY_FLOAT_TYPES = {"float", "float32", "float64", "double"}
 _PLY_INT_TYPES = {
     "char", "int8", "uchar", "uint8", "short", "int16", "ushort", "uint16",
     "int", "int32", "uint", "uint32",
 }
 
 
-def read_ply_elements(path: str) -> dict:
-    """Parse an ASCII PLY file into per-element property arrays.
+def parse_ply_elements(text: str) -> dict:
+    """Parse the text of an ASCII PLY file into per-element property arrays.
 
     Returns a dict mapping element name to a dict of property name -> array.
     A list property maps to a Python list of integer lists.  Only the ASCII
     variant is supported.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic line")
     elements: list[tuple[str, int, list]] = []
@@ -345,8 +317,8 @@ def read_ply_elements(path: str) -> dict:
     return out
 
 
-def _parse_ply_mesh(path: str):
-    elements = read_ply_elements(path)
+def _parse_ply_mesh(text: str):
+    elements = parse_ply_elements(text)
     if "vertex" not in elements or "face" not in elements:
         raise ParseError("PLY file must contain vertex and face elements")
     vert = elements["vertex"]
@@ -394,21 +366,3 @@ def write_ply(
             fh.write(" ".join(parts) + "\n")
         for a, b, c in triangles:
             fh.write(f"3 {a} {b} {c}\n")
-
-
-def _write_off(path: str, mesh: TriangleMesh) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles} 0\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
-
-
-def _write_obj(path: str, mesh: TriangleMesh) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")

@@ -6,6 +6,19 @@ from meshtv.gradient import assemble_gram
 from meshtv.mesh import TriangleMesh
 
 
+def count_opens(monkeypatch, *modules):
+    """Record the path of every file the ``modules`` open through ``open``."""
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    return opened
+
+
 def prox_system(op, config):
     """The subproblem system with ``config``'s penalties and proximal weight."""
     return NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,

@@ -124,23 +124,29 @@ def dense_gram(op):
     """Dense sum_i |tau_i| D_i^T D_i via explicit per-triangle blocks."""
     n = op.n_vertices
     out = np.zeros((n, n))
-    for i in range(op.n_triangles):
-        block = np.zeros((3, n))
-        for m in range(3):
-            block[:, op.triangles[i, m]] = op.columns[i, m]
-        out += op.tri_areas[i] * (block.T @ block)
+    for area, block in zip(op.tri_areas, dense_blocks(op)):
+        out += area * (block.T @ block)
     return out
 
 
 def dense_blocks(op):
     """Explicit dense 3 x n_vertices gradient block of every triangle."""
-    blocks = []
-    for i in range(op.n_triangles):
-        block = np.zeros((3, op.n_vertices))
-        for m in range(3):
-            block[:, op.triangles[i, m]] = op.columns[i, m]
-        blocks.append(block)
-    return blocks
+    return [op.matrix[3 * i : 3 * i + 3].toarray() for i in range(op.n_triangles)]
+
+
+def hat_columns(op, triangles):
+    """(n_tri, 3, 3) hat-function gradients: entry [i, m] is the 3-vector that
+    multiplies the value at vertex ``triangles[i, m]`` on triangle i."""
+    return np.stack([block[:, tri].T
+                     for block, tri in zip(dense_blocks(op), triangles)])
+
+
+def off_text(mesh):
+    """An OFF file holding ``mesh``, coordinates to 17 significant digits."""
+    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
+    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    return "\n".join(lines) + "\n"
 
 
 def edge_incidence_counts(triangles):

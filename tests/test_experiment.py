@@ -103,15 +103,14 @@ def test_no_noise_degenerate_run(tmp_path):
 
 
 def test_file_based_experiment(tmp_path):
-    from meshtv.mesh import save_mesh
-    from meshtv.imaging import write_image_txt
+    from grid_oracles import off_text
     from meshtv.synthetic import generate_synthetic
 
     mesh, image = generate_synthetic("two_patch", {"k": 1})
     mesh_path = tmp_path / "m.off"
     image_path = tmp_path / "img.txt"
-    save_mesh(str(mesh_path), mesh)
-    write_image_txt(str(image_path), image)
+    mesh_path.write_text(off_text(mesh))
+    np.savetxt(image_path, image.values, fmt="%.17g")
     spec = ExperimentSpec(
         output_dir=str(tmp_path / "out"),
         mesh_path=str(mesh_path),

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_opens
+from meshtv import imaging
+from meshtv import mesh as meshmod
 from meshtv.errors import DimensionMismatch, NaNInput, ParseError
 from meshtv.imaging import (
     MeshImage,
@@ -14,7 +17,6 @@ from meshtv.imaging import (
     psnr,
     read_image,
     read_image_txt,
-    write_image_txt,
     write_ply_with_image,
 )
 from meshtv.synthetic import icosphere, two_patch_image
@@ -136,12 +138,15 @@ def test_clamp_rejects_nan():
         clamp_to_unit(MeshImage(np.full(4, np.nan)))
 
 
-def test_txt_round_trip(tmp_path, rng):
-    image = MeshImage(rng.uniform(0, 1, size=(40, 3)))
+def test_txt_reads_17_significant_digits(tmp_path):
     path = tmp_path / "img.txt"
-    write_image_txt(str(path), image)
+    path.write_text("# r g b\n"
+                    "0.12345678901234568 0.5 1\n"
+                    "0.99999999999999989 0 0.33333333333333331  # comment\n")
     back = read_image_txt(str(path))
-    assert np.abs(back.values - image.values).max() < 1e-15
+    expected = [[0.12345678901234568, 0.5, 1.0],
+                [0.99999999999999989, 0.0, 0.33333333333333331]]
+    assert np.array_equal(back.values, expected)
 
 
 def test_txt_rejects_out_of_range(tmp_path):
@@ -158,6 +163,17 @@ def test_ply_gray_round_trip(tmp_path):
     write_ply_with_image(str(path), mesh, image)
     back = read_image(str(path))
     assert np.abs(back.values - image.values).max() < 1e-12
+
+
+def test_ply_image_file_is_read_once(tmp_path, monkeypatch):
+    mesh = icosphere(1)
+    image = two_patch_image(mesh)
+    path = tmp_path / "img.ply"
+    write_ply_with_image(str(path), mesh, image)
+    opened = count_opens(monkeypatch, imaging, meshmod)
+    back = read_image(str(path))
+    assert opened == [str(path)]
+    assert np.array_equal(back.values, image.values)
 
 
 def test_ply_color_round_trip_quantized(tmp_path, rng):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshtv import lptv
+from meshtv import admm, lptv
 from meshtv.config import SolverConfig
 from meshtv.errors import (
     DimensionMismatch,
+    IterationLimitExceeded,
     SupportGrew,
     ZeroResidualInSupport,
 )
@@ -363,17 +364,46 @@ def _rgb_image(mesh):
 def test_plm_edge_cases_keep_the_run_time_guarantees(make_mesh, make_image,
                                                      level, lam):
     mesh = make_mesh()
-    op = build_gradient_operator(mesh)
     noisy = add_salt_pepper(make_image(mesh), NoiseSpec(level, 0))
+    _assert_run_time_guarantees(noisy, *_warm_then_lptv(mesh, noisy, lam))
+
+
+def _warm_then_lptv(mesh, noisy, lam=0.15):
+    """An L1-TV solve, then p = 0.5 warm-started from it, as the CLI runs."""
+    op = build_gradient_operator(mesh)
     config = SolverConfig(lam=lam, p=1.0, beta1=2.0, beta2=2.0)
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
     config = dataclasses.replace(config, p=0.5)
     restored, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    return warm, restored, trace, op, config
+
+
+def _assert_run_time_guarantees(noisy, warm, restored, trace, op, config):
     assert trace.converged
     assert np.all(np.diff(trace.column("support_size")) <= 0)
     floor = -1e-6 * max(1.0, objective(warm, noisy, op, config))  # criterion 4
     assert trace.column("decrease_slack").min() >= floor
     assert residual_gap_report(restored, noisy)[0] > config.eps_support
+
+
+def test_plm_cg_path_keeps_the_guarantees_and_matches_lu(monkeypatch):
+    mesh = icosphere(2)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    _, lu_restored, _, _, _ = _warm_then_lptv(mesh, noisy)
+    # every system above 0 vertices takes the preconditioned-CG path
+    monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
+    run = _warm_then_lptv(mesh, noisy)
+    _assert_run_time_guarantees(noisy, *run)
+    assert np.abs(run[1].values - lu_restored.values).max() <= 1e-8
+
+
+def test_plm_cg_step_limit_raises_typed_error(monkeypatch):
+    mesh = icosphere(2)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
+    monkeypatch.setattr(admm, "CG_MAX_ITER", 1)
+    with pytest.raises(IterationLimitExceeded):
+        _warm_then_lptv(mesh, noisy)
 
 
 def test_plm_raises_typed_error_when_support_grows(monkeypatch):

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from grid_oracles import edge_incidence_counts
+from conftest import count_opens
+from grid_oracles import edge_incidence_counts, off_text
+from meshtv import imaging
+from meshtv import mesh as meshmod
 from meshtv.errors import (
     DegenerateTriangle,
     IndexOutOfRange,
     IsolatedVertex,
     ParseError,
 )
-from meshtv.mesh import (
-    TriangleMesh,
-    load_mesh,
-    save_mesh,
-    triangle_areas,
-)
+from meshtv.mesh import TriangleMesh, load_mesh, write_ply
 from meshtv.synthetic import icosahedron, icosphere
 
 RIGHT_TRIANGLE_OFF = """OFF
@@ -31,7 +29,7 @@ def test_load_off_right_triangle(tmp_path):
     mesh = load_mesh(str(path))
     assert mesh.n_vertices == 3
     assert mesh.n_triangles == 1
-    assert triangle_areas(mesh)[0] == pytest.approx(0.5, abs=1e-15)
+    assert mesh.areas[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_load_off_repeated_index_is_degenerate(tmp_path):
@@ -55,9 +53,21 @@ def test_load_off_garbage_raises_parse_error(tmp_path):
         load_mesh(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    "OFF\n-1 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "OFF -1 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+])
+def test_load_off_negative_counts_raise_parse_error(tmp_path, text):
+    path = tmp_path / "negative.off"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="negative"):
+        load_mesh(str(path))
+
+
 def test_icosahedron_off_is_closed(tmp_path):
     path = tmp_path / "ico.off"
-    save_mesh(str(path), icosahedron())
+    path.write_text(off_text(icosahedron()))
     mesh = load_mesh(str(path))
     assert mesh.n_vertices == 12
     assert mesh.n_triangles == 20
@@ -92,23 +102,24 @@ def test_equilateral_triangle_area():
     side = 2.0
     verts = [[0, 0, 0], [side, 0, 0], [side / 2, side * np.sqrt(3) / 2, 0]]
     mesh = TriangleMesh(verts, [[0, 1, 2]])
-    assert triangle_areas(mesh)[0] == pytest.approx(np.sqrt(3), rel=1e-12)
+    assert mesh.areas[0] == pytest.approx(np.sqrt(3), rel=1e-12)
 
 
 def test_icosahedron_areas_match_closed_form():
     mesh = icosahedron()
-    areas = triangle_areas(mesh)
+    areas = mesh.areas
     assert np.allclose(areas, areas[0], rtol=1e-12)
     # unit circumradius: edge a = 4 / sqrt(10 + 2 sqrt(5)), area 20 * sqrt(3)/4 * a^2
     edge = 4.0 / np.sqrt(10.0 + 2.0 * np.sqrt(5.0))
     assert areas.sum() == pytest.approx(5.0 * np.sqrt(3.0) * edge**2, rel=1e-12)
 
 
-@pytest.mark.parametrize("fmt", ["off", "obj", "ply"])
-def test_round_trip(tmp_path, fmt):
+# the extension picks the reader whatever its case
+@pytest.mark.parametrize("ext", ["ply", "PLY"])
+def test_round_trip(tmp_path, ext):
     mesh = icosphere(1)
-    path = tmp_path / f"mesh.{fmt}"
-    save_mesh(str(path), mesh)
+    path = tmp_path / f"mesh.{ext}"
+    write_ply(str(path), mesh.vertices, mesh.triangles)
     back = load_mesh(str(path))
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.abs(back.vertices - mesh.vertices).max() < 1e-9
@@ -169,3 +180,22 @@ def test_ply_malformed_header_rejected(tmp_path, header, body):
 def test_mesh_arrays_are_read_only(right_triangle_mesh):
     with pytest.raises(ValueError):
         right_triangle_mesh.vertices[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        right_triangle_mesh.areas[0] = 5.0
+
+
+def test_unknown_extension_rejected(tmp_path):
+    path = tmp_path / "mesh.stl"
+    path.write_text(off_text(icosahedron()))
+    with pytest.raises(ValueError, match="cannot infer mesh format"):
+        load_mesh(str(path))
+
+
+def test_ply_mesh_file_is_read_once(tmp_path, monkeypatch):
+    mesh = icosphere(1)
+    path = tmp_path / "mesh.ply"
+    write_ply(str(path), mesh.vertices, mesh.triangles)
+    opened = count_opens(monkeypatch, meshmod, imaging)
+    back = load_mesh(str(path))
+    assert opened == [str(path)]
+    assert np.array_equal(back.triangles, mesh.triangles)

@@ -3,7 +3,6 @@ import pytest
 
 from grid_oracles import edge_incidence_counts, subdivision_counts
 from meshtv.errors import InvalidParams
-from meshtv.mesh import triangle_areas
 from meshtv.synthetic import (
     checker_image,
     generate_synthetic,
@@ -55,7 +54,7 @@ def test_planar_grid_structure():
     mesh = planar_grid(11)
     assert mesh.n_vertices == 121
     assert mesh.n_triangles == 200
-    assert np.allclose(triangle_areas(mesh).sum(), 1.0)
+    assert np.allclose(mesh.areas.sum(), 1.0)
     counts = edge_incidence_counts(mesh.triangles)
     boundary = {v for edge, c in counts.items() if c == 1 for v in edge}
     assert len(boundary) == 40  # perimeter vertices
