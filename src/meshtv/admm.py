@@ -37,32 +37,23 @@ CG_TOL = 1e-10
 CG_MAX_ITER = 2000
 
 
-def shrink_1d(x, threshold):
+def shrink_1d(x: np.ndarray, threshold) -> np.ndarray:
     """Soft thresholding: the exact minimizer of threshold*|t| + (t - x)^2 / 2.
 
-    Accepts scalars or arrays; ``threshold`` broadcasts against ``x``.
+    Applied entry by entry; ``threshold`` broadcasts against ``x``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def shrink_vec(x, threshold):
-    """Group soft thresholding of a single vector.
-
-    Shrinks the Euclidean norm by ``threshold`` and keeps the direction;
-    returns the zero vector whenever ||x|| <= threshold (in particular for
-    x = 0, following the 0 * (0/0) = 0 convention).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm <= threshold:
-        return np.zeros_like(x)
-    return (1.0 - threshold / norm) * x
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
 def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
-    """Row-wise group shrinkage of an (n, ...) stack (norm over trailing axes)."""
+    """Group soft thresholding of each row of an (n, ...) stack.
+
+    Row i, with its trailing axes flattened into one vector, is shrunk in
+    Euclidean norm by ``threshold`` with its direction kept: the exact
+    minimizer of threshold*||t|| + ||t - a_i||^2 / 2.  A row whose norm is
+    at most ``threshold`` becomes zero; in particular a zero row stays zero,
+    following the 0 * (0/0) = 0 convention.
+    """
     flat = a.reshape(a.shape[0], -1)
     norms = np.linalg.norm(flat, axis=1)
     scale = np.zeros_like(norms)

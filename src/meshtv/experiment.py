@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SolverConfig
-from .errors import DimensionMismatch, InvalidParams
+from .errors import DimensionMismatch
 from .gradient import build_gradient_operator
 from .imaging import (
     MeshImage,
@@ -89,38 +89,9 @@ class ResultRow:
     outer_iters: int
 
 
-def parse_synthetic_spec(text: str):
-    """Parse "icosphere_k=3,pattern=two_patch" into generate_synthetic args."""
-    params: dict[str, object] = {}
-    kind = None
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise InvalidParams(f"expected key=value, got {piece!r}")
-        key, value = (tok.strip() for tok in piece.split("=", 1))
-        if key == "icosphere_k":
-            kind = "icosphere_k"
-            params["k"] = int(value)
-        elif key == "pattern":
-            params["pattern"] = value
-        elif key in ("k", "lat_bands", "lon_bands"):
-            params[key] = int(value)
-        else:
-            raise InvalidParams(f"unknown synthetic parameter {key!r}")
-    if kind is None:
-        kind = str(params.pop("pattern", "two_patch"))
-    return kind, params
-
-
 def _load_inputs(spec: ExperimentSpec):
     if spec.synthetic is not None:
-        kind, params = parse_synthetic_spec(spec.synthetic)
-        mesh, clean = generate_synthetic(kind, dict(params))
-        pattern = params.get("pattern", kind if kind != "icosphere_k" else "two_patch")
-        name = f"icosphere{params.get('k', 3)}_{pattern}"
-        return mesh, clean, name
+        return generate_synthetic(spec.synthetic)
     mesh = load_mesh(spec.mesh_path)
     clean = read_image(spec.image_path)
     if clean.vertex_count != mesh.n_vertices:

@@ -199,11 +199,9 @@ def plm_solve(
         result, inner_iters, inner_ok = _l1tv_solve_full(f, u0, op, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
-        f_end = _objective_raw(result.values, f.values, op, config.lam, 1.0)
-        gap = float(np.linalg.norm(result.values - u0.values))
-        trace.append(TraceRecord(0, f_start, f.values.size, gap,
-                                 f_start - f_end, inner_iters,
-                                 inner_converged=inner_ok))
+        _, gap, slack = _step_decrease(result, u0, f, f_start, op, config, 0.0, 0)
+        trace.append(TraceRecord(0, f_start, f.values.size, gap, slack,
+                                 inner_iters, inner_converged=inner_ok))
         trace.converged = inner_ok
         return result, trace
 
@@ -224,35 +222,25 @@ def plm_solve(
         prev_support = support
         w = weights(u, f, support, config.p)
 
-        center = u
+        # Each try is (center, config, bar).  The first solve whose slack
+        # reaches its bar is kept, and so is a solve around u^k that hit
+        # inner_max_iter: a redo would repeat its iterates exactly.
+        tries = [(u, config, slack_floor), (u, redo_config, -math.inf)]
         if u_prev is not None:
             c = u.values + EXTRAPOLATION * (u.values - u_prev.values)
             c[~support] = f.values[~support]
-            center = MeshImage(c)
-        u_next, inner_iters, inner_ok, duals_next = admm_solve(
-            f, center, support, w, op, config, system, duals)
-        f_next, gap, slack = _step_decrease(u_next, u, f, f_prev, op, config,
-                                            system.prox_weight, k)
-        rejected = 0
-        if center is not u and slack < 0.0:
-            rejected = 1
-            u_next, plain_iters, inner_ok, duals_next = admm_solve(
-                f, u, support, w, op, config, system, duals)
-            inner_iters += plain_iters
+            tries.insert(0, (MeshImage(c), config, 0.0))
+        inner_iters = 0
+        for kept, (center, solve_config, bar) in enumerate(tries):
+            u_next, iters, inner_ok, duals_next = admm_solve(
+                f, center, support, w, op, solve_config, system, duals)
+            inner_iters += iters
             f_next, gap, slack = _step_decrease(u_next, u, f, f_prev, op, config,
                                                 system.prox_weight, k)
-        redos = 0
-        # A kept extrapolated step has a nonnegative slack, so only a solve
-        # centered at u^k can land below the floor.  A solve that stopped at
-        # inner_max_iter would repeat its iterates exactly under a tighter
-        # tolerance, so only a converged one is redone.
-        if slack < slack_floor and inner_ok:
-            redos = 1
-            u_next, redo_iters, inner_ok, duals_next = admm_solve(
-                f, u, support, w, op, redo_config, system, duals)
-            inner_iters += redo_iters
-            f_next, gap, slack = _step_decrease(u_next, u, f, f_prev, op, config,
-                                                system.prox_weight, k)
+            if slack >= bar or (center is u and not inner_ok):
+                break
+        rejected = int(kept > 0 and tries[0][0] is not u)
+        redos = int(kept == len(tries) - 1)
         if slack < slack_floor:
             decrease_held = False
             logger.warning("decrease slack %.3g below the floor %.3g at outer "

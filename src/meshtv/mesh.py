@@ -130,6 +130,13 @@ def load_mesh(path: str) -> TriangleMesh:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     verts, tris = parse(text)
+    if len(tris) == 0:
+        raise ParseError(f"{path}: the face list is empty")
+    nonfinite = np.flatnonzero(~np.isfinite(verts))
+    if nonfinite.size:
+        raise ParseError(
+            f"{path}: vertex {nonfinite[0] // 3} has a non-finite coordinate"
+        )
     return TriangleMesh(verts, tris)
 
 

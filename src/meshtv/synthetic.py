@@ -113,36 +113,38 @@ def checker_image(mesh: TriangleMesh, lat_bands: int = 4,
     return MeshImage(np.where(parity, PATTERN_HIGH, PATTERN_LOW))
 
 
-def generate_synthetic(kind: str, params: dict | None = None):
-    """Build a (mesh, image) test pair.
+def generate_synthetic(spec: str):
+    """Build a (mesh, image, name) test triple from a spec string.
 
-    Kinds: ``icosphere_k`` (icosphere mesh, pattern selectable via
-    ``pattern``), ``two_patch`` and ``checker`` (icosphere with the named
-    pattern).  ``params`` accepts ``k`` (subdivision level, default 3) and,
-    for checker, ``lat_bands`` / ``lon_bands``.
+    ``spec`` holds comma-separated ``key=value`` pairs: ``icosphere_k`` (the
+    subdivision level, default 3), ``pattern`` (``two_patch``, the default,
+    or ``checker``) and, for checker, ``lat_bands`` / ``lon_bands`` (default
+    4 and 8).  The name is ``icosphere<k>_<pattern>``.
     """
-    params = dict(params or {})
+    params = {}
+    for piece in spec.split(","):
+        if not piece.strip():
+            continue
+        key, sep, value = (tok.strip() for tok in piece.partition("="))
+        if not sep:
+            raise InvalidParams(f"expected key=value, got {piece.strip()!r}")
+        params[key] = value
+    pattern = params.pop("pattern", "two_patch")
+    keys = {"two_patch": {"icosphere_k"},
+            "checker": {"icosphere_k", "lat_bands", "lon_bands"}}.get(pattern)
+    if keys is None:
+        raise InvalidParams(f"unknown pattern: {pattern!r}")
+    if not keys.issuperset(params):
+        raise InvalidParams(f"unexpected parameters: {sorted(set(params) - keys)}")
     try:
-        k = int(params.pop("k", 3))
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams(f"bad subdivision level: {params.get('k')!r}") from exc
+        ints = {key: int(value) for key, value in params.items()}
+    except ValueError as exc:
+        raise InvalidParams(f"bad integer in synthetic spec {spec!r}") from exc
 
-    if kind == "icosphere_k":
-        pattern = params.pop("pattern", "two_patch")
-    elif kind in ("two_patch", "checker"):
-        pattern = kind
-    else:
-        raise InvalidParams(f"unknown synthetic kind: {kind!r}")
-
+    k = ints.get("icosphere_k", 3)
     mesh = icosphere(k)
-    if pattern == "two_patch":
-        if params:
-            raise InvalidParams(f"unexpected parameters: {sorted(params)}")
-        return mesh, two_patch_image(mesh)
     if pattern == "checker":
-        lat = int(params.pop("lat_bands", 4))
-        lon = int(params.pop("lon_bands", 8))
-        if params:
-            raise InvalidParams(f"unexpected parameters: {sorted(params)}")
-        return mesh, checker_image(mesh, lat, lon)
-    raise InvalidParams(f"unknown pattern: {pattern!r}")
+        image = checker_image(mesh, ints.get("lat_bands", 4), ints.get("lon_bands", 8))
+    else:
+        image = two_patch_image(mesh)
+    return mesh, image, f"icosphere{k}_{pattern}"

@@ -18,7 +18,7 @@ from grid_oracles import (
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
-from meshtv.admm import admm_solve, shrink_1d, shrink_vec
+from meshtv.admm import _shrink_groups, admm_solve, shrink_1d
 from meshtv.config import SolverConfig
 from meshtv.experiment import ExperimentSpec, run_experiment
 from meshtv.gradient import apply as apply_gradient
@@ -77,7 +77,8 @@ def test_criterion_2_prox_oracles():
     vthr = rng.uniform(0.0, 3.0, n)
     worst_3d = 0.0
     for x, thr in zip(vecs, vthr):
-        diff = np.abs(shrink_vec(x, thr) - shrink_vec_oracle(x, thr)).max()
+        diff = np.abs(_shrink_groups(x[None], thr)[0]
+                      - shrink_vec_oracle(x, thr)).max()
         worst_3d = max(worst_3d, diff)
     elapsed = time.perf_counter() - tic
     ok = worst_1d < 1e-5 and worst_3d < 1e-5 and elapsed < 30.0
@@ -139,7 +140,7 @@ def _lemma_config(p: float) -> SolverConfig:
 @pytest.fixture(scope="module")
 def lemma_rig():
     tic = time.perf_counter()
-    mesh, clean = generate_synthetic("two_patch", {"k": 3})
+    mesh, clean, _ = generate_synthetic("icosphere_k=3,pattern=two_patch")
     op = build_gradient_operator(mesh)
     runs = []
     for p in (0.1, 0.5, 0.9):

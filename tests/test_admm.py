@@ -13,9 +13,9 @@ from grid_oracles import (
 )
 from meshtv.admm import (
     NormalEquationSystem,
+    _shrink_groups,
     admm_solve,
     shrink_1d,
-    shrink_vec,
 )
 from meshtv.config import SolverConfig
 from meshtv.errors import DimensionMismatch
@@ -142,7 +142,7 @@ def test_joint_yz_step_matches_per_coordinate_oracles(rng):
         assert y == pytest.approx(y_star, abs=1e-5)
 
         c = rng.normal(size=3)
-        z = shrink_vec(c, 1.0 / beta2)
+        z = _shrink_groups(c[None], 1.0 / beta2)[0]
         z_star = shrink_vec_oracle(c, 1.0 / beta2)
         assert np.abs(z - z_star).max() < 1e-5
 

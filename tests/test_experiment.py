@@ -7,12 +7,10 @@ import pytest
 
 from meshtv import cli
 from meshtv.config import SolverConfig
-from meshtv.experiment import (
-    ExperimentSpec,
-    parse_synthetic_spec,
-    run_experiment,
-)
+from meshtv.errors import InvalidParams
+from meshtv.experiment import ExperimentSpec, run_experiment
 from meshtv.imaging import read_image, read_image_ply
+from meshtv.synthetic import checker_image, generate_synthetic
 
 FAST_SOLVER = SolverConfig(lam=0.15, beta1=2.0, beta2=2.0,
                            inner_tol=1e-6, inner_max_iter=3000)
@@ -33,13 +31,17 @@ def _tiny_spec(out_dir, **overrides):
     return ExperimentSpec(**kwargs)
 
 
-def test_parse_synthetic_spec():
-    kind, params = parse_synthetic_spec("icosphere_k=4,pattern=two_patch")
-    assert kind == "icosphere_k"
-    assert params == {"k": 4, "pattern": "two_patch"}
-    kind, params = parse_synthetic_spec("pattern=checker,k=2,lat_bands=3")
-    assert kind == "checker"
-    assert params == {"k": 2, "lat_bands": 3}
+def test_parse_synthetic_spec(tmp_path):
+    mesh, image, name = generate_synthetic("icosphere_k=2,pattern=checker,"
+                                           "lat_bands=3,lon_bands=5")
+    assert (mesh.n_vertices, name) == (162, "icosphere2_checker")
+    assert np.array_equal(image.values, checker_image(mesh, 3, 5).values)
+    mesh, image, name = generate_synthetic("pattern=two_patch")
+    assert (mesh.n_vertices, name) == (642, "icosphere3_two_patch")
+    rows = run_experiment(_tiny_spec(tmp_path / "out", p_values=()))
+    assert {row.image_name for row in rows} == {"icosphere1_two_patch"}
+    with pytest.raises(InvalidParams, match="bad integer"):
+        run_experiment(_tiny_spec(tmp_path / "bad", synthetic="icosphere_k=x"))
 
 
 def test_run_experiment_rows_and_layout(tmp_path):
@@ -104,9 +106,8 @@ def test_no_noise_degenerate_run(tmp_path):
 
 def test_file_based_experiment(tmp_path):
     from grid_oracles import off_text
-    from meshtv.synthetic import generate_synthetic
 
-    mesh, image = generate_synthetic("two_patch", {"k": 1})
+    mesh, image, _ = generate_synthetic("icosphere_k=1,pattern=two_patch")
     mesh_path = tmp_path / "m.off"
     image_path = tmp_path / "img.txt"
     mesh_path.write_text(off_text(mesh))

@@ -65,6 +65,23 @@ def test_load_off_negative_counts_raise_parse_error(tmp_path, text):
         load_mesh(str(path))
 
 
+@pytest.mark.parametrize("name, text, match", [
+    ("empty.off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "face list is empty"),
+    ("empty.ply", "ply\nformat ascii 1.0\nelement vertex 3\n"
+     "property float x\nproperty float y\nproperty float z\n"
+     "element face 0\nproperty list uchar int vertex_indices\nend_header\n"
+     "0 0 0\n1 0 0\n0 1 0\n", "face list is empty"),
+    ("nan.off", "OFF\n3 1 0\n0 0 0\n1 nan 0\n0 1 0\n3 0 1 2\n",
+     "vertex 1 has a non-finite coordinate"),
+], ids=["off-no-faces", "ply-no-faces", "off-nan-vertex"])
+def test_load_mesh_empty_faces_or_non_finite_vertex_raise_parse_error(
+        tmp_path, name, text, match):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match):
+        load_mesh(str(path))
+
+
 def test_icosahedron_off_is_closed(tmp_path):
     path = tmp_path / "ico.off"
     path.write_text(off_text(icosahedron()))

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from grid_oracles import shrink_1d_oracle, shrink_vec_oracle
 from meshtv.admm import (
     NormalEquationSystem,
+    _shrink_groups,
     shrink_1d,
-    shrink_vec,
     solve_normal_equation,
 )
 from meshtv.gradient import assemble_gram, build_gradient_operator
@@ -29,26 +29,43 @@ def test_shrink_1d_matches_grid_oracle(rng):
         assert shrink_1d(x, thr) == pytest.approx(shrink_1d_oracle(x, thr), abs=1e-5)
 
 
-def test_shrink_vec_example():
-    out = shrink_vec(np.array([3.0, 4.0, 0.0]), 2.0)
+def _shrink_one(x, threshold):
+    return _shrink_groups(x[None], threshold)[0]
+
+
+def test_shrink_groups_example():
+    out = _shrink_one(np.array([3.0, 4.0, 0.0]), 2.0)
     assert np.allclose(out, [1.8, 2.4, 0.0], atol=1e-12)
 
 
-def test_shrink_vec_zero_input_convention():
-    assert np.all(shrink_vec(np.zeros(3), 1.7) == 0.0)
-    assert np.all(shrink_vec(np.zeros(3), 0.0) == 0.0)
+def test_shrink_groups_zero_input_convention():
+    assert np.all(_shrink_one(np.zeros(3), 1.7) == 0.0)
+    assert np.all(_shrink_one(np.zeros(3), 0.0) == 0.0)
 
 
-def test_shrink_vec_norm_equal_threshold_gives_zero():
+def test_shrink_groups_norm_equal_threshold_gives_zero():
     x = np.array([0.6, 0.8, 0.0])
-    assert np.all(shrink_vec(x, 1.0) == 0.0)
+    assert np.all(_shrink_one(x, 1.0) == 0.0)
 
 
-def test_shrink_vec_matches_radial_oracle(rng):
+def test_shrink_groups_matches_radial_oracle(rng):
     for _ in range(50):
         x = rng.normal(size=3) * 2.0
         thr = rng.uniform(0, 3)
-        assert np.abs(shrink_vec(x, thr) - shrink_vec_oracle(x, thr)).max() < 1e-5
+        assert np.abs(_shrink_one(x, thr) - shrink_vec_oracle(x, thr)).max() < 1e-5
+
+
+def test_shrink_groups_color_stack_matches_oracle_per_block(rng):
+    # an RGB gradient stack (m, 3, 3) is shrunk block by block, each 3x3
+    # block as one 9-entry group: the channels share one norm
+    thr = 1.3
+    a = rng.normal(size=(40, 3, 3))
+    a[0] *= thr / np.linalg.norm(a[0])
+    out = _shrink_groups(a, thr)
+    assert np.all(out[0] == 0.0)
+    for block, got in zip(a, out):
+        expected = shrink_vec_oracle(block.ravel(), thr).reshape(3, 3)
+        assert np.abs(got - expected).max() < 1e-5
 
 
 @given(finite, finite, thresholds)
@@ -60,9 +77,9 @@ def test_shrink_1d_is_nonexpansive(a, b, thr):
 @given(st.lists(finite, min_size=3, max_size=3),
        st.lists(finite, min_size=3, max_size=3), thresholds)
 @settings(max_examples=200, deadline=None)
-def test_shrink_vec_is_nonexpansive(a, b, thr):
+def test_shrink_groups_is_nonexpansive(a, b, thr):
     a, b = np.array(a), np.array(b)
-    lhs = np.linalg.norm(shrink_vec(a, thr) - shrink_vec(b, thr))
+    lhs = np.linalg.norm(_shrink_one(a, thr) - _shrink_one(b, thr))
     assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 

@@ -61,19 +61,21 @@ def test_planar_grid_structure():
 
 
 def test_generate_synthetic_kinds():
-    mesh, image = generate_synthetic("icosphere_k", {"k": 1})
-    assert mesh.n_vertices == 42
-    assert image.vertex_count == 42
-    mesh, image = generate_synthetic("two_patch", {"k": 2})
+    mesh, image, name = generate_synthetic("icosphere_k=1")
+    assert (mesh.n_vertices, image.vertex_count) == (42, 42)
+    assert name == "icosphere1_two_patch"
+    mesh, image, _ = generate_synthetic("icosphere_k=2,pattern=two_patch")
     assert np.unique(image.values).size == 2
-    mesh, image = generate_synthetic("checker", {"k": 2, "lat_bands": 3})
+    mesh, image, name = generate_synthetic("icosphere_k=2,pattern=checker,"
+                                           "lat_bands=3")
     assert image.vertex_count == mesh.n_vertices
+    assert name == "icosphere2_checker"
 
 
 def test_generate_synthetic_rejects_unknown():
-    with pytest.raises(InvalidParams):
-        generate_synthetic("moebius", {})
-    with pytest.raises(InvalidParams):
-        generate_synthetic("two_patch", {"bogus": 1})
-    with pytest.raises(InvalidParams):
-        generate_synthetic("icosphere_k", {"k": 99})
+    for spec in ("pattern=moebius", "icosphere_k=2,bogus=1",
+                 "pattern=two_patch,lat_bands=3", "k=2", "icosphere_k",
+                 "icosphere_k=x", "pattern=checker,lon_bands=1.5",
+                 "icosphere_k=99"):
+        with pytest.raises(InvalidParams):
+            generate_synthetic(spec)
