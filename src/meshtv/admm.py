@@ -2,10 +2,13 @@
 
 Each outer iteration of the Lp-TV solver minimizes a weighted-L1 + TV +
 proximal objective over the vertex values, with the off-support values pinned
-to the observed data.  Splitting the fidelity residuals (y) and the
-per-triangle gradients (z) out of the vertex variable (v) makes every step
-closed-form: scalar and group soft-thresholding for (y, z), a sparse SPD
-normal equation for v, then gradient-ascent multiplier updates.
+to the observed data.  A pinned value is a constant, so the loop solves only
+for the free vertices (those with a supported value) and keeps only the
+triangles that touch them; the pinned neighbours enter as a fixed gradient
+offset.  Splitting the fidelity residuals (y) and the per-triangle gradients
+(z) out of the vertex variable (v) makes every step closed-form: scalar and
+group soft-thresholding for (y, z), a sparse SPD normal equation for v, then
+gradient-ascent multiplier updates.
 
 The same loop with full support, unit weights, and zero proximal weight is
 the plain L1-TV solver used as a warm start.
@@ -14,6 +17,7 @@ the plain L1-TV solver used as a warm start.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +34,9 @@ from .errors import (
 from .gradient import GradientOperator
 from .imaging import MeshImage
 
-# Above this size the normal equation switches from a direct factorization to
-# Jacobi-preconditioned CG, run to this relative tolerance and step limit.
+# Above this many unknowns (free vertices) the normal equation switches from
+# a direct factorization to Jacobi-preconditioned CG, run to this relative
+# tolerance and step limit.
 DIRECT_SOLVE_MAX_VERTICES = 50_000
 CG_TOL = 1e-10
 CG_MAX_ITER = 2000
@@ -62,13 +67,48 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
     return a * scale.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
-class NormalEquationSystem:
-    """The SPD vertex system beta2 * Gram + (prox_weight + beta1) * I.
+@dataclass(frozen=True)
+class FreePart:
+    """The free vertices of a subproblem and the triangles that touch them.
 
-    The matrix is independent of the support: a pinned value enters the ADMM
-    loop as an infinite y threshold, not as a smaller system, so one
-    factorization (or preconditioner) serves every inner iteration and, for
-    fixed penalties, every outer iteration as well.  Because the penalties
+    ``vertices`` and ``triangles`` are sorted index arrays; ``op`` is the
+    gradient restricted to them: the rows of those triangles, the columns of
+    those vertices, and their areas.  Every triangle whose gradient depends
+    on a free vertex is kept, so ``assemble_gram(op)`` is exactly the
+    free-vertex block of the full Gram matrix.
+    """
+
+    vertices: np.ndarray
+    triangles: np.ndarray
+    op: GradientOperator
+
+
+def restrict(op: GradientOperator, free: np.ndarray) -> FreePart:
+    """The part of ``op`` that acts on the vertices where ``free`` is True."""
+    vertices = np.flatnonzero(free)
+    columns = op.matrix[:, vertices]
+    # each triangle owns three rows; it touches a free vertex when one of
+    # them stores an entry in a free column
+    touched = np.diff(columns.indptr).reshape(-1, 3).any(axis=1)
+    triangles = np.flatnonzero(touched)
+    rows = (3 * triangles[:, None] + np.arange(3)).ravel()
+    sub = GradientOperator(tri_areas=op.tri_areas[triangles],
+                           matrix=columns[rows])
+    return FreePart(vertices, triangles, sub)
+
+
+class NormalEquationSystem:
+    """The SPD system beta2 * Gram + (prox_weight + beta1) * I of the free
+    vertices.
+
+    ``gram`` is the Gram matrix of the operator the ADMM loop runs on: the
+    full one when ``part`` is None (every vertex free, as for L1-TV), or
+    ``part.op`` when only ``part.vertices`` are free.  The system therefore
+    depends on the support through its free-vertex set; the set only shrinks
+    during an Lp-TV solve, so ``plm_solve`` builds a new system only when it
+    does, and one factorization (or preconditioner) serves every inner
+    iteration in between.  Whether the system is factorized or solved by CG
+    depends on its size, the number of free vertices.  Because the penalties
     stay fixed, the multipliers of one outer iteration are also a valid
     starting point for the next, and ``plm_solve`` passes them on.  The
     penalties and the proximal weight are kept because the ADMM steps must
@@ -76,13 +116,14 @@ class NormalEquationSystem:
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
-                 prox_weight: float):
+                 prox_weight: float, part: FreePart | None = None):
         if not all(map(math.isfinite, (beta1, beta2, prox_weight))):
             raise ValueError("penalties and prox_weight must be finite")
         if beta1 <= 0.0 or beta2 <= 0.0 or prox_weight < 0.0:
             raise ValueError("penalties must be positive, prox_weight nonnegative")
         n = gram.shape[0]
         self.beta1, self.beta2, self.prox_weight = beta1, beta2, prox_weight
+        self.part = part
         self.matrix = (beta2 * gram + (prox_weight + beta1) * sp.identity(n)).tocsr()
         if n <= DIRECT_SOLVE_MAX_VERTICES:
             try:
@@ -132,7 +173,7 @@ def admm_solve(
     w: np.ndarray,
     op: GradientOperator,
     config: SolverConfig,
-    system: NormalEquationSystem,
+    system: NormalEquationSystem | None,
     duals: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
@@ -144,21 +185,30 @@ def admm_solve(
     weight per True entry, in C order.  Minimizes lam * sum_j w_j |v_j - f_j|
     over the support, plus the area-weighted TV term and
     prox_weight/2 * ||v - u_k||^2, subject to v_j = f_j where the mask is
-    False.  A pinned value is a weight of +inf: its y threshold is +inf, so
-    its y stays 0 and its ``r_pin`` residual measures v_j - f_j.  The
-    penalties and the proximal weight are those ``system`` was built with;
-    from ``config`` only lam, inner_tol and inner_max_iter are read.
+    False.  The unknowns are the free vertices F, those with a supported
+    value; every other vertex is the constant f, so TV is kept only on the
+    triangles T that touch F, and there the gradient is D_F v_F + g0 with
+    g0 = D_P f_P the fixed contribution of the pinned vertices.  ``system``
+    must be built for exactly F (``system.part``; None means all vertices),
+    or DimensionMismatch is raised; it may be None when the support is
+    empty.  For a color image a channel pinned at a free vertex stays among
+    the unknowns as a weight of +inf: its y threshold is +inf, so its y stays
+    0 and its ``r_pin`` residual measures v_j - f_j.  The penalties and the
+    proximal weight are those ``system`` was built with; from ``config``
+    only lam, inner_tol and inner_max_iter are read.
 
     ``duals`` is the multiplier pair (eta, mu), shaped like ``f.values`` and
     (n_triangles, 3, channels); the loop starts from it, or from zeros when
     it is None.  The vertex iterate starts from ``u_k`` and the splitting
     variables (y, z) are computed from it and the duals, so the duals are
-    the whole state a warm start needs.  The inputs are not modified.
+    the whole state a warm start needs.  The loop works on their rows for F
+    and T; the other rows are returned as they came.  The inputs are not
+    modified.
 
     Returns (image, inner_iterations, converged, duals), the last being the
     final (eta, mu); a False flag means the residual rule was not met within
-    inner_max_iter.  Off-support entries of the result are overwritten with
-    the observed data exactly, so the pinning constraint holds bit-for-bit.
+    inner_max_iter.  Pinned entries of the result are the observed data
+    exactly, so the pinning constraint holds bit-for-bit.
     """
     if f.values.shape != u_k.values.shape:
         raise DimensionMismatch("f and u_k must have identical shapes")
@@ -168,59 +218,81 @@ def admm_solve(
     channels = f2.shape[1]
     if support.shape != f2.shape or support.dtype != bool:
         raise DimensionMismatch("support must be a boolean mask shaped like f")
-    pinned = ~support
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (np.count_nonzero(support),):
         raise DimensionMismatch("one weight per support entry required")
     mu_shape = (op.n_triangles, 3, channels)
     if duals is None:
-        eta, mu = np.zeros_like(f2), np.zeros(mu_shape)
-    else:
-        eta, mu = duals
-        if eta.shape != f2.shape or mu.shape != mu_shape:
-            raise DimensionMismatch("duals must be shaped like f and its gradient")
+        duals = np.zeros_like(f2), np.zeros(mu_shape)
+    elif duals[0].shape != f2.shape or duals[1].shape != mu_shape:
+        raise DimensionMismatch("duals must be shaped like f and its gradient")
     if w.size == 0:
-        return MeshImage(f2.copy()), 0, True, (eta, mu)
+        return MeshImage(f2.copy()), 0, True, duals
+
+    free = np.flatnonzero(support.any(axis=1))
+    part = None if system is None else system.part
+    if system is None or system.n != free.size or (
+            part is not None and not np.array_equal(part.vertices, free)):
+        raise DimensionMismatch(f"system not built for the {free.size} free vertices")
+    if part is None:
+        # every vertex is free: nothing to slice and no pinned offset
+        verts = tris = slice(None)
+        sub_op, offset = op, None
+    else:
+        verts, tris, sub_op = part.vertices, part.triangles, part.op
+        pinned_data = f2.copy()
+        pinned_data[verts] = 0.0
+        offset = gradient.apply(op, pinned_data)[tris]
+    f_free, u_free, fitted = f2[verts], u_ref[verts], support[verts]
+    unfitted = ~fitted
+    eta, mu = duals[0][verts], duals[1][tris]
 
     beta1, beta2, prox_weight = system.beta1, system.beta2, system.prox_weight
-    y_threshold = np.full(f2.shape, np.inf)
-    y_threshold[support] = config.lam * w / beta1
+    y_threshold = np.full(f_free.shape, np.inf)
+    y_threshold[fitted] = config.lam * w / beta1
     z_threshold = 1.0 / beta2
 
-    v = u_ref.copy()
-    grad_v = gradient.apply(op, v)
+    # z holds the gradient split minus the offset, so that grad_v - z is the
+    # constraint residual D_F v + g0 - (z + g0) and beta2 * z - mu already
+    # carries the right-hand-side term -beta2 * D_F^T A g0
+    v = u_free.copy()
+    grad_v = gradient.apply(sub_op, v)
     scale = np.sqrt(f2.size)
     iters, converged = config.inner_max_iter, False
 
     for t in range(config.inner_max_iter):
-        y = shrink_1d(v - f2 + eta / beta1, y_threshold)
-        z = _shrink_groups(grad_v + mu / beta2, z_threshold)
+        y = shrink_1d(v - f_free + eta / beta1, y_threshold)
+        if offset is None:
+            z = _shrink_groups(grad_v + mu / beta2, z_threshold)
+        else:
+            z = _shrink_groups(grad_v + offset + mu / beta2, z_threshold) - offset
 
         rhs = (
-            gradient.apply_adjoint(op, beta2 * z - mu)
-            + beta1 * (y + f2)
+            gradient.apply_adjoint(sub_op, beta2 * z - mu)
+            + beta1 * (y + f_free)
             - eta
-            + prox_weight * u_ref
+            + prox_weight * u_free
         )
         v = solve_normal_equation(system, rhs)
         if not np.all(np.isfinite(v)):
             raise NonFiniteIterate("ADMM produced non-finite vertex values")
-        grad_v = gradient.apply(op, v)
+        grad_v = gradient.apply(sub_op, v)
 
-        r_y = v - f2 - y
+        r_y = v - f_free - y
         eta = eta + beta1 * r_y
         mu = mu + beta2 * (grad_v - z)
 
-        r_fit = np.linalg.norm(r_y[support])
-        r_pin = np.linalg.norm(r_y[pinned])
+        r_fit = np.linalg.norm(r_y[fitted])
+        r_pin = np.linalg.norm(r_y[unfitted])
         r_grad = np.linalg.norm((grad_v - z).ravel())
         if max(r_fit, r_pin, r_grad) / scale < config.inner_tol:
             iters, converged = t + 1, True
             break
 
-    out = v.copy()
-    out[pinned] = f2[pinned]
-    return MeshImage(out), iters, converged, (eta, mu)
+    v[unfitted] = f_free[unfitted]
+    out, eta_out, mu_out = f2.copy(), duals[0].copy(), duals[1].copy()
+    out[verts], eta_out[verts], mu_out[tris] = v, eta, mu
+    return MeshImage(out), iters, converged, (eta_out, mu_out)
 
 
 def _l1tv_solve_full(f: MeshImage, u0: MeshImage, op: GradientOperator,

@@ -25,8 +25,12 @@ class GradientOperator:
     ``matrix`` is the (3 * n_triangles, n_vertices) CSR operator: rows
     3i..3i+2 hold the gradient on triangle i, so applying the operator and
     its adjoint are single sparse products.  Its only nonzero columns in
-    those rows are the three vertices of triangle i.  ``tri_areas`` is the
-    mesh's own read-only ``areas`` array, the weights of the TV term.
+    those rows are the three vertices of triangle i.  ``tri_areas`` holds
+    the weights of the TV term: for the operator of a whole mesh it is the
+    mesh's own read-only ``areas`` array.  An operator restricted to some
+    vertices and the triangles that touch them (``admm.restrict``) keeps
+    only those columns and rows, and ``tri_areas`` is then the subset of
+    areas of those triangles.
     """
 
     tri_areas: np.ndarray        # (n_tri,)
@@ -103,9 +107,10 @@ def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
 def assemble_gram(op: GradientOperator) -> sp.csr_matrix:
     """Area-weighted Gram matrix sum_i |tau_i| D_i^T D_i (sparse, symmetric PSD).
 
-    Constant vectors on each connected component lie in its kernel.  The
-    matrix only depends on the mesh, yet nothing caches it: ``plm_solve``
-    assembles it again on every call.
+    Constant vectors on each connected component lie in its kernel.  For a
+    restricted operator this is the free-vertex block of the whole mesh's
+    Gram matrix.  ``plm_solve`` assembles it once per call for L1-TV and once per
+    free-vertex set for Lp-TV; nothing caches it across calls.
     """
     warea = np.repeat(op.tri_areas, 3)
     weighted = sp.diags(warea) @ op.matrix

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .admm import NormalEquationSystem, admm_solve, _l1tv_solve_full
+from .admm import NormalEquationSystem, admm_solve, restrict, _l1tv_solve_full
 from .config import SolverConfig
 from .errors import (
     DimensionMismatch,
@@ -52,8 +52,10 @@ class TraceRecord:
     those of a rejected or redone solve included; ``inner_redos`` is the
     number of times the step was solved again because its decrease slack fell
     below the floor, ``rejected_extrapolations`` the number of extrapolated
-    solves discarded because their slack was negative, and
-    ``inner_converged`` the flag of the inner solve that was kept.
+    solves discarded because their slack was negative, ``free_vertices`` the
+    number of unknowns in the step's linear system (the vertices with a
+    supported value), and ``inner_converged`` the flag of the inner solve
+    that was kept.
     """
 
     iteration: int
@@ -64,6 +66,7 @@ class TraceRecord:
     inner_iterations: int
     inner_redos: int = 0
     rejected_extrapolations: int = 0
+    free_vertices: int = 0
     inner_converged: bool = True
 
 
@@ -161,6 +164,12 @@ def plm_solve(
     p = 1 this degenerates to a single L1-TV solve (no reweighting, no
     support shrinking, no proximal term) from zero duals.
 
+    Each Lp-TV step solves only for its free vertices, those with a
+    supported value, on the triangles that touch them (see ``admm_solve``).
+    The free-vertex set only shrinks, so the restricted operator and its
+    normal-equation system are built again only when it does, and not at
+    all once it is empty.
+
     Each inner ADMM solve starts from the multipliers the previous outer
     step ended with.  Its proximal center is extrapolated to
     c^k = u^k + EXTRAPOLATION * (u^k - u^{k-1}), with pinned entries reset to
@@ -189,19 +198,18 @@ def plm_solve(
     if u0.values.shape != f.values.shape:
         raise DimensionMismatch("u0 and f must have identical shapes")
 
-    prox = 0.0 if config.p == 1.0 else config.prox_weight
-    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
-                                  prox)
     trace = SolverTrace()
 
     if config.p == 1.0:
+        system = _free_system(op, np.ones(f.vertex_count, dtype=bool), config, 0.0)
         f_start = _objective_raw(u0.values, f.values, op, config.lam, 1.0)
         result, inner_iters, inner_ok = _l1tv_solve_full(f, u0, op, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
         _, gap, slack = _step_decrease(result, u0, f, f_start, op, config, 0.0, 0)
         trace.append(TraceRecord(0, f_start, f.values.size, gap, slack,
-                                 inner_iters, inner_converged=inner_ok))
+                                 inner_iters, free_vertices=system.n,
+                                 inner_converged=inner_ok))
         trace.converged = inner_ok
         return result, trace
 
@@ -210,6 +218,7 @@ def plm_solve(
     slack_floor = -SLACK_FLOOR_FACTOR * max(1.0, f_prev)
     redo_config = dataclasses.replace(config, inner_tol=config.inner_tol / 100.0)
     prev_support = np.ones(f.values.shape, dtype=bool)
+    free, system = None, None
     duals = None
     # the iterate before u, or None when the next step is not extrapolated
     u_prev = None
@@ -221,6 +230,9 @@ def plm_solve(
             raise SupportGrew(f"support grew at outer iteration {k}; pinning is broken")
         prev_support = support
         w = weights(u, f, support, config.p)
+        if free is None or not np.array_equal(support.any(axis=1), free):
+            free = support.any(axis=1)
+            system = _free_system(op, free, config, config.prox_weight)
 
         # Each try is (center, config, bar).  The first solve whose slack
         # reaches its bar is kept, and so is a solve around u^k that hit
@@ -236,7 +248,7 @@ def plm_solve(
                 f, center, support, w, op, solve_config, system, duals)
             inner_iters += iters
             f_next, gap, slack = _step_decrease(u_next, u, f, f_prev, op, config,
-                                                system.prox_weight, k)
+                                                config.prox_weight, k)
             if slack >= bar or (center is u and not inner_ok):
                 break
         rejected = int(kept > 0 and tries[0][0] is not u)
@@ -250,7 +262,8 @@ def plm_solve(
                 "inner ADMM hit inner_max_iter at outer iteration %d", k
             )
         trace.append(TraceRecord(k, f_prev, int(np.count_nonzero(support)), gap,
-                                 slack, inner_iters, redos, rejected, inner_ok))
+                                 slack, inner_iters, redos, rejected,
+                                 int(np.count_nonzero(free)), inner_ok))
 
         u_norm = float(np.linalg.norm(u_next.values))
         u_prev = u if inner_ok else None
@@ -262,6 +275,18 @@ def plm_solve(
 
     trace.converged = outer_ok and inner_ok and decrease_held
     return u, trace
+
+
+def _free_system(op: GradientOperator, free: np.ndarray, config: SolverConfig,
+                 prox_weight: float) -> NormalEquationSystem | None:
+    """The normal-equation system of the vertices where ``free`` is True,
+    on the operator restricted to them; None when no vertex is free."""
+    if not free.any():
+        return None
+    part = None if free.all() else restrict(op, free)
+    gram = assemble_gram(op if part is None else part.op)
+    return NormalEquationSystem(gram, config.beta1, config.beta2, prox_weight,
+                                part)
 
 
 def _step_decrease(u_next: MeshImage, u: MeshImage, f: MeshImage, f_prev: float,

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from meshtv.admm import NormalEquationSystem
-from meshtv.gradient import assemble_gram
+from meshtv.lptv import _free_system
 from meshtv.mesh import TriangleMesh
 
 
@@ -19,10 +18,10 @@ def count_opens(monkeypatch, *modules):
     return opened
 
 
-def prox_system(op, config):
-    """The subproblem system with ``config``'s penalties and proximal weight."""
-    return NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
-                                config.prox_weight)
+def prox_system(op, config, support):
+    """The subproblem system of ``support``'s free vertices with ``config``'s
+    penalties and proximal weight; None when the support is empty."""
+    return _free_system(op, support.any(axis=1), config, config.prox_weight)
 
 
 @pytest.fixture

@@ -129,6 +129,55 @@ def dense_gram(op):
     return out
 
 
+def pinned_admm_dense(f, u_ref, support, w, op, lam, beta1, beta2, prox,
+                      tol, max_iter):
+    """Full-size pinned ADMM for the weighted-L1 + TV + prox subproblem.
+
+    Every vertex is an unknown and every triangle is kept; a pinned value is
+    a y threshold of +inf and is overwritten with the data at the end.  The
+    vertex step is a dense ``np.linalg.solve`` with the matrix of
+    ``dense_gram``, the shrinkages are written out here, and the stopping
+    rule is max(fit, pin, gradient residual) / sqrt(f.size) < tol.  ``f``
+    and ``u_ref`` are (n, c) arrays, ``support`` a mask of that shape and
+    ``w`` one weight per True entry in C order.  Returns (v, converged).
+    """
+    n, c = f.shape
+    areas = np.asarray(op.tri_areas, dtype=float)
+    blocks = np.stack(dense_blocks(op))            # (m, 3, n)
+    matrix = beta2 * dense_gram(op) + (prox + beta1) * np.eye(n)
+    thr = np.full(f.shape, np.inf)
+    thr[support] = lam * np.asarray(w, dtype=float) / beta1
+    eta = np.zeros_like(f)
+    mu = np.zeros((op.n_triangles, 3, c))
+    v = u_ref.copy()
+    grad = np.einsum("mkn,nc->mkc", blocks, v)
+    converged = False
+    for _ in range(max_iter):
+        a = v - f + eta / beta1
+        y = np.sign(a) * np.maximum(np.abs(a) - thr, 0.0)
+        b = grad + mu / beta2
+        norms = np.sqrt((b ** 2).sum(axis=(1, 2)))
+        keep = np.where(norms > 1.0 / beta2,
+                        1.0 - 1.0 / (beta2 * np.maximum(norms, 1e-300)), 0.0)
+        z = b * keep[:, None, None]
+        weighted = (beta2 * z - mu) * areas[:, None, None]
+        rhs = (np.einsum("mkn,mkc->nc", blocks, weighted) + beta1 * (y + f)
+               - eta + prox * u_ref)
+        v = np.linalg.solve(matrix, rhs)
+        grad = np.einsum("mkn,nc->mkc", blocks, v)
+        r_y = v - f - y
+        eta = eta + beta1 * r_y
+        mu = mu + beta2 * (grad - z)
+        residual = max(np.linalg.norm(r_y[support]),
+                       np.linalg.norm(r_y[~support]),
+                       np.linalg.norm(grad - z))
+        if residual / np.sqrt(f.size) < tol:
+            converged = True
+            break
+    v[~support] = f[~support]
+    return v, converged
+
+
 def dense_blocks(op):
     """Explicit dense 3 x n_vertices gradient block of every triangle."""
     return [op.matrix[3 * i : 3 * i + 3].toarray() for i in range(op.n_triangles)]

@@ -8,6 +8,7 @@ from grid_oracles import (
     grid2_argmin,
     make_constrained_objective,
     nested_grid_argmin,
+    pinned_admm_dense,
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
@@ -36,7 +37,8 @@ def test_empty_support_returns_data(two_triangle_mesh, rng):
     u_k = MeshImage(rng.uniform(0, 1, size=4))
     support = np.zeros((4, 1), dtype=bool)
     out, iters, converged, _ = admm_solve(f, u_k, support, np.empty(0), op,
-                                          TINY_CONFIG, prox_system(op, TINY_CONFIG))
+                                          TINY_CONFIG,
+                                          prox_system(op, TINY_CONFIG, support))
     assert converged
     assert np.array_equal(out.values, f.values)
 
@@ -46,7 +48,7 @@ def test_support_mask_must_match_image_shape(rng):
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
     f = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
-    system = prox_system(op, TINY_CONFIG)
+    system = prox_system(op, TINY_CONFIG, np.ones(f.values.shape, dtype=bool))
     flat = np.ones(f.values.size, dtype=bool)
     with pytest.raises(DimensionMismatch):
         admm_solve(f, f, flat, np.ones(f.values.size), op, TINY_CONFIG, system)
@@ -58,7 +60,7 @@ def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
     support = np.array([[False], [True], [True], [False]])
     u_k = MeshImage(f.values.copy())
     out, _, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG,
-                              prox_system(op, TINY_CONFIG))
+                              prox_system(op, TINY_CONFIG, support))
     assert out.values[0, 0] == f.values[0, 0]
     assert out.values[3, 0] == f.values[3, 0]
 
@@ -68,7 +70,7 @@ def test_admm_is_deterministic(two_triangle_mesh, rng):
     f = MeshImage(rng.uniform(0, 1, size=4))
     support = np.array([[True], [False], [False], [True]])
     u_k = MeshImage(f.values.copy())
-    system = prox_system(op, TINY_CONFIG)
+    system = prox_system(op, TINY_CONFIG, support)
     a, it_a, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     b, it_b, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     assert it_a == it_b
@@ -85,7 +87,7 @@ def test_penalties_come_from_the_system(rng):
     matching = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=4.0,
                             beta2=1.0, inner_tol=1e-8, inner_max_iter=5000)
     other = dataclasses.replace(matching, beta1=2.0, beta2=2.0)
-    system = prox_system(op, matching)
+    system = prox_system(op, matching, support)
     a, it_a, ok_a, _ = admm_solve(f, f, support, w, op, matching, system)
     b, it_b, ok_b, _ = admm_solve(f, f, support, w, op, other, system)
     assert (it_a, ok_a) == (it_b, ok_b)
@@ -102,7 +104,7 @@ def test_restart_from_returned_duals_is_shorter(rng):
     w = rng.uniform(0.5, 2.0, size=np.count_nonzero(support))
     config = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=2.0,
                           beta2=2.0, inner_tol=1e-8, inner_max_iter=5000)
-    system = prox_system(op, config)
+    system = prox_system(op, config, support)
     cold, it_cold, ok_cold, duals = admm_solve(f, f, support, w, op, config,
                                                system)
     kept = [d.copy() for d in duals]
@@ -117,6 +119,55 @@ def test_restart_from_returned_duals_is_shorter(rng):
     assert rms < config.inner_tol
 
 
+def _reference_case(name, mesh, rng):
+    """(f, support) of one comparison against the full-size reference."""
+    n = mesh.n_vertices
+    if name == "gray":
+        f = rng.uniform(0, 1, size=(n, 1))
+        support = rng.uniform(size=(n, 1)) < 0.3
+    elif name == "gray-far-pins":
+        # pinned data far from 0 and from the free values: the pinned
+        # neighbours' gradient offset dominates the free vertices' triangles
+        f = rng.uniform(0, 1, size=(n, 1))
+        support = rng.uniform(size=(n, 1)) < 0.4
+        f[~support] += 40.0
+    elif name == "rgb":
+        f = rng.uniform(0, 1, size=(n, 3))
+        support = rng.uniform(size=(n, 3)) < 0.25
+    else:  # "rgb-pinned-channel": every free vertex has a pinned channel
+        f = rng.uniform(0, 1, size=(n, 3))
+        support = np.zeros((n, 3), dtype=bool)
+        free = rng.uniform(size=n) < 0.4
+        support[free, rng.integers(0, 3, size=free.sum())] = True
+        support[free, 0] |= rng.uniform(size=free.sum()) < 0.5
+    return f, support
+
+
+@pytest.mark.parametrize("name", ["gray", "gray-far-pins", "rgb",
+                                  "rgb-pinned-channel"])
+def test_admm_matches_full_size_pinned_reference(name, rng):
+    # the solve on the free vertices and the triangles that touch them
+    # reaches the minimizer the full-size pinned loop reaches
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    f_values, support = _reference_case(name, mesh, rng)
+    assert not support.all(axis=1).all() and support.any()
+    u_k = f_values + rng.normal(scale=0.1, size=f_values.shape)
+    u_k[~support] = f_values[~support]
+    w = rng.uniform(0.5, 2.0, size=np.count_nonzero(support))
+    config = SolverConfig(lam=0.3, p=0.5, prox_weight=1.0, beta1=2.0,
+                          beta2=2.0, inner_tol=1e-10, inner_max_iter=50_000)
+    out, _, converged, _ = admm_solve(
+        MeshImage(f_values), MeshImage(u_k), support, w, op, config,
+        prox_system(op, config, support))
+    expected, ref_converged = pinned_admm_dense(
+        f_values, u_k, support, w, op, config.lam, config.beta1, config.beta2,
+        config.prox_weight, config.inner_tol, config.inner_max_iter)
+    assert converged and ref_converged
+    assert np.abs(out.values - expected).max() < 1e-6
+    assert np.array_equal(out.values[~support], f_values[~support])
+
+
 def test_duals_must_match_the_image(rng):
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
@@ -126,7 +177,7 @@ def test_duals_must_match_the_image(rng):
     support = np.ones(rgb.values.shape, dtype=bool)
     with pytest.raises(DimensionMismatch):
         admm_solve(rgb, rgb, support, np.ones(rgb.values.size), op,
-                   TINY_CONFIG, prox_system(op, TINY_CONFIG), gray_duals)
+                   TINY_CONFIG, prox_system(op, TINY_CONFIG, support), gray_duals)
 
 
 def test_joint_yz_step_matches_per_coordinate_oracles(rng):
@@ -157,7 +208,7 @@ def _tiny_admm_case(op, f_values, lam, rng):
     w = np.ones(2)
     u_k = MeshImage(f_values.copy())
     out, _, converged, _ = admm_solve(f, u_k, support, w, op, config,
-                                      prox_system(op, config))
+                                      prox_system(op, config, support))
     assert converged
     objective = make_constrained_objective(
         op, f_values, f_values, [0, 3], w, lam, config.prox_weight

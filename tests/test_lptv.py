@@ -288,12 +288,12 @@ def test_plm_extrapolates_the_center_and_keeps_only_a_decrease(monkeypatch):
 
 
 def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
-    # icosphere k=1, 10% noise, seed 0: one Lp-TV step lands below the
-    # decrease floor at the default inner tolerance
+    # icosphere k=1, 10% noise, seed 0, lam 0.3, beta 2: one Lp-TV step
+    # lands below the decrease floor at the default inner tolerance
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
     noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.10, 0))
-    config = SolverConfig(lam=0.3, p=1.0, beta1=6.0, beta2=6.0,
+    config = SolverConfig(lam=0.3, p=1.0, beta1=2.0, beta2=2.0,
                           inner_max_iter=4000)
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
     config = dataclasses.replace(config, p=0.5)
@@ -337,6 +337,67 @@ def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog, monkeypatch
     assert len(calls) == len(trace)
     for call, u in zip(calls, [warm.values] + [call[4] for call in calls]):
         assert np.array_equal(call[3], u)
+
+
+def test_plm_builds_one_system_per_free_vertex_set(monkeypatch):
+    mesh = icosphere(3)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.10, 0))
+    config = SolverConfig(lam=0.15, p=1.0, beta1=2.0, beta2=2.0)
+    warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
+    config = dataclasses.replace(config, p=0.5)
+
+    built, supports = [], []
+    original_init = admm.NormalEquationSystem.__init__
+    original_support = lptv.support_eps
+
+    def spy_init(self, gram, *args, **kwargs):
+        original_init(self, gram, *args, **kwargs)
+        built.append(self)
+
+    def spy_support(u, f, eps):
+        supports.append(original_support(u, f, eps))
+        return supports[-1]
+
+    monkeypatch.setattr(admm.NormalEquationSystem, "__init__", spy_init)
+    monkeypatch.setattr(lptv, "support_eps", spy_support)
+    _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    assert trace.converged
+    free_sets = []
+    for support in supports:
+        free = np.flatnonzero(support.any(axis=1))
+        if not free_sets or not np.array_equal(free, free_sets[-1]):
+            free_sets.append(free)
+    assert 1 < len(free_sets) < len(trace)
+    assert len(built) == len(free_sets)
+    for system, free in zip(built, free_sets):
+        assert system.n == free.size
+        assert np.array_equal(system.part.vertices, free)
+    assert np.array_equal(trace.column("free_vertices"),
+                          [np.count_nonzero(s.any(axis=1)) for s in supports])
+
+    # a start that fits the data leaves nothing free and builds nothing
+    built.clear()
+    out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
+    assert built == [] and np.array_equal(out.values, noisy.values)
+    assert trace.column("free_vertices").tolist() == [0]
+
+
+def test_admm_rejects_a_system_of_another_free_vertex_set(rng):
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
+    support = rng.uniform(size=(mesh.n_vertices, 1)) < 0.3
+    w = np.ones(np.count_nonzero(support))
+    smaller = support.copy()
+    smaller[np.flatnonzero(support)[0]] = False
+    moved = smaller.copy()
+    moved[np.flatnonzero(~support)[0]] = True
+    everything = np.ones_like(support)
+    for built_for in (smaller, moved, everything):
+        system = lptv._free_system(op, built_for[:, 0], PLM_CONFIG, 1.0)
+        with pytest.raises(DimensionMismatch):
+            admm.admm_solve(f, f, support, w, op, PLM_CONFIG, system)
 
 
 def _two_spheres():
@@ -441,7 +502,8 @@ def test_trace_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ("iteration,objective,support_size,iterate_gap,"
                         "decrease_slack,inner_iterations,inner_redos,"
-                        "rejected_extrapolations,inner_converged")
+                        "rejected_extrapolations,free_vertices,"
+                        "inner_converged")
     assert lines[1].startswith("0,12.5,100,")
     assert len(lines) == 3
 
