@@ -60,8 +60,8 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
     following the 0 * (0/0) = 0 convention.
     """
     flat = a.reshape(a.shape[0], -1)
-    norms = np.linalg.norm(flat, axis=1)
-    scale = np.zeros_like(norms)
+    norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
+    scale = np.zeros(norms.shape)
     active = norms > threshold
     scale[active] = 1.0 - threshold / norms[active]
     return a * scale.reshape((-1,) + (1,) * (a.ndim - 1))
@@ -69,22 +69,32 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FreePart:
-    """The free vertices of a subproblem and the triangles that touch them.
+    """The free vertices of a subproblem, the triangles that touch them, and
+    the constants the image data fixes there.
 
     ``vertices`` and ``triangles`` are sorted index arrays; ``op`` is the
     gradient restricted to them: the rows of those triangles, the columns of
     those vertices, and their areas.  Every triangle whose gradient depends
     on a free vertex is kept, so ``assemble_gram(op)`` is exactly the
-    free-vertex block of the full Gram matrix.
+    free-vertex block of the full Gram matrix.  ``data`` is a copy of the
+    image values the part was built for (``admm_solve`` refuses other
+    values), ``f_free`` their rows at ``vertices``, and ``offset`` the
+    gradient g0 = D_P f_P that the pinned vertices contribute on
+    ``triangles``.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     op: GradientOperator
+    data: np.ndarray
+    f_free: np.ndarray
+    offset: np.ndarray
 
 
-def restrict(op: GradientOperator, free: np.ndarray) -> FreePart:
-    """The part of ``op`` that acts on the vertices where ``free`` is True."""
+def restrict(op: GradientOperator, free: np.ndarray,
+             data: np.ndarray) -> FreePart:
+    """The part of ``op`` that acts on the vertices where ``free`` is True,
+    for the (n_vertices, channels) image values ``data``."""
     vertices = np.flatnonzero(free)
     columns = op.matrix[:, vertices]
     # each triangle owns three rows; it touches a free vertex when one of
@@ -94,7 +104,11 @@ def restrict(op: GradientOperator, free: np.ndarray) -> FreePart:
     rows = (3 * triangles[:, None] + np.arange(3)).ravel()
     sub = GradientOperator(tri_areas=op.tri_areas[triangles],
                            matrix=columns[rows])
-    return FreePart(vertices, triangles, sub)
+    pinned_data = data.copy()
+    pinned_data[vertices] = 0.0
+    offset = gradient.apply(op, pinned_data)[triangles]
+    return FreePart(vertices, triangles, sub, data.copy(), data[vertices],
+                    offset)
 
 
 class NormalEquationSystem:
@@ -189,11 +203,14 @@ def admm_solve(
     value; every other vertex is the constant f, so TV is kept only on the
     triangles T that touch F, and there the gradient is D_F v_F + g0 with
     g0 = D_P f_P the fixed contribution of the pinned vertices.  ``system``
-    must be built for exactly F (``system.part``; None means all vertices),
-    or DimensionMismatch is raised; it may be None when the support is
-    empty.  For a color image a channel pinned at a free vertex stays among
-    the unknowns as a weight of +inf: its y threshold is +inf, so its y stays
-    0 and its ``r_pin`` residual measures v_j - f_j.  The penalties and the
+    must be built for exactly F and for the values of ``f``, or
+    DimensionMismatch is raised; it may be None when the support is empty.
+    Its ``part`` (None means all vertices) comes with g0 and f_F, computed
+    once per free-vertex set by ``restrict``, so a call does not apply the
+    full operator.  For a color image a channel pinned at a free vertex stays
+    among the unknowns as a weight of +inf: its y threshold is +inf, so its
+    y stays 0 and its ``r_pin`` residual measures v_j - f_j; without such a
+    channel there is no ``r_pin`` to compute.  The penalties and the
     proximal weight are those ``system`` was built with; from ``config``
     only lam, inner_tol and inner_max_iter are read.
 
@@ -237,20 +254,22 @@ def admm_solve(
     if part is None:
         # every vertex is free: nothing to slice and no pinned offset
         verts = tris = slice(None)
-        sub_op, offset = op, None
+        sub_op, f_free, offset = op, f2, None
     else:
+        if not np.array_equal(part.data, f2, equal_nan=True):
+            raise DimensionMismatch("system not built for this image's values")
         verts, tris, sub_op = part.vertices, part.triangles, part.op
-        pinned_data = f2.copy()
-        pinned_data[verts] = 0.0
-        offset = gradient.apply(op, pinned_data)[tris]
-    f_free, u_free, fitted = f2[verts], u_ref[verts], support[verts]
-    unfitted = ~fitted
+        f_free, offset = part.f_free, part.offset
+    u_free, fitted = u_ref[verts], support[verts]
+    # None when no channel is pinned at a free vertex (always for gray images)
+    unfitted = ~fitted if not fitted.all() else None
     eta, mu = duals[0][verts], duals[1][tris]
 
     beta1, beta2, prox_weight = system.beta1, system.beta2, system.prox_weight
     y_threshold = np.full(f_free.shape, np.inf)
     y_threshold[fitted] = config.lam * w / beta1
     z_threshold = 1.0 / beta2
+    prox_term = prox_weight * u_free
 
     # z holds the gradient split minus the offset, so that grad_v - z is the
     # constraint residual D_F v + g0 - (z + g0) and beta2 * z - mu already
@@ -271,25 +290,29 @@ def admm_solve(
             gradient.apply_adjoint(sub_op, beta2 * z - mu)
             + beta1 * (y + f_free)
             - eta
-            + prox_weight * u_free
+            + prox_term
         )
         v = solve_normal_equation(system, rhs)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteIterate("ADMM produced non-finite vertex values")
         grad_v = gradient.apply(sub_op, v)
 
         r_y = v - f_free - y
+        r_z = grad_v - z
         eta = eta + beta1 * r_y
-        mu = mu + beta2 * (grad_v - z)
+        mu = mu + beta2 * r_z
 
-        r_fit = np.linalg.norm(r_y[fitted])
-        r_pin = np.linalg.norm(r_y[unfitted])
-        r_grad = np.linalg.norm((grad_v - z).ravel())
-        if max(r_fit, r_pin, r_grad) / scale < config.inner_tol:
+        # Euclidean norms as np.linalg.norm computes them, minus its wrapper
+        if unfitted is None:
+            residuals = (r_y.ravel(), r_z.ravel())
+        else:
+            residuals = (r_y[fitted], r_y[unfitted], r_z.ravel())
+        if max(math.sqrt(r.dot(r)) for r in residuals) / scale < config.inner_tol:
             iters, converged = t + 1, True
             break
 
-    v[unfitted] = f_free[unfitted]
+    if unfitted is not None:
+        v[unfitted] = f_free[unfitted]
     out, eta_out, mu_out = f2.copy(), duals[0].copy(), duals[1].copy()
     out[verts], eta_out[verts], mu_out[tris] = v, eta, mu
     return MeshImage(out), iters, converged, (eta_out, mu_out)

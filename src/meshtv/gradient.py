@@ -25,7 +25,9 @@ class GradientOperator:
     ``matrix`` is the (3 * n_triangles, n_vertices) CSR operator: rows
     3i..3i+2 hold the gradient on triangle i, so applying the operator and
     its adjoint are single sparse products.  Its only nonzero columns in
-    those rows are the three vertices of triangle i.  ``tri_areas`` holds
+    those rows are the three vertices of triangle i.  ``adjoint`` is its
+    transpose, built once as a CSR matrix when the operator is made, so that
+    ``apply_adjoint`` builds no matrix object per call.  ``tri_areas`` holds
     the weights of the TV term: for the operator of a whole mesh it is the
     mesh's own read-only ``areas`` array.  An operator restricted to some
     vertices and the triangles that touch them (``admm.restrict``) keeps
@@ -35,6 +37,10 @@ class GradientOperator:
 
     tri_areas: np.ndarray        # (n_tri,)
     matrix: sp.csr_matrix = field(repr=False)
+    adjoint: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "adjoint", self.matrix.T.tocsr())
 
     @property
     def n_vertices(self) -> int:
@@ -92,7 +98,9 @@ def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
     """Area-weighted adjoint: sum_i |tau_i| D_i^T z[i].
 
     ``z`` has shape (n_tri, 3) or (n_tri, 3, c).  Returns per-vertex data
-    matching the trailing shape of z.
+    matching the trailing shape of z.  The areas weight z first; the product
+    is then taken with the transpose ``op.adjoint`` stored in the operator,
+    which gives the same bits as ``op.matrix.T @ (areas * z)``.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[0] != op.n_triangles or z.shape[1] != 3:
@@ -101,7 +109,7 @@ def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
         zw = (z * op.tri_areas[:, None]).reshape(-1)
     else:
         zw = (z * op.tri_areas[:, None, None]).reshape(-1, z.shape[2])
-    return op.matrix.T @ zw
+    return op.adjoint @ zw
 
 
 def assemble_gram(op: GradientOperator) -> sp.csr_matrix:

@@ -162,13 +162,18 @@ def plm_solve(
     Returns (restored_image, trace).  Stops when the relative iterate change
     drops below ``outer_tol`` or after ``outer_max_iter`` iterations.  With
     p = 1 this degenerates to a single L1-TV solve (no reweighting, no
-    support shrinking, no proximal term) from zero duals.
+    support shrinking, no proximal term) from zero duals.  An L1-TV result
+    within ``eps_support`` of the data at every value is logged as a
+    warning: ``lam`` is not resolution-independent (the fidelity sums over
+    vertices, TV is area-weighted), so a value that suits a coarse mesh can
+    leave the image unchanged on a fine one, and an Lp-TV solve started from
+    that result has no free vertex.
 
     Each Lp-TV step solves only for its free vertices, those with a
     supported value, on the triangles that touch them (see ``admm_solve``).
-    The free-vertex set only shrinks, so the restricted operator and its
-    normal-equation system are built again only when it does, and not at
-    all once it is empty.
+    The free-vertex set only shrinks, so the restricted operator, the pinned
+    offset and the normal-equation system are built again only when it
+    does, and not at all once it is empty.
 
     Each inner ADMM solve starts from the multipliers the previous outer
     step ended with.  Its proximal center is extrapolated to
@@ -201,11 +206,16 @@ def plm_solve(
     trace = SolverTrace()
 
     if config.p == 1.0:
-        system = _free_system(op, np.ones(f.vertex_count, dtype=bool), config, 0.0)
+        system = _free_system(op, f, np.ones(f.vertex_count, dtype=bool),
+                              config, 0.0)
         f_start = _objective_raw(u0.values, f.values, op, config.lam, 1.0)
         result, inner_iters, inner_ok = _l1tv_solve_full(f, u0, op, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
+        if not support_eps(result, f, config.eps_support).any():
+            logger.warning("L1-TV moved no value by more than eps_support = %g: "
+                           "lam = %g is probably too large for this mesh "
+                           "resolution", config.eps_support, config.lam)
         _, gap, slack = _step_decrease(result, u0, f, f_start, op, config, 0.0, 0)
         trace.append(TraceRecord(0, f_start, f.values.size, gap, slack,
                                  inner_iters, free_vertices=system.n,
@@ -232,7 +242,7 @@ def plm_solve(
         w = weights(u, f, support, config.p)
         if free is None or not np.array_equal(support.any(axis=1), free):
             free = support.any(axis=1)
-            system = _free_system(op, free, config, config.prox_weight)
+            system = _free_system(op, f, free, config, config.prox_weight)
 
         # Each try is (center, config, bar).  The first solve whose slack
         # reaches its bar is kept, and so is a solve around u^k that hit
@@ -277,13 +287,15 @@ def plm_solve(
     return u, trace
 
 
-def _free_system(op: GradientOperator, free: np.ndarray, config: SolverConfig,
+def _free_system(op: GradientOperator, f: MeshImage, free: np.ndarray,
+                 config: SolverConfig,
                  prox_weight: float) -> NormalEquationSystem | None:
     """The normal-equation system of the vertices where ``free`` is True,
-    on the operator restricted to them; None when no vertex is free."""
+    on the operator restricted to them and with the pinned offset of the
+    data ``f``; None when no vertex is free."""
     if not free.any():
         return None
-    part = None if free.all() else restrict(op, free)
+    part = None if free.all() else restrict(op, free, f.values)
     gram = assemble_gram(op if part is None else part.op)
     return NormalEquationSystem(gram, config.beta1, config.beta2, prox_weight,
                                 part)

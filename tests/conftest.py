@@ -18,10 +18,11 @@ def count_opens(monkeypatch, *modules):
     return opened
 
 
-def prox_system(op, config, support):
-    """The subproblem system of ``support``'s free vertices with ``config``'s
-    penalties and proximal weight; None when the support is empty."""
-    return _free_system(op, support.any(axis=1), config, config.prox_weight)
+def prox_system(op, config, f, support):
+    """The subproblem system of ``support``'s free vertices for the image
+    ``f``, with ``config``'s penalties and proximal weight; None when the
+    support is empty."""
+    return _free_system(op, f, support.any(axis=1), config, config.prox_weight)
 
 
 @pytest.fixture

@@ -104,7 +104,7 @@ def test_criterion_3_tiny_instance_equivalence(two_triangle_mesh):
         support = np.array([[True], [False], [False], [True]])
         got, _, converged, _ = admm_solve(f, MeshImage(f_values.copy()), support,
                                           np.ones(2), op, config,
-                                          prox_system(op, config, support))
+                                          prox_system(op, config, f, support))
         assert converged
         hk = make_constrained_objective(op, f_values, f_values, [0, 3],
                                         np.ones(2), lam, 1.0)

@@ -38,7 +38,7 @@ def test_empty_support_returns_data(two_triangle_mesh, rng):
     support = np.zeros((4, 1), dtype=bool)
     out, iters, converged, _ = admm_solve(f, u_k, support, np.empty(0), op,
                                           TINY_CONFIG,
-                                          prox_system(op, TINY_CONFIG, support))
+                                          prox_system(op, TINY_CONFIG, f, support))
     assert converged
     assert np.array_equal(out.values, f.values)
 
@@ -48,7 +48,7 @@ def test_support_mask_must_match_image_shape(rng):
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
     f = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
-    system = prox_system(op, TINY_CONFIG, np.ones(f.values.shape, dtype=bool))
+    system = prox_system(op, TINY_CONFIG, f, np.ones(f.values.shape, dtype=bool))
     flat = np.ones(f.values.size, dtype=bool)
     with pytest.raises(DimensionMismatch):
         admm_solve(f, f, flat, np.ones(f.values.size), op, TINY_CONFIG, system)
@@ -60,7 +60,7 @@ def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
     support = np.array([[False], [True], [True], [False]])
     u_k = MeshImage(f.values.copy())
     out, _, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG,
-                              prox_system(op, TINY_CONFIG, support))
+                              prox_system(op, TINY_CONFIG, f, support))
     assert out.values[0, 0] == f.values[0, 0]
     assert out.values[3, 0] == f.values[3, 0]
 
@@ -70,7 +70,7 @@ def test_admm_is_deterministic(two_triangle_mesh, rng):
     f = MeshImage(rng.uniform(0, 1, size=4))
     support = np.array([[True], [False], [False], [True]])
     u_k = MeshImage(f.values.copy())
-    system = prox_system(op, TINY_CONFIG, support)
+    system = prox_system(op, TINY_CONFIG, f, support)
     a, it_a, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     b, it_b, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     assert it_a == it_b
@@ -87,7 +87,7 @@ def test_penalties_come_from_the_system(rng):
     matching = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=4.0,
                             beta2=1.0, inner_tol=1e-8, inner_max_iter=5000)
     other = dataclasses.replace(matching, beta1=2.0, beta2=2.0)
-    system = prox_system(op, matching, support)
+    system = prox_system(op, matching, f, support)
     a, it_a, ok_a, _ = admm_solve(f, f, support, w, op, matching, system)
     b, it_b, ok_b, _ = admm_solve(f, f, support, w, op, other, system)
     assert (it_a, ok_a) == (it_b, ok_b)
@@ -104,7 +104,7 @@ def test_restart_from_returned_duals_is_shorter(rng):
     w = rng.uniform(0.5, 2.0, size=np.count_nonzero(support))
     config = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=2.0,
                           beta2=2.0, inner_tol=1e-8, inner_max_iter=5000)
-    system = prox_system(op, config, support)
+    system = prox_system(op, config, f, support)
     cold, it_cold, ok_cold, duals = admm_solve(f, f, support, w, op, config,
                                                system)
     kept = [d.copy() for d in duals]
@@ -159,7 +159,7 @@ def test_admm_matches_full_size_pinned_reference(name, rng):
                           beta2=2.0, inner_tol=1e-10, inner_max_iter=50_000)
     out, _, converged, _ = admm_solve(
         MeshImage(f_values), MeshImage(u_k), support, w, op, config,
-        prox_system(op, config, support))
+        prox_system(op, config, MeshImage(f_values), support))
     expected, ref_converged = pinned_admm_dense(
         f_values, u_k, support, w, op, config.lam, config.beta1, config.beta2,
         config.prox_weight, config.inner_tol, config.inner_max_iter)
@@ -177,7 +177,7 @@ def test_duals_must_match_the_image(rng):
     support = np.ones(rgb.values.shape, dtype=bool)
     with pytest.raises(DimensionMismatch):
         admm_solve(rgb, rgb, support, np.ones(rgb.values.size), op,
-                   TINY_CONFIG, prox_system(op, TINY_CONFIG, support), gray_duals)
+                   TINY_CONFIG, prox_system(op, TINY_CONFIG, rgb, support), gray_duals)
 
 
 def test_joint_yz_step_matches_per_coordinate_oracles(rng):
@@ -208,7 +208,7 @@ def _tiny_admm_case(op, f_values, lam, rng):
     w = np.ones(2)
     u_k = MeshImage(f_values.copy())
     out, _, converged, _ = admm_solve(f, u_k, support, w, op, config,
-                                      prox_system(op, config, support))
+                                      prox_system(op, config, f, support))
     assert converged
     objective = make_constrained_objective(
         op, f_values, f_values, [0, 3], w, lam, config.prox_weight

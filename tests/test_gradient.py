@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from grid_oracles import dense_blocks, dense_gram, hat_columns, interp_gradient
+from meshtv.admm import restrict
 from meshtv.errors import DimensionMismatch
 from meshtv.gradient import (
     apply,
@@ -9,6 +11,7 @@ from meshtv.gradient import (
     assemble_gram,
     build_gradient_operator,
 )
+from meshtv.mesh import TriangleMesh
 from meshtv.synthetic import icosphere, planar_grid
 
 
@@ -98,6 +101,54 @@ def test_adjoint_identity_random(rng):
         lhs = float(np.sum(mesh.areas[:, None] * apply(op, u) * z))
         rhs = float(u @ apply_adjoint(op, z))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def _relabeled_icosphere(level, rng):
+    """icosphere(level) with its vertices and its triangles in random order."""
+    mesh = icosphere(level)
+    perm = rng.permutation(mesh.n_vertices)
+    triangles = np.argsort(perm)[mesh.triangles]
+    return TriangleMesh(mesh.vertices[perm],
+                        triangles[rng.permutation(mesh.n_triangles)])
+
+
+def _full_and_restricted(op, channels, rng):
+    """The operator and one ``admm.restrict`` makes of about a third of its
+    vertices, for images with ``channels`` channels."""
+    data = rng.uniform(size=(op.n_vertices, channels))
+    free = rng.uniform(size=op.n_vertices) < 0.3
+    return op, restrict(op, free, data).op
+
+
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+def test_stored_adjoint_matches_the_transpose_product_bit_for_bit(channels, rng):
+    op = build_gradient_operator(_relabeled_icosphere(3, rng))
+    for o in _full_and_restricted(op, channels, rng):
+        areas = o.tri_areas[:, None]
+        if channels == 1:
+            z = rng.normal(size=(o.n_triangles, 3))
+            weighted = (z * areas).reshape(-1)
+        else:
+            z = rng.normal(size=(o.n_triangles, 3, channels))
+            weighted = (z * areas[:, :, None]).reshape(-1, channels)
+        assert np.array_equal(apply_adjoint(o, z), o.matrix.T @ weighted)
+
+
+def test_apply_adjoint_builds_no_transpose(monkeypatch, rng):
+    op = build_gradient_operator(icosphere(2))
+    ops = _full_and_restricted(op, 1, rng)
+    transposes = []
+    original = sp.csr_matrix.transpose
+
+    def counting_transpose(self, *args, **kwargs):
+        transposes.append(self.shape)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counting_transpose)
+    for _ in range(50):
+        for o in ops:
+            apply_adjoint(o, rng.normal(size=(o.n_triangles, 3)))
+    assert transposes == []
 
 
 def test_operator_shares_the_mesh_areas_and_sizes():

@@ -395,9 +395,24 @@ def test_admm_rejects_a_system_of_another_free_vertex_set(rng):
     moved[np.flatnonzero(~support)[0]] = True
     everything = np.ones_like(support)
     for built_for in (smaller, moved, everything):
-        system = lptv._free_system(op, built_for[:, 0], PLM_CONFIG, 1.0)
+        system = lptv._free_system(op, f, built_for[:, 0], PLM_CONFIG, 1.0)
         with pytest.raises(DimensionMismatch):
             admm.admm_solve(f, f, support, w, op, PLM_CONFIG, system)
+
+
+def test_admm_rejects_a_system_of_other_image_values(rng):
+    # the system carries the pinned offset of the data it was built for
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
+    support = rng.uniform(size=(mesh.n_vertices, 1)) < 0.3
+    w = np.ones(np.count_nonzero(support))
+    other = f.values.copy()
+    other[np.flatnonzero(~support)[0]] += 1.0
+    system = lptv._free_system(op, MeshImage(other), support[:, 0],
+                               PLM_CONFIG, 1.0)
+    with pytest.raises(DimensionMismatch):
+        admm.admm_solve(f, f, support, w, op, PLM_CONFIG, system)
 
 
 def _two_spheres():
@@ -427,6 +442,28 @@ def test_plm_edge_cases_keep_the_run_time_guarantees(make_mesh, make_image,
     mesh = make_mesh()
     noisy = add_salt_pepper(make_image(mesh), NoiseSpec(level, 0))
     _assert_run_time_guarantees(noisy, *_warm_then_lptv(mesh, noisy, lam))
+
+
+def test_l1tv_that_moves_no_value_warns_that_lam_is_too_large(caplog):
+    # with lam 1e4 the fidelity dominates: L1-TV returns the data to within
+    # eps_support everywhere, and the Lp-TV solve has no free vertex
+    mesh = icosphere(2)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    with caplog.at_level(logging.WARNING, logger="meshtv.lptv"):
+        warm, restored, trace, _, config = _warm_then_lptv(mesh, noisy, 1e4)
+    assert np.abs(warm.values - noisy.values).max() <= config.eps_support
+    assert trace.column("free_vertices").tolist() == [0]
+    assert np.array_equal(restored.values, noisy.values)
+    assert len(caplog.records) == 1
+    assert "lam = 10000 is probably too large" in caplog.messages[0]
+
+
+def test_l1tv_that_denoises_logs_no_warning(caplog):
+    mesh = icosphere(2)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    with caplog.at_level(logging.WARNING, logger="meshtv.lptv"):
+        _warm_then_lptv(mesh, noisy, 0.15)
+    assert caplog.records == []
 
 
 def _warm_then_lptv(mesh, noisy, lam=0.15):

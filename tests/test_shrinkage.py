@@ -68,6 +68,23 @@ def test_shrink_groups_color_stack_matches_oracle_per_block(rng):
         assert np.abs(got - expected).max() < 1e-5
 
 
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+def test_shrink_groups_equals_the_linalg_norm_form_bit_for_bit(channels, rng):
+    # reference: the same scaling with np.linalg.norm computing the norms
+    thr = 0.8
+    a = rng.normal(size=(200, 3, channels)) * 0.5
+    a[::7] = 0.0
+    flat = a.reshape(a.shape[0], -1)
+    norms = np.linalg.norm(flat, axis=1)
+    scale = np.zeros_like(norms)
+    active = norms > thr
+    scale[active] = 1.0 - thr / norms[active]
+    expected = a * scale[:, None, None]
+    out = _shrink_groups(a, thr)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
 @given(finite, finite, thresholds)
 @settings(max_examples=200, deadline=None)
 def test_shrink_1d_is_nonexpansive(a, b, thr):
