@@ -70,54 +70,64 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
 @dataclass(frozen=True)
 class FreePart:
     """The free vertices of a subproblem, the triangles that touch them, and
-    the constants the image data fixes there.
+    the constants the image data fix there: all that a subproblem reads.
 
     ``vertices`` and ``triangles`` are sorted index arrays; ``op`` is the
     gradient restricted to them: the rows of those triangles, the columns of
     those vertices, and their areas.  Every triangle whose gradient depends
     on a free vertex is kept, so ``assemble_gram(op)`` is exactly the
-    free-vertex block of the full Gram matrix.  ``data`` is a copy of the
-    image values the part was built for (``admm_solve`` refuses other
-    values), ``f_free`` their rows at ``vertices``, and ``offset`` the
-    gradient g0 = D_P f_P that the pinned vertices contribute on
-    ``triangles``.
+    free-vertex block of the full Gram matrix.  ``f_free`` holds the image
+    values at ``vertices`` and ``offset`` the gradient g0 = D_P f_P that the
+    pinned vertices contribute on ``triangles``.  The rest is constant:
+    ``pinned_tv`` is the TV of the other triangles, ``pinned_sq`` the squared
+    norm of the pinned values, and ``size`` the value count of the image, so
+    the objective and the norm of an image that is the data outside the part
+    are a part term plus a constant.  When every vertex is free (L1-TV),
+    ``op`` is the whole operator, and the offset and constants are zero.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     op: GradientOperator
-    data: np.ndarray
     f_free: np.ndarray
     offset: np.ndarray
+    pinned_tv: float
+    pinned_sq: float
+    size: int
 
 
-def restrict(op: GradientOperator, free: np.ndarray,
+def restrict(op: GradientOperator, vertices: np.ndarray,
              data: np.ndarray) -> FreePart:
-    """The part of ``op`` that acts on the vertices where ``free`` is True,
-    for the (n_vertices, channels) image values ``data``."""
-    vertices = np.flatnonzero(free)
-    columns = op.matrix[:, vertices]
-    # each triangle owns three rows; it touches a free vertex when one of
-    # them stores an entry in a free column
-    touched = np.diff(columns.indptr).reshape(-1, 3).any(axis=1)
-    triangles = np.flatnonzero(touched)
-    rows = (3 * triangles[:, None] + np.arange(3)).ravel()
-    sub = GradientOperator(tri_areas=op.tri_areas[triangles],
-                           matrix=columns[rows])
-    pinned_data = data.copy()
-    pinned_data[vertices] = 0.0
-    offset = gradient.apply(op, pinned_data)[triangles]
-    return FreePart(vertices, triangles, sub, data.copy(), data[vertices],
-                    offset)
+    """The part of ``op`` that acts on the sorted free ``vertices``, for the
+    (n_vertices, channels) image values ``data``."""
+    if vertices.size == op.n_vertices:
+        triangles, sub = np.arange(op.n_triangles), op
+    else:
+        columns = op.matrix[:, vertices]
+        # each triangle owns three rows; it touches a free vertex when one
+        # of them stores an entry in a free column
+        touched = np.diff(columns.indptr).reshape(-1, 3).any(axis=1)
+        triangles = np.flatnonzero(touched)
+        rows = (3 * triangles[:, None] + np.arange(3)).ravel()
+        sub = GradientOperator(tri_areas=op.tri_areas[triangles], matrix=columns[rows])
+    pinned = data.copy()
+    pinned[vertices] = 0.0
+    grad = gradient.apply(op, pinned)
+    outside = np.ones(op.n_triangles, dtype=bool)
+    outside[triangles] = False
+    norms = np.linalg.norm(grad[outside].reshape(-1, 3 * data.shape[1]), axis=1)
+    return FreePart(vertices, triangles, sub, data[vertices], grad[triangles],
+                    float(op.tri_areas[outside] @ norms),
+                    float(np.vdot(pinned, pinned)), data.size)
 
 
 class NormalEquationSystem:
     """The SPD system beta2 * Gram + (prox_weight + beta1) * I of the free
-    vertices.
+    vertices of ``part``.
 
-    ``gram`` is the Gram matrix of the operator the ADMM loop runs on: the
-    full one when ``part`` is None (every vertex free, as for L1-TV), or
-    ``part.op`` when only ``part.vertices`` are free.  The system therefore
+    ``gram`` is the Gram matrix of ``part.op``, the operator the ADMM loop
+    runs on, and the system carries ``part``, so that a subproblem is its
+    system plus its center, weights and multipliers.  The system therefore
     depends on the support through its free-vertex set; the set only shrinks
     during an Lp-TV solve, so ``plm_solve`` builds a new system only when it
     does, and one factorization (or preconditioner) serves every inner
@@ -130,7 +140,7 @@ class NormalEquationSystem:
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
-                 prox_weight: float, part: FreePart | None = None):
+                 prox_weight: float, part: FreePart):
         if not all(map(math.isfinite, (beta1, beta2, prox_weight))):
             raise ValueError("penalties and prox_weight must be finite")
         if beta1 <= 0.0 or beta2 <= 0.0 or prox_weight < 0.0:
@@ -181,110 +191,74 @@ def solve_normal_equation(system: NormalEquationSystem,
 
 
 def admm_solve(
-    f: MeshImage,
-    u_k: MeshImage,
-    support: np.ndarray,
+    u_k: np.ndarray,
+    fitted: np.ndarray,
     w: np.ndarray,
-    op: GradientOperator,
     config: SolverConfig,
-    system: NormalEquationSystem | None,
+    system: NormalEquationSystem,
     duals: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
 
-    ``u_k`` is both the proximal center and the starting vertex iterate;
-    ``plm_solve`` passes either its current iterate or an extrapolated one.
+    Everything is in the coordinates of ``system.part``: the free vertices F
+    (those with a supported value) and the triangles T that touch them.  The
+    other vertices are the constant f, so TV is kept only on T, where the
+    gradient is D_F v_F + g0, with the pinned vertices' offset g0 and f_F
+    carried by the part.  ``u_k`` (|F|, channels) is both the proximal center
+    and the starting iterate; ``plm_solve`` passes either its current iterate
+    or an extrapolated one.  ``fitted`` is the boolean support mask on F,
+    shaped like ``u_k``, and ``w`` holds one weight per True entry, in C order.
 
-    ``support`` is a boolean mask shaped like ``f.values``; ``w`` holds one
-    weight per True entry, in C order.  Minimizes lam * sum_j w_j |v_j - f_j|
-    over the support, plus the area-weighted TV term and
-    prox_weight/2 * ||v - u_k||^2, subject to v_j = f_j where the mask is
-    False.  The unknowns are the free vertices F, those with a supported
-    value; every other vertex is the constant f, so TV is kept only on the
-    triangles T that touch F, and there the gradient is D_F v_F + g0 with
-    g0 = D_P f_P the fixed contribution of the pinned vertices.  ``system``
-    must be built for exactly F and for the values of ``f``, or
-    DimensionMismatch is raised; it may be None when the support is empty.
-    Its ``part`` (None means all vertices) comes with g0 and f_F, computed
-    once per free-vertex set by ``restrict``, so a call does not apply the
-    full operator.  For a color image a channel pinned at a free vertex stays
-    among the unknowns as a weight of +inf: its y threshold is +inf, so its
-    y stays 0 and its ``r_pin`` residual measures v_j - f_j; without such a
-    channel there is no ``r_pin`` to compute.  The penalties and the
-    proximal weight are those ``system`` was built with; from ``config``
-    only lam, inner_tol and inner_max_iter are read.
+    Minimizes lam * sum_j w_j |v_j - f_j| over the fitted entries, plus the
+    area-weighted TV on T and prox_weight/2 * ||v - u_k||^2, subject to
+    v_j = f_j at the other entries.  For a color image a channel pinned at a
+    free vertex stays among the unknowns as a weight of +inf: its y threshold
+    is +inf, so its y stays 0 and its ``r_pin`` residual measures v_j - f_j;
+    without such a channel there is no ``r_pin`` to compute.  Residual norms
+    are scaled by sqrt(``part.size``), the whole image's value count.  The
+    penalties and the proximal weight are those ``system`` was built with;
+    from ``config`` only lam, inner_tol and inner_max_iter are read.
 
-    ``duals`` is the multiplier pair (eta, mu), shaped like ``f.values`` and
-    (n_triangles, 3, channels); the loop starts from it, or from zeros when
-    it is None.  The vertex iterate starts from ``u_k`` and the splitting
-    variables (y, z) are computed from it and the duals, so the duals are
-    the whole state a warm start needs.  The loop works on their rows for F
-    and T; the other rows are returned as they came.  The inputs are not
-    modified.
+    ``duals`` is the multiplier pair (eta, mu), shaped (|F|, channels) and
+    (|T|, 3, channels), or None for zeros.  The splitting variables (y, z)
+    are computed from ``u_k`` and the duals, so the duals are the whole state
+    a warm start needs.  The inputs are not modified.
 
-    Returns (image, inner_iterations, converged, duals), the last being the
-    final (eta, mu); a False flag means the residual rule was not met within
-    inner_max_iter.  Pinned entries of the result are the observed data
-    exactly, so the pinning constraint holds bit-for-bit.
+    Returns (v, inner_iterations, converged, duals): the values on F, with
+    pinned channels equal to the data bit for bit, and the final (eta, mu);
+    a False flag means the residual rule was not met within inner_max_iter.
     """
-    if f.values.shape != u_k.values.shape:
-        raise DimensionMismatch("f and u_k must have identical shapes")
-    if f.vertex_count != op.n_vertices:
-        raise DimensionMismatch("image and operator vertex counts differ")
-    f2, u_ref = f.values, u_k.values
-    channels = f2.shape[1]
-    if support.shape != f2.shape or support.dtype != bool:
-        raise DimensionMismatch("support must be a boolean mask shaped like f")
+    f_free, offset, sub_op = system.part.f_free, system.part.offset, system.part.op
+    if fitted.dtype != bool or not u_k.shape == fitted.shape == f_free.shape:
+        raise DimensionMismatch(f"center and boolean support must be {f_free.shape}")
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (np.count_nonzero(support),):
+    if w.shape != (np.count_nonzero(fitted),):
         raise DimensionMismatch("one weight per support entry required")
-    mu_shape = (op.n_triangles, 3, channels)
     if duals is None:
-        duals = np.zeros_like(f2), np.zeros(mu_shape)
-    elif duals[0].shape != f2.shape or duals[1].shape != mu_shape:
-        raise DimensionMismatch("duals must be shaped like f and its gradient")
-    if w.size == 0:
-        return MeshImage(f2.copy()), 0, True, duals
-
-    free = np.flatnonzero(support.any(axis=1))
-    part = None if system is None else system.part
-    if system is None or system.n != free.size or (
-            part is not None and not np.array_equal(part.vertices, free)):
-        raise DimensionMismatch(f"system not built for the {free.size} free vertices")
-    if part is None:
-        # every vertex is free: nothing to slice and no pinned offset
-        verts = tris = slice(None)
-        sub_op, f_free, offset = op, f2, None
-    else:
-        if not np.array_equal(part.data, f2, equal_nan=True):
-            raise DimensionMismatch("system not built for this image's values")
-        verts, tris, sub_op = part.vertices, part.triangles, part.op
-        f_free, offset = part.f_free, part.offset
-    u_free, fitted = u_ref[verts], support[verts]
+        duals = np.zeros(f_free.shape), np.zeros(offset.shape)
+    elif duals[0].shape != f_free.shape or duals[1].shape != offset.shape:
+        raise DimensionMismatch("duals must be shaped like the part and its gradient")
     # None when no channel is pinned at a free vertex (always for gray images)
     unfitted = ~fitted if not fitted.all() else None
-    eta, mu = duals[0][verts], duals[1][tris]
+    eta, mu = duals
 
     beta1, beta2, prox_weight = system.beta1, system.beta2, system.prox_weight
     y_threshold = np.full(f_free.shape, np.inf)
     y_threshold[fitted] = config.lam * w / beta1
     z_threshold = 1.0 / beta2
-    prox_term = prox_weight * u_free
+    prox_term = prox_weight * u_k
 
     # z holds the gradient split minus the offset, so that grad_v - z is the
     # constraint residual D_F v + g0 - (z + g0) and beta2 * z - mu already
     # carries the right-hand-side term -beta2 * D_F^T A g0
-    v = u_free.copy()
+    v = u_k.copy()
     grad_v = gradient.apply(sub_op, v)
-    scale = np.sqrt(f2.size)
+    scale = np.sqrt(system.part.size)
     iters, converged = config.inner_max_iter, False
 
     for t in range(config.inner_max_iter):
         y = shrink_1d(v - f_free + eta / beta1, y_threshold)
-        if offset is None:
-            z = _shrink_groups(grad_v + mu / beta2, z_threshold)
-        else:
-            z = _shrink_groups(grad_v + offset + mu / beta2, z_threshold) - offset
+        z = _shrink_groups(grad_v + offset + mu / beta2, z_threshold) - offset
 
         rhs = (
             gradient.apply_adjoint(sub_op, beta2 * z - mu)
@@ -313,16 +287,15 @@ def admm_solve(
 
     if unfitted is not None:
         v[unfitted] = f_free[unfitted]
-    out, eta_out, mu_out = f2.copy(), duals[0].copy(), duals[1].copy()
-    out[verts], eta_out[verts], mu_out[tris] = v, eta, mu
-    return MeshImage(out), iters, converged, (eta_out, mu_out)
+    return v, iters, converged, (eta, mu)
 
 
-def _l1tv_solve_full(f: MeshImage, u0: MeshImage, op: GradientOperator,
-                     config: SolverConfig, system: NormalEquationSystem):
-    """L1-TV from ``u0``: the subproblem with full support, unit weights, a
-    prox-free ``system`` and zero starting duals.  Returns (image,
-    inner_iterations, converged)."""
-    support = np.ones(f.values.shape, dtype=bool)
-    return admm_solve(f, u0, support, np.ones(f.values.size), op, config,
-                      system)[:3]
+def _l1tv_solve_full(u0: MeshImage, config: SolverConfig,
+                     system: NormalEquationSystem):
+    """L1-TV from ``u0``: the subproblem of a ``system`` whose part is every
+    vertex, with full support, unit weights, no proximal term and zero
+    starting duals.  Returns (image, inner_iterations, converged)."""
+    fitted = np.ones(u0.values.shape, dtype=bool)
+    v, iters, converged, _ = admm_solve(u0.values, fitted,
+                                        np.ones(u0.values.size), config, system)
+    return MeshImage(v), iters, converged

@@ -63,6 +63,8 @@ class ExperimentSpec:
             raise ValueError("need either synthetic or mesh_path + image_path")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base seed {self.base_seed} is negative")
         if not self.noise_levels:
             raise ValueError("need at least one noise level")
         # a repeated value would write its result row twice and overwrite

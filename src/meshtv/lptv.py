@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .admm import NormalEquationSystem, admm_solve, restrict, _l1tv_solve_full
+from .admm import (FreePart, NormalEquationSystem, _l1tv_solve_full,
+                   admm_solve, restrict)
 from .config import SolverConfig
 from .errors import (
     DimensionMismatch,
@@ -99,10 +100,12 @@ class SolverTrace:
 
 
 def _objective_raw(u2: np.ndarray, f2: np.ndarray, op: GradientOperator,
-                   lam: float, p: float) -> float:
-    grad = op.matrix @ u2
-    grad = grad.reshape(op.n_triangles, -1)
-    tv = float(op.tri_areas @ np.linalg.norm(grad, axis=1))
+                   offset, pinned_tv: float, lam: float, p: float) -> float:
+    """Objective of ``u2`` against ``f2`` on ``op``, with ``offset`` added to
+    the gradient and ``pinned_tv`` to the TV (a ``FreePart``'s, or 0 and 0)."""
+    grad = (op.matrix @ u2).reshape(op.n_triangles, 3, -1) + offset
+    norms = np.linalg.norm(grad.reshape(op.n_triangles, -1), axis=1)
+    tv = float(op.tri_areas @ norms) + pinned_tv
     data = float(np.sum(np.abs(u2 - f2) ** p))
     return lam * data + tv
 
@@ -118,7 +121,7 @@ def objective(u: MeshImage, f: MeshImage, op: GradientOperator,
         raise DimensionMismatch("u and f must have identical shapes")
     if u.vertex_count != op.n_vertices:
         raise DimensionMismatch("image and operator vertex counts differ")
-    return _objective_raw(u.values, f.values, op, config.lam, config.p)
+    return _objective_raw(u.values, f.values, op, 0.0, 0.0, config.lam, config.p)
 
 
 def support_eps(u: MeshImage, f: MeshImage, eps: float) -> np.ndarray:
@@ -169,11 +172,16 @@ def plm_solve(
     leave the image unchanged on a fine one, and an Lp-TV solve started from
     that result has no free vertex.
 
-    Each Lp-TV step solves only for its free vertices, those with a
-    supported value, on the triangles that touch them (see ``admm_solve``).
-    The free-vertex set only shrinks, so the restricted operator, the pinned
-    offset and the normal-equation system are built again only when it
-    does, and not at all once it is empty.
+    Each Lp-TV step solves only for its free vertices F, those with a
+    supported value, on the triangles T that touch them (see ``admm_solve``);
+    the iterate, its predecessor, the support and the multipliers are kept in
+    these coordinates, and the values outside F are the data.  F only
+    shrinks; when it does, the part (``restrict``) and its normal-equation
+    system are built again, not at all once F is empty, and the carried
+    arrays are sliced to it.  A step's objective is the part's plus its
+    pinned constants, O(|F| + |T|), and its iterate gap is the whole-image
+    ||u^{k+1} - u^k||, with the jump of the values the step pins; f(u0) is
+    scored on the whole mesh.
 
     Each inner ADMM solve starts from the multipliers the previous outer
     step ended with.  Its proximal center is extrapolated to
@@ -204,65 +212,88 @@ def plm_solve(
         raise DimensionMismatch("u0 and f must have identical shapes")
 
     trace = SolverTrace()
+    f2 = f.values
+    # every vertex: the coordinates of u0 and of L1-TV
+    part = restrict(op, np.arange(f.vertex_count), f2)
 
     if config.p == 1.0:
-        system = _free_system(op, f, np.ones(f.vertex_count, dtype=bool),
-                              config, 0.0)
-        f_start = _objective_raw(u0.values, f.values, op, config.lam, 1.0)
-        result, inner_iters, inner_ok = _l1tv_solve_full(f, u0, op, config, system)
+        system = NormalEquationSystem(assemble_gram(op), config.beta1,
+                                      config.beta2, 0.0, part)
+        f_start = _objective_raw(u0.values, f2, op, 0.0, 0.0, config.lam, 1.0)
+        result, inner_iters, inner_ok = _l1tv_solve_full(u0, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
         if not support_eps(result, f, config.eps_support).any():
             logger.warning("L1-TV moved no value by more than eps_support = %g: "
                            "lam = %g is probably too large for this mesh "
                            "resolution", config.eps_support, config.lam)
-        _, gap, slack = _step_decrease(result, u0, f, f_start, op, config, 0.0, 0)
-        trace.append(TraceRecord(0, f_start, f.values.size, gap, slack,
+        _, gap, slack = _step_decrease(result.values, u0.values, part, f_start,
+                                       config, 0.0, 0.0, 0)
+        trace.append(TraceRecord(0, f_start, f2.size, gap, slack,
                                  inner_iters, free_vertices=system.n,
                                  inner_converged=inner_ok))
         trace.converged = inner_ok
         return result, trace
 
-    u = MeshImage(u0.values.copy())
-    f_prev = _objective_raw(u.values, f.values, op, config.lam, config.p)
+    u = u0.values
+    f_prev = _objective_raw(u, f2, op, 0.0, 0.0, config.lam, config.p)
     slack_floor = -SLACK_FLOOR_FACTOR * max(1.0, f_prev)
     redo_config = dataclasses.replace(config, inner_tol=config.inner_tol / 100.0)
-    prev_support = np.ones(f.values.shape, dtype=bool)
-    free, system = None, None
-    duals = None
+    support = np.ones(f2.shape, dtype=bool)
+    system = duals = None
     # the iterate before u, or None when the next step is not extrapolated
     u_prev = None
     outer_ok, decrease_held = False, True
 
     for k in range(config.outer_max_iter):
-        support = support_eps(u, f, config.eps_support)
+        # jump_sq: the squared distance to the data of the values pinned here
+        jump_sq, inner_iters, rejected, redos, inner_ok = 0.0, 0, 0, 0, True
+        prev_support = support
+        support = support_eps(MeshImage(u), MeshImage(part.f_free), config.eps_support)
         if (support & ~prev_support).any():
             raise SupportGrew(f"support grew at outer iteration {k}; pinning is broken")
-        prev_support = support
-        w = weights(u, f, support, config.p)
-        if free is None or not np.array_equal(support.any(axis=1), free):
-            free = support.any(axis=1)
-            system = _free_system(op, f, free, config, config.prox_weight)
+        free = support.any(axis=1)
+        if not free.any():
+            system = None
+        elif k == 0 or not free.all():
+            keep = np.flatnonzero(free)
+            dropped = u[~free] - part.f_free[~free]
+            jump_sq = float(np.vdot(dropped, dropped))
+            narrowed = restrict(op, part.vertices[keep], f2)
+            u, support = u[keep], support[keep]
+            u_prev = None if u_prev is None else u_prev[keep]
+            if duals is not None:
+                kept_triangles = np.searchsorted(part.triangles, narrowed.triangles)
+                duals = duals[0][keep], duals[1][kept_triangles]
+            part = narrowed
+            system = NormalEquationSystem(assemble_gram(part.op), config.beta1,
+                                          config.beta2, config.prox_weight, part)
 
-        # Each try is (center, config, bar).  The first solve whose slack
-        # reaches its bar is kept, and so is a solve around u^k that hit
-        # inner_max_iter: a redo would repeat its iterates exactly.
-        tries = [(u, config, slack_floor), (u, redo_config, -math.inf)]
-        if u_prev is not None:
-            c = u.values + EXTRAPOLATION * (u.values - u_prev.values)
-            c[~support] = f.values[~support]
-            tries.insert(0, (MeshImage(c), config, 0.0))
-        inner_iters = 0
-        for kept, (center, solve_config, bar) in enumerate(tries):
-            u_next, iters, inner_ok, duals_next = admm_solve(
-                f, center, support, w, op, solve_config, system, duals)
-            inner_iters += iters
-            f_next, gap, slack = _step_decrease(u_next, u, f, f_prev, op, config,
-                                                config.prox_weight, k)
-            if slack >= bar or (center is u and not inner_ok):
-                break
-        rejected = int(kept > 0 and tries[0][0] is not u)
-        redos = int(kept == len(tries) - 1)
+        if system is None:
+            # nothing is free: the iterate is the data on the part's rows too
+            u_next, duals_next = part.f_free, duals
+            f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
+                                                config.prox_weight, jump_sq, k)
+        else:
+            w = weights(MeshImage(u), MeshImage(part.f_free), support, config.p)
+            # Each try is (center, config, bar).  The first solve whose slack
+            # reaches its bar is kept, and so is a solve around u^k that hit
+            # inner_max_iter: a redo would repeat its iterates exactly.
+            tries = [(u, config, slack_floor), (u, redo_config, -math.inf)]
+            if u_prev is not None:
+                c = u + EXTRAPOLATION * (u - u_prev)
+                c[~support] = part.f_free[~support]
+                tries.insert(0, (c, config, 0.0))
+            for kept, (center, solve_config, bar) in enumerate(tries):
+                u_next, iters, inner_ok, duals_next = admm_solve(
+                    center, support, w, solve_config, system, duals)
+                inner_iters += iters
+                f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
+                                                    config.prox_weight, jump_sq, k)
+                if slack >= bar or (center is u and not inner_ok):
+                    break
+            rejected = int(kept > 0 and tries[0][0] is not u)
+            redos = int(kept == len(tries) - 1)
         if slack < slack_floor:
             decrease_held = False
             logger.warning("decrease slack %.3g below the floor %.3g at outer "
@@ -275,7 +306,7 @@ def plm_solve(
                                  slack, inner_iters, redos, rejected,
                                  int(np.count_nonzero(free)), inner_ok))
 
-        u_norm = float(np.linalg.norm(u_next.values))
+        u_norm = math.sqrt(float(np.vdot(u_next, u_next)) + part.pinned_sq)
         u_prev = u if inner_ok else None
         u, f_prev, duals = u_next, f_next, duals_next
         rel_change = gap / u_norm if u_norm > 0.0 else gap
@@ -284,31 +315,22 @@ def plm_solve(
             break
 
     trace.converged = outer_ok and inner_ok and decrease_held
-    return u, trace
+    restored = f2.copy()
+    restored[part.vertices] = u
+    return MeshImage(restored), trace
 
 
-def _free_system(op: GradientOperator, f: MeshImage, free: np.ndarray,
-                 config: SolverConfig,
-                 prox_weight: float) -> NormalEquationSystem | None:
-    """The normal-equation system of the vertices where ``free`` is True,
-    on the operator restricted to them and with the pinned offset of the
-    data ``f``; None when no vertex is free."""
-    if not free.any():
-        return None
-    part = None if free.all() else restrict(op, free, f.values)
-    gram = assemble_gram(op if part is None else part.op)
-    return NormalEquationSystem(gram, config.beta1, config.beta2, prox_weight,
-                                part)
-
-
-def _step_decrease(u_next: MeshImage, u: MeshImage, f: MeshImage, f_prev: float,
-                   op: GradientOperator, config: SolverConfig, prox_weight: float,
-                   k: int):
-    """(objective at u_next, ||u_next - u||, proximal decrease slack)."""
-    f_next = _objective_raw(u_next.values, f.values, op, config.lam, config.p)
+def _step_decrease(u_next: np.ndarray, u: np.ndarray, part: FreePart,
+                   f_prev: float, config: SolverConfig, prox_weight: float,
+                   jump_sq: float, k: int):
+    """(objective at u_next, ||u_next - u||, proximal decrease slack) of
+    values on ``part`` whose images differ by ``jump_sq`` outside it."""
+    f_next = _objective_raw(u_next, part.f_free, part.op, part.offset,
+                            part.pinned_tv, config.lam, config.p)
     if not math.isfinite(f_next):
         raise NonFiniteIterate(f"objective became non-finite at iteration {k}")
-    gap = float(np.linalg.norm(u_next.values - u.values))
+    diff = u_next - u
+    gap = math.sqrt(float(np.vdot(diff, diff)) + jump_sq)
     return f_next, gap, f_prev - f_next - 0.5 * prox_weight * gap**2
 
 

@@ -128,6 +128,8 @@ def generate_synthetic(spec: str):
         key, sep, value = (tok.strip() for tok in piece.partition("="))
         if not sep:
             raise InvalidParams(f"expected key=value, got {piece.strip()!r}")
+        if key in params:
+            raise InvalidParams(f"repeated parameter: {key!r}")
         params[key] = value
     pattern = params.pop("pattern", "two_patch")
     keys = {"two_patch": {"icosphere_k"},

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from meshtv.lptv import _free_system
+from meshtv.admm import NormalEquationSystem, admm_solve, restrict
+from meshtv.gradient import assemble_gram
+from meshtv.imaging import MeshImage
 from meshtv.mesh import TriangleMesh
 
 
@@ -22,7 +24,31 @@ def prox_system(op, config, f, support):
     """The subproblem system of ``support``'s free vertices for the image
     ``f``, with ``config``'s penalties and proximal weight; None when the
     support is empty."""
-    return _free_system(op, f, support.any(axis=1), config, config.prox_weight)
+    free = np.flatnonzero(support.any(axis=1))
+    if not free.size:
+        return None
+    part = restrict(op, free, f.values)
+    return NormalEquationSystem(assemble_gram(part.op), config.beta1,
+                                config.beta2, config.prox_weight, part)
+
+
+def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
+    """``admm_solve`` on full-size images, masks and duals: ``u_k``,
+    ``support`` and the duals are sliced to the rows of ``system.part``, and
+    the solve's values and duals are scattered back into copies of ``f`` and
+    of the duals (zeros when None).  Returns what ``admm_solve`` returns."""
+    rows, triangles = system.part.vertices, system.part.triangles
+    if duals is None:
+        full = (np.zeros(f.values.shape),
+                np.zeros((op.n_triangles, 3, f.channel_count)))
+        part_duals = None
+    else:
+        full, part_duals = duals, (duals[0][rows], duals[1][triangles])
+    v, iters, converged, (eta, mu) = admm_solve(
+        u_k.values[rows], support[rows], w, config, system, part_duals)
+    out, eta_out, mu_out = f.values.copy(), full[0].copy(), full[1].copy()
+    out[rows], eta_out[rows], mu_out[triangles] = v, eta, mu
+    return MeshImage(out), iters, converged, (eta_out, mu_out)
 
 
 @pytest.fixture

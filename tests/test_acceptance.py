@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import prox_system
+from conftest import admm_full_size, prox_system
 from grid_oracles import (
     grid2_argmin,
     make_constrained_objective,
@@ -18,7 +18,7 @@ from grid_oracles import (
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
-from meshtv.admm import _shrink_groups, admm_solve, shrink_1d
+from meshtv.admm import _shrink_groups, shrink_1d
 from meshtv.config import SolverConfig
 from meshtv.experiment import ExperimentSpec, run_experiment
 from meshtv.gradient import apply as apply_gradient
@@ -102,9 +102,9 @@ def test_criterion_3_tiny_instance_equivalence(two_triangle_mesh):
         config = SolverConfig(lam=lam, p=0.5, prox_weight=1.0, beta1=2.0,
                               beta2=2.0, inner_tol=1e-10, inner_max_iter=50_000)
         support = np.array([[True], [False], [False], [True]])
-        got, _, converged, _ = admm_solve(f, MeshImage(f_values.copy()), support,
-                                          np.ones(2), op, config,
-                                          prox_system(op, config, f, support))
+        got, _, converged, _ = admm_full_size(f, MeshImage(f_values.copy()),
+                                              support, np.ones(2), op, config,
+                                              prox_system(op, config, f, support))
         assert converged
         hk = make_constrained_objective(op, f_values, f_values, [0, 3],
                                         np.ones(2), lam, 1.0)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import prox_system
+from conftest import admm_full_size, prox_system
 from grid_oracles import (
     grid2_argmin,
     make_constrained_objective,
@@ -12,17 +12,18 @@ from grid_oracles import (
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
+from meshtv import lptv
 from meshtv.admm import (
     NormalEquationSystem,
     _shrink_groups,
-    admm_solve,
+    restrict,
     shrink_1d,
 )
 from meshtv.config import SolverConfig
 from meshtv.errors import DimensionMismatch
 from meshtv.gradient import assemble_gram, build_gradient_operator
 from meshtv.imaging import MeshImage
-from meshtv.lptv import plm_solve
+from meshtv.lptv import objective, plm_solve
 from meshtv.synthetic import icosphere
 
 TINY_CONFIG = SolverConfig(
@@ -32,14 +33,18 @@ TINY_CONFIG = SolverConfig(
 
 
 def test_empty_support_returns_data(two_triangle_mesh, rng):
+    # no vertex is free: there is no subproblem, and a start within
+    # eps_support of the data ends exactly at the data
     op = build_gradient_operator(two_triangle_mesh)
     f = MeshImage(rng.uniform(0, 1, size=4))
-    u_k = MeshImage(rng.uniform(0, 1, size=4))
     support = np.zeros((4, 1), dtype=bool)
-    out, iters, converged, _ = admm_solve(f, u_k, support, np.empty(0), op,
-                                          TINY_CONFIG,
-                                          prox_system(op, TINY_CONFIG, f, support))
-    assert converged
+    assert prox_system(op, TINY_CONFIG, f, support) is None
+    u_k = MeshImage(f.values + 0.5 * TINY_CONFIG.eps_support)
+    out, trace = plm_solve(f, two_triangle_mesh, op, TINY_CONFIG, u_k)
+    assert trace.converged
+    assert not trace.column("free_vertices").any()
+    assert trace.records[0].iterate_gap == pytest.approx(
+        np.linalg.norm(u_k.values - f.values), rel=1e-12)
     assert np.array_equal(out.values, f.values)
 
 
@@ -51,7 +56,7 @@ def test_support_mask_must_match_image_shape(rng):
     system = prox_system(op, TINY_CONFIG, f, np.ones(f.values.shape, dtype=bool))
     flat = np.ones(f.values.size, dtype=bool)
     with pytest.raises(DimensionMismatch):
-        admm_solve(f, f, flat, np.ones(f.values.size), op, TINY_CONFIG, system)
+        admm_full_size(f, f, flat, np.ones(f.values.size), op, TINY_CONFIG, system)
 
 
 def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
@@ -59,8 +64,8 @@ def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
     f = MeshImage(rng.uniform(0, 1, size=4))
     support = np.array([[False], [True], [True], [False]])
     u_k = MeshImage(f.values.copy())
-    out, _, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG,
-                              prox_system(op, TINY_CONFIG, f, support))
+    out, _, _, _ = admm_full_size(f, u_k, support, np.ones(2), op, TINY_CONFIG,
+                                  prox_system(op, TINY_CONFIG, f, support))
     assert out.values[0, 0] == f.values[0, 0]
     assert out.values[3, 0] == f.values[3, 0]
 
@@ -71,8 +76,8 @@ def test_admm_is_deterministic(two_triangle_mesh, rng):
     support = np.array([[True], [False], [False], [True]])
     u_k = MeshImage(f.values.copy())
     system = prox_system(op, TINY_CONFIG, f, support)
-    a, it_a, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
-    b, it_b, _, _ = admm_solve(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
+    a, it_a, _, _ = admm_full_size(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
+    b, it_b, _, _ = admm_full_size(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
     assert it_a == it_b
     assert np.array_equal(a.values, b.values)
 
@@ -88,8 +93,8 @@ def test_penalties_come_from_the_system(rng):
                             beta2=1.0, inner_tol=1e-8, inner_max_iter=5000)
     other = dataclasses.replace(matching, beta1=2.0, beta2=2.0)
     system = prox_system(op, matching, f, support)
-    a, it_a, ok_a, _ = admm_solve(f, f, support, w, op, matching, system)
-    b, it_b, ok_b, _ = admm_solve(f, f, support, w, op, other, system)
+    a, it_a, ok_a, _ = admm_full_size(f, f, support, w, op, matching, system)
+    b, it_b, ok_b, _ = admm_full_size(f, f, support, w, op, other, system)
     assert (it_a, ok_a) == (it_b, ok_b)
     assert np.array_equal(a.values, b.values)
 
@@ -105,11 +110,11 @@ def test_restart_from_returned_duals_is_shorter(rng):
     config = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=2.0,
                           beta2=2.0, inner_tol=1e-8, inner_max_iter=5000)
     system = prox_system(op, config, f, support)
-    cold, it_cold, ok_cold, duals = admm_solve(f, f, support, w, op, config,
-                                               system)
+    cold, it_cold, ok_cold, duals = admm_full_size(f, f, support, w, op, config,
+                                                   system)
     kept = [d.copy() for d in duals]
-    warm, it_warm, ok_warm, _ = admm_solve(f, f, support, w, op, config,
-                                           system, duals)
+    warm, it_warm, ok_warm, _ = admm_full_size(f, f, support, w, op, config,
+                                               system, duals)
     assert ok_cold and ok_warm
     assert it_warm < it_cold
     # the inputs are left as they were, so a caller can start from them twice
@@ -157,7 +162,7 @@ def test_admm_matches_full_size_pinned_reference(name, rng):
     w = rng.uniform(0.5, 2.0, size=np.count_nonzero(support))
     config = SolverConfig(lam=0.3, p=0.5, prox_weight=1.0, beta1=2.0,
                           beta2=2.0, inner_tol=1e-10, inner_max_iter=50_000)
-    out, _, converged, _ = admm_solve(
+    out, _, converged, _ = admm_full_size(
         MeshImage(f_values), MeshImage(u_k), support, w, op, config,
         prox_system(op, config, MeshImage(f_values), support))
     expected, ref_converged = pinned_admm_dense(
@@ -168,6 +173,32 @@ def test_admm_matches_full_size_pinned_reference(name, rng):
     assert np.array_equal(out.values[~support], f_values[~support])
 
 
+@pytest.mark.parametrize("name", ["gray", "gray-far-pins", "rgb",
+                                  "rgb-pinned-channel"])
+def test_part_objective_and_norm_equal_those_of_the_scattered_image(name, rng):
+    # a step scores the part plus the pinned constants; the sum equals the
+    # objective and the norm of the whole image the part's values make
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    f_values, support = _reference_case(name, mesh, rng)
+    config = SolverConfig(lam=0.3, p=0.5)
+    for free in (np.flatnonzero(support.any(axis=1)), np.arange(mesh.n_vertices)):
+        part = restrict(op, free, f_values)
+        v = part.f_free + rng.normal(scale=0.1, size=part.f_free.shape)
+        u = f_values.copy()
+        u[part.vertices] = v
+        got = lptv._objective_raw(v, part.f_free, part.op, part.offset,
+                                  part.pinned_tv, config.lam, config.p)
+        expected = objective(MeshImage(u), MeshImage(f_values), op, config)
+        if free.size == mesh.n_vertices:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert part.size == u.size
+        assert v.ravel() @ v.ravel() + part.pinned_sq == pytest.approx(
+            np.linalg.norm(u) ** 2, rel=1e-12, abs=0.0)
+
+
 def test_duals_must_match_the_image(rng):
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
@@ -176,8 +207,9 @@ def test_duals_must_match_the_image(rng):
                   np.zeros((mesh.n_triangles, 3, 1)))
     support = np.ones(rgb.values.shape, dtype=bool)
     with pytest.raises(DimensionMismatch):
-        admm_solve(rgb, rgb, support, np.ones(rgb.values.size), op,
-                   TINY_CONFIG, prox_system(op, TINY_CONFIG, rgb, support), gray_duals)
+        admm_full_size(rgb, rgb, support, np.ones(rgb.values.size), op,
+                       TINY_CONFIG, prox_system(op, TINY_CONFIG, rgb, support),
+                       gray_duals)
 
 
 def test_joint_yz_step_matches_per_coordinate_oracles(rng):
@@ -207,8 +239,8 @@ def _tiny_admm_case(op, f_values, lam, rng):
     support = np.array([[True], [False], [False], [True]])
     w = np.ones(2)
     u_k = MeshImage(f_values.copy())
-    out, _, converged, _ = admm_solve(f, u_k, support, w, op, config,
-                                      prox_system(op, config, f, support))
+    out, _, converged, _ = admm_full_size(f, u_k, support, w, op, config,
+                                          prox_system(op, config, f, support))
     assert converged
     objective = make_constrained_objective(
         op, f_values, f_values, [0, 3], w, lam, config.prox_weight
@@ -233,10 +265,12 @@ def test_full_support_prox_free_subproblem_is_l1tv(rng):
     f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
     config = SolverConfig(lam=0.5, p=1.0, prox_weight=1.0, beta1=2.0, beta2=2.0,
                           inner_tol=1e-8, inner_max_iter=20_000)
-    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2, 0.0)
     support = np.ones((mesh.n_vertices, 1), dtype=bool)
-    out, _, converged, _ = admm_solve(f, f, support, np.ones(mesh.n_vertices),
-                                      op, config, system=system)
+    whole = restrict(op, np.arange(mesh.n_vertices), f.values)
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
+                                  0.0, whole)
+    out, _, converged, _ = admm_full_size(f, f, support, np.ones(mesh.n_vertices),
+                                          op, config, system=system)
     assert converged
     l1tv, _ = plm_solve(f, mesh, op, config, f)
     assert np.array_equal(out.values, l1tv.values)

@@ -117,7 +117,7 @@ def _full_and_restricted(op, channels, rng):
     vertices, for images with ``channels`` channels."""
     data = rng.uniform(size=(op.n_vertices, channels))
     free = rng.uniform(size=op.n_vertices) < 0.3
-    return op, restrict(op, free, data).op
+    return op, restrict(op, np.flatnonzero(free), data).op
 
 
 @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])

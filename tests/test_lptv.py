@@ -205,24 +205,30 @@ def test_plm_p_one_is_single_l1tv_solve():
                           inner_tol=1e-8, inner_max_iter=6000)
     out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
     assert len(trace) == 1
-    from meshtv.admm import NormalEquationSystem, _l1tv_solve_full
+    from meshtv.admm import NormalEquationSystem, _l1tv_solve_full, restrict
     from meshtv.gradient import assemble_gram
 
-    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2, 0.0)
-    direct = _l1tv_solve_full(noisy, noisy, op, config, system)[0]
+    whole = restrict(op, np.arange(mesh.n_vertices), noisy.values)
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
+                                  0.0, whole)
+    direct = _l1tv_solve_full(noisy, config, system)[0]
     assert np.array_equal(out.values, direct.values)
 
 
-def _spy_on_admm(monkeypatch):
-    """Record (inner_tol, duals in, duals out, center, result) of every inner
-    solve; the center and result are value arrays."""
+def _spy_on_admm(monkeypatch, f):
+    """Record (inner_tol, duals in, duals out, center, result, part) of every
+    inner solve.  The center is in the coordinates of the solve's part; the
+    result is the whole image, scattered into the data ``f`` through
+    ``system.part.vertices``."""
     calls = []
     original = lptv.admm_solve
 
-    def spy(f, u_k, support, w, op, config, system, duals=None):
-        result = original(f, u_k, support, w, op, config, system, duals)
-        calls.append((config.inner_tol, duals, result[3], u_k.values.copy(),
-                      result[0].values))
+    def spy(u_k, fitted, w, config, system, duals=None):
+        result = original(u_k, fitted, w, config, system, duals)
+        whole = f.values.copy()
+        whole[system.part.vertices] = result[0]
+        calls.append((config.inner_tol, duals, result[3], u_k.copy(), whole,
+                      system.part))
         return result
 
     monkeypatch.setattr(lptv, "admm_solve", spy)
@@ -241,7 +247,7 @@ def _calls_by_step(calls, trace):
 
 def test_plm_passes_each_steps_duals_to_the_next(monkeypatch):
     mesh, op, noisy, warm, _, _, config = _denoise_run()
-    calls = _spy_on_admm(monkeypatch)
+    calls = _spy_on_admm(monkeypatch, noisy)
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     assert trace.converged
     assert trace.column("inner_redos").sum() == 0
@@ -249,15 +255,28 @@ def test_plm_passes_each_steps_duals_to_the_next(monkeypatch):
                           + trace.column("inner_redos").sum()) > 2
     assert calls[0][1] is None
     steps = _calls_by_step(calls, trace)
-    # every solve of a step starts from the duals the previous step kept
+    shrinks = 0
+    # every solve of a step starts from the duals the previous step kept,
+    # sliced to the step's part when the free vertices shrank
     for kept, following in zip(steps, steps[1:]):
-        for _, received, _, _, _ in following:
-            assert received is kept[-1][2]
+        eta, mu = kept[-1][2]
+        before = kept[-1][5]
+        for _, received, _, _, _, part in following:
+            if part is before:
+                assert received is kept[-1][2]
+                continue
+            shrinks += 1
+            whole_eta = np.zeros(noisy.values.shape)
+            whole_mu = np.zeros((op.n_triangles,) + mu.shape[1:])
+            whole_eta[before.vertices], whole_mu[before.triangles] = eta, mu
+            assert np.array_equal(received[0], whole_eta[part.vertices])
+            assert np.array_equal(received[1], whole_mu[part.triangles])
+    assert shrinks > 0
 
 
 def test_plm_extrapolates_the_center_and_keeps_only_a_decrease(monkeypatch):
     mesh, op, noisy, warm, _, _, config = _denoise_run()
-    calls = _spy_on_admm(monkeypatch)
+    calls = _spy_on_admm(monkeypatch, noisy)
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     assert trace.converged and trace.column("inner_converged").all()
     steps = _calls_by_step(calls, trace)
@@ -265,26 +284,66 @@ def test_plm_extrapolates_the_center_and_keeps_only_a_decrease(monkeypatch):
     assert 0 < rejected.sum() < len(trace) - 1
     iterates = [warm.values] + [step[-1][4] for step in steps]
     for k, (step, record) in enumerate(zip(steps, trace.records)):
+        part = step[0][5]
+        rows = part.vertices
         u, center = iterates[k], step[0][3]
         if k == 0:
-            assert np.array_equal(center, u)
+            assert np.array_equal(center, u[rows])
             continue
-        pinned = np.abs(u - noisy.values) <= config.eps_support
-        expected = u + lptv.EXTRAPOLATION * (u - iterates[k - 1])
+        pinned = (np.abs(u - noisy.values) <= config.eps_support)[rows]
+        expected = (u + lptv.EXTRAPOLATION * (u - iterates[k - 1]))[rows]
         assert np.array_equal(center[~pinned], expected[~pinned])
-        assert np.array_equal(center[pinned], noisy.values[pinned])
-        # the slack of the extrapolated solve, measured against u^k
-        out = step[0][4]
-        slack = (record.objective - objective(MeshImage(out), noisy, op, config)
-                 - 0.5 * config.prox_weight * np.linalg.norm(out - u) ** 2)
+        assert np.array_equal(center[pinned], noisy.values[rows][pinned])
+        # the slack of the extrapolated solve, measured against u^k: the
+        # part's objective, and the gap on the part plus the jump of the
+        # values the step pinned
+        out = step[0][4][rows]
+        newly_pinned = np.setdiff1d(steps[k - 1][-1][5].vertices, rows)
+        jump = (u - noisy.values)[newly_pinned]
+        diff = out - u[rows]
+        gap = math.sqrt(float(np.vdot(diff, diff)) + float(np.vdot(jump, jump)))
+        f_next = lptv._objective_raw(out, part.f_free, part.op, part.offset,
+                                     part.pinned_tv, config.lam, config.p)
+        slack = (record.objective - f_next
+                 - 0.5 * config.prox_weight * gap ** 2)
         assert record.rejected_extrapolations == int(slack < 0.0)
         if record.rejected_extrapolations:
             # re-solved around u^k from the same starting duals
-            assert np.array_equal(step[1][3], u)
+            assert np.array_equal(step[1][3], u[rows])
             assert step[1][1] is step[0][1]
         else:
             assert slack >= 0.0
             assert record.decrease_slack == slack
+
+
+@pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
+def test_iterate_gap_is_the_whole_image_step(color, monkeypatch):
+    # the gap on the part plus the jump of the values a step pins is the
+    # whole-image ||u^{k+1} - u^k||: at the first step, which pins every
+    # value outside the support, and at later steps that pin values.  A wide
+    # eps_support, and a start whose pinned values sit eps/2 off the data,
+    # make the jumps a visible share of the gap.
+    mesh, op, noisy, warm, _, _, config = _denoise_run()
+    config = dataclasses.replace(config, eps_support=0.1)
+    if color:
+        # 20% noise, seed 1: also pins channels at vertices that stay free
+        noisy = add_salt_pepper(_rgb_image(mesh), NoiseSpec(0.2, 1))
+        warm, _ = plm_solve(noisy, mesh, op, dataclasses.replace(config, p=1.0),
+                            u0=noisy)
+    near = np.abs(warm.values - noisy.values) <= config.eps_support
+    offsets = np.random.default_rng(0).choice([-0.5, 0.5], size=near.shape)
+    start = np.where(near, noisy.values + offsets * config.eps_support,
+                     warm.values)
+    calls = _spy_on_admm(monkeypatch, noisy)
+    restored, trace = plm_solve(noisy, mesh, op, config, u0=MeshImage(start))
+    assert trace.converged
+    assert (np.diff(trace.column("support_size")) < 0).any()
+    steps = _calls_by_step(calls, trace)
+    iterates = [start] + [step[-1][4] for step in steps]
+    assert np.array_equal(iterates[-1], restored.values)
+    for k, record in enumerate(trace.records):
+        assert record.iterate_gap == pytest.approx(
+            np.linalg.norm(iterates[k + 1] - iterates[k]), rel=1e-12, abs=0.0)
 
 
 def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
@@ -297,7 +356,7 @@ def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
                           inner_max_iter=4000)
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
     config = dataclasses.replace(config, p=0.5)
-    calls = _spy_on_admm(monkeypatch)
+    calls = _spy_on_admm(monkeypatch, noisy)
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     redos = trace.column("inner_redos")
     assert redos.sum() == 1 and len(calls) == (
@@ -323,7 +382,7 @@ def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog, monkeypatch
                           outer_max_iter=100)
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
     config = dataclasses.replace(config, p=0.5)
-    calls = _spy_on_admm(monkeypatch)
+    calls = _spy_on_admm(monkeypatch, noisy)
     with caplog.at_level(logging.WARNING, logger="meshtv.lptv"):
         _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     floor = -1e-6 * max(1.0, trace.records[0].objective)  # criterion 4
@@ -336,7 +395,7 @@ def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog, monkeypatch
     assert trace.column("rejected_extrapolations").sum() == 0
     assert len(calls) == len(trace)
     for call, u in zip(calls, [warm.values] + [call[4] for call in calls]):
-        assert np.array_equal(call[3], u)
+        assert np.array_equal(call[3], u[call[5].vertices])
 
 
 def test_plm_builds_one_system_per_free_vertex_set(monkeypatch):
@@ -347,22 +406,34 @@ def test_plm_builds_one_system_per_free_vertex_set(monkeypatch):
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
     config = dataclasses.replace(config, p=0.5)
 
-    built, supports = [], []
+    # systems built and supports taken, in the order they happen
+    events = []
     original_init = admm.NormalEquationSystem.__init__
     original_support = lptv.support_eps
 
     def spy_init(self, gram, *args, **kwargs):
         original_init(self, gram, *args, **kwargs)
-        built.append(self)
+        events.append(self)
 
     def spy_support(u, f, eps):
-        supports.append(original_support(u, f, eps))
-        return supports[-1]
+        events.append(original_support(u, f, eps))
+        return events[-1]
 
     monkeypatch.setattr(admm.NormalEquationSystem, "__init__", spy_init)
     monkeypatch.setattr(lptv, "support_eps", spy_support)
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     assert trace.converged
+    # a support is taken on the rows of the last system built before it,
+    # the first one on every vertex
+    built = [e for e in events if isinstance(e, admm.NormalEquationSystem)]
+    rows, supports = np.arange(mesh.n_vertices), []
+    for event in events:
+        if isinstance(event, admm.NormalEquationSystem):
+            rows = event.part.vertices
+        else:
+            whole = np.zeros(noisy.values.shape, dtype=bool)
+            whole[rows] = event
+            supports.append(whole)
     free_sets = []
     for support in supports:
         free = np.flatnonzero(support.any(axis=1))
@@ -377,42 +448,11 @@ def test_plm_builds_one_system_per_free_vertex_set(monkeypatch):
                           [np.count_nonzero(s.any(axis=1)) for s in supports])
 
     # a start that fits the data leaves nothing free and builds nothing
-    built.clear()
+    events.clear()
     out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
-    assert built == [] and np.array_equal(out.values, noisy.values)
+    assert not any(isinstance(e, admm.NormalEquationSystem) for e in events)
+    assert np.array_equal(out.values, noisy.values)
     assert trace.column("free_vertices").tolist() == [0]
-
-
-def test_admm_rejects_a_system_of_another_free_vertex_set(rng):
-    mesh = icosphere(1)
-    op = build_gradient_operator(mesh)
-    f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
-    support = rng.uniform(size=(mesh.n_vertices, 1)) < 0.3
-    w = np.ones(np.count_nonzero(support))
-    smaller = support.copy()
-    smaller[np.flatnonzero(support)[0]] = False
-    moved = smaller.copy()
-    moved[np.flatnonzero(~support)[0]] = True
-    everything = np.ones_like(support)
-    for built_for in (smaller, moved, everything):
-        system = lptv._free_system(op, f, built_for[:, 0], PLM_CONFIG, 1.0)
-        with pytest.raises(DimensionMismatch):
-            admm.admm_solve(f, f, support, w, op, PLM_CONFIG, system)
-
-
-def test_admm_rejects_a_system_of_other_image_values(rng):
-    # the system carries the pinned offset of the data it was built for
-    mesh = icosphere(1)
-    op = build_gradient_operator(mesh)
-    f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
-    support = rng.uniform(size=(mesh.n_vertices, 1)) < 0.3
-    w = np.ones(np.count_nonzero(support))
-    other = f.values.copy()
-    other[np.flatnonzero(~support)[0]] += 1.0
-    system = lptv._free_system(op, MeshImage(other), support[:, 0],
-                               PLM_CONFIG, 1.0)
-    with pytest.raises(DimensionMismatch):
-        admm.admm_solve(f, f, support, w, op, PLM_CONFIG, system)
 
 
 def _two_spheres():
@@ -505,20 +545,24 @@ def test_plm_cg_step_limit_raises_typed_error(monkeypatch):
 
 
 def test_plm_raises_typed_error_when_support_grows(monkeypatch):
+    # a color channel pinned at the first step re-enters the support at a
+    # vertex that another channel keeps free, so the free vertices do not grow
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
-    clean = two_patch_image(mesh)
-    noisy = add_salt_pepper(clean, NoiseSpec(0.2, 5))
-    # an empty support on the first outer step, the full one on the second
-    masks = iter([np.zeros(noisy.values.shape, dtype=bool),
-                  np.ones(noisy.values.shape, dtype=bool)])
+    f = _rgb_image(mesh)
+    first = np.zeros(f.values.shape, dtype=bool)
+    first[:10, 0] = True
+    # the second support is taken on the rows of the ten free vertices
+    second = first[:10].copy()
+    second[0, 1] = True
+    masks = iter([first, second])
 
     def growing_support(u, f, eps):
         return next(masks)
 
     monkeypatch.setattr(lptv, "support_eps", growing_support)
     with pytest.raises(SupportGrew):
-        plm_solve(noisy, mesh, op, PLM_CONFIG, u0=clean)
+        plm_solve(f, mesh, op, PLM_CONFIG, u0=MeshImage(f.values + 0.1))
 
 
 def test_plm_dimension_checks():

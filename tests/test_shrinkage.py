@@ -7,6 +7,7 @@ from grid_oracles import shrink_1d_oracle, shrink_vec_oracle
 from meshtv.admm import (
     NormalEquationSystem,
     _shrink_groups,
+    restrict,
     shrink_1d,
     solve_normal_equation,
 )
@@ -100,17 +101,24 @@ def test_shrink_groups_is_nonexpansive(a, b, thr):
     assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-def _identity_system(scale, n):
+def _whole(op, n=None):
+    """The part of the first ``n`` vertices of ``op`` (all by default) for a
+    zero image."""
+    return restrict(op, np.arange(op.n_vertices)[:n], np.zeros((op.n_vertices, 1)))
+
+
+def _identity_system(scale, op, n):
     import scipy.sparse as sp
 
     gram = sp.csr_matrix((n, n))
     # beta2 * 0 + (prox + beta1) * I = scale * I
     return NormalEquationSystem(gram, beta1=scale / 2.0, beta2=1.0,
-                                prox_weight=scale / 2.0)
+                                prox_weight=scale / 2.0, part=_whole(op, n))
 
 
-def test_solve_scaled_identity():
-    system = _identity_system(2.0, 2)
+def test_solve_scaled_identity(two_triangle_mesh):
+    op = build_gradient_operator(two_triangle_mesh)
+    system = _identity_system(2.0, op, 2)
     out = solve_normal_equation(system, np.array([2.0, 4.0]))
     assert np.allclose(out, [1.0, 2.0], atol=1e-12)
 
@@ -118,7 +126,8 @@ def test_solve_scaled_identity():
 def test_solve_matches_dense_lu(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, beta1=0.7, beta2=1.3, prox_weight=0.5)
+    system = NormalEquationSystem(gram, beta1=0.7, beta2=1.3, prox_weight=0.5,
+                                  part=_whole(op))
     dense = system.matrix.toarray()
     for _ in range(20):
         rhs = rng.normal(size=4)
@@ -129,7 +138,7 @@ def test_solve_matches_dense_lu(two_triangle_mesh, rng):
 
 def test_solve_consistency_constant(two_triangle_mesh):
     op = build_gradient_operator(two_triangle_mesh)
-    system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0)
+    system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0, _whole(op))
     rhs = system.matrix @ np.ones(4)
     out = solve_normal_equation(system, rhs)
     assert np.abs(out - 1.0).max() < 1e-10
@@ -137,7 +146,7 @@ def test_solve_consistency_constant(two_triangle_mesh):
 
 def test_solve_multiple_channels(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
-    system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0)
+    system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0, _whole(op))
     rhs = rng.normal(size=(4, 3))
     out = solve_normal_equation(system, rhs)
     assert np.abs(system.matrix @ out - rhs).max() < 1e-10
@@ -148,9 +157,9 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
 
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    direct = NormalEquationSystem(gram, 1.0, 1.0, 1.0)
+    direct = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
     monkeypatch.setattr(admm_mod, "DIRECT_SOLVE_MAX_VERTICES", 0)
-    iterative = NormalEquationSystem(gram, 1.0, 1.0, 1.0)
+    iterative = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
     rhs = rng.normal(size=4)
     a = solve_normal_equation(direct, rhs)
     b = solve_normal_equation(iterative, rhs)
@@ -160,7 +169,8 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
 @pytest.mark.parametrize("name", ["beta1", "beta2", "prox_weight"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_system_rejects_non_finite_penalties(two_triangle_mesh, name, bad):
-    gram = assemble_gram(build_gradient_operator(two_triangle_mesh))
+    op = build_gradient_operator(two_triangle_mesh)
     kwargs = {"beta1": 1.0, "beta2": 1.0, "prox_weight": 1.0, name: bad}
     with pytest.raises(ValueError, match="finite"):
-        NormalEquationSystem(gram, **kwargs)
+        NormalEquationSystem(assemble_gram(op), part=_whole(op), **kwargs)
+

@@ -79,3 +79,11 @@ def test_generate_synthetic_rejects_unknown():
                  "icosphere_k=99"):
         with pytest.raises(InvalidParams):
             generate_synthetic(spec)
+
+
+def test_generate_synthetic_rejects_a_repeated_key():
+    # the last value used to win silently
+    for spec, key in (("icosphere_k=1,icosphere_k=2", "icosphere_k"),
+                      ("pattern=checker, pattern=checker", "pattern")):
+        with pytest.raises(InvalidParams, match=f"repeated parameter: '{key}'"):
+            generate_synthetic(spec)
