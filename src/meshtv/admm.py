@@ -32,7 +32,6 @@ from .errors import (
     SingularSystem,
 )
 from .gradient import GradientOperator
-from .imaging import MeshImage
 
 # Above this many unknowns (free vertices) the normal equation switches from
 # a direct factorization to Jacobi-preconditioned CG, run to this relative
@@ -47,7 +46,7 @@ def shrink_1d(x: np.ndarray, threshold) -> np.ndarray:
 
     Applied entry by entry; ``threshold`` broadcasts against ``x``.
     """
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+    return x - np.clip(x, -threshold, threshold)
 
 
 def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
@@ -61,9 +60,9 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
     """
     flat = a.reshape(a.shape[0], -1)
     norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
-    scale = np.zeros(norms.shape)
-    active = norms > threshold
-    scale[active] = 1.0 - threshold / norms[active]
+    # t / max(norm, t) is exactly 1 for a row with norm <= t; under a zero
+    # threshold the divisor is 1 instead of 0, so a zero row gives 0
+    scale = 1.0 - threshold / np.maximum(norms, threshold or 1.0)
     return a * scale.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
@@ -78,7 +77,9 @@ class FreePart:
     on a free vertex is kept, so ``assemble_gram(op)`` is exactly the
     free-vertex block of the full Gram matrix.  ``f_free`` holds the image
     values at ``vertices`` and ``offset`` the gradient g0 = D_P f_P that the
-    pinned vertices contribute on ``triangles``.  The rest is constant:
+    pinned vertices contribute on ``triangles``; ``admm_solve`` splits the
+    true gradient D_F v + g0 there as z and puts -beta2 * D_F^T A g0 in the
+    right-hand side it fixes once per solve.  The rest is constant:
     ``pinned_tv`` is the TV of the other triangles, ``pinned_sq`` the squared
     norm of the pinned values, and ``size`` the value count of the image, so
     the objective and the norm of an image that is the data outside the part
@@ -204,10 +205,13 @@ def admm_solve(
     (those with a supported value) and the triangles T that touch them.  The
     other vertices are the constant f, so TV is kept only on T, where the
     gradient is D_F v_F + g0, with the pinned vertices' offset g0 and f_F
-    carried by the part.  ``u_k`` (|F|, channels) is both the proximal center
-    and the starting iterate; ``plm_solve`` passes either its current iterate
-    or an extrapolated one.  ``fitted`` is the boolean support mask on F,
-    shaped like ``u_k``, and ``w`` holds one weight per True entry, in C order.
+    carried by the part.  z splits that true gradient, and the right-hand
+    side's fixed terms beta1 * f_F + prox_weight * u_k - beta2 * D_F^T A g0
+    (A the areas) are built once per solve.  ``u_k`` (|F|, channels) is both
+    the proximal center and the starting iterate; ``plm_solve`` passes either
+    its current iterate or an extrapolated one.  ``fitted`` is the boolean
+    support mask on F, shaped like ``u_k``, and ``w`` holds one weight per
+    True entry, in C order.
 
     Minimizes lam * sum_j w_j |v_j - f_j| over the fitted entries, plus the
     area-weighted TV on T and prox_weight/2 * ||v - u_k||^2, subject to
@@ -242,34 +246,30 @@ def admm_solve(
     unfitted = ~fitted if not fitted.all() else None
     eta, mu = duals
 
-    beta1, beta2, prox_weight = system.beta1, system.beta2, system.prox_weight
+    beta1, beta2 = system.beta1, system.beta2
     y_threshold = np.full(f_free.shape, np.inf)
     y_threshold[fitted] = config.lam * w / beta1
     z_threshold = 1.0 / beta2
-    prox_term = prox_weight * u_k
+    rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
+                 - beta2 * gradient.apply_adjoint(sub_op, offset))
 
-    # z holds the gradient split minus the offset, so that grad_v - z is the
-    # constraint residual D_F v + g0 - (z + g0) and beta2 * z - mu already
-    # carries the right-hand-side term -beta2 * D_F^T A g0
-    v = u_k.copy()
+    v = u_k
     grad_v = gradient.apply(sub_op, v)
+    grad_v += offset
     scale = np.sqrt(system.part.size)
     iters, converged = config.inner_max_iter, False
 
     for t in range(config.inner_max_iter):
         y = shrink_1d(v - f_free + eta / beta1, y_threshold)
-        z = _shrink_groups(grad_v + offset + mu / beta2, z_threshold) - offset
+        z = _shrink_groups(grad_v + mu / beta2, z_threshold)
 
-        rhs = (
-            gradient.apply_adjoint(sub_op, beta2 * z - mu)
-            + beta1 * (y + f_free)
-            - eta
-            + prox_term
-        )
+        rhs = (gradient.apply_adjoint(sub_op, beta2 * z - mu) + beta1 * y - eta
+               + rhs_fixed)
         v = solve_normal_equation(system, rhs)
         if not np.isfinite(v).all():
             raise NonFiniteIterate("ADMM produced non-finite vertex values")
         grad_v = gradient.apply(sub_op, v)
+        grad_v += offset
 
         r_y = v - f_free - y
         r_z = grad_v - z
@@ -290,12 +290,10 @@ def admm_solve(
     return v, iters, converged, (eta, mu)
 
 
-def _l1tv_solve_full(u0: MeshImage, config: SolverConfig,
+def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig,
                      system: NormalEquationSystem):
-    """L1-TV from ``u0``: the subproblem of a ``system`` whose part is every
-    vertex, with full support, unit weights, no proximal term and zero
-    starting duals.  Returns (image, inner_iterations, converged)."""
-    fitted = np.ones(u0.values.shape, dtype=bool)
-    v, iters, converged, _ = admm_solve(u0.values, fitted,
-                                        np.ones(u0.values.size), config, system)
-    return MeshImage(v), iters, converged
+    """L1-TV from the value array ``u0``: the subproblem of a ``system`` whose
+    part is every vertex, with full support, unit weights, no proximal term
+    and zero starting duals.  Returns (values, inner_iterations, converged)."""
+    fitted = np.ones(u0.shape, dtype=bool)
+    return admm_solve(u0, fitted, np.ones(u0.size), config, system)[:3]

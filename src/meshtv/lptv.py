@@ -124,8 +124,8 @@ def objective(u: MeshImage, f: MeshImage, op: GradientOperator,
     return _objective_raw(u.values, f.values, op, 0.0, 0.0, config.lam, config.p)
 
 
-def support_eps(u: MeshImage, f: MeshImage, eps: float) -> np.ndarray:
-    """Boolean mask, shaped like the image values, of residuals above eps.
+def support_eps(u: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
+    """Boolean mask, shaped like the arrays ``u`` and ``f``, of residuals above eps.
 
     Bookkeeping is per value entry, i.e. per (vertex, channel) for color
     images; ``mask.any(axis=1)`` marks the vertices with a supported
@@ -133,21 +133,22 @@ def support_eps(u: MeshImage, f: MeshImage, eps: float) -> np.ndarray:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if u.values.shape != f.values.shape:
+    if u.shape != f.shape:
         raise DimensionMismatch("u and f must have identical shapes")
-    return np.abs(u.values - f.values) > eps
+    return np.abs(u - f) > eps
 
 
-def weights(u: MeshImage, f: MeshImage, support: np.ndarray, p: float) -> np.ndarray:
-    """Linearization weights p * |u_j - f_j|^(p-1) on the support mask.
+def weights(u: np.ndarray, f: np.ndarray, support: np.ndarray, p: float) -> np.ndarray:
+    """Linearization weights p * |u_j - f_j|^(p-1) of the value arrays ``u``
+    and ``f`` on the support mask.
 
     One weight per True entry of ``support``, in C order.  Requires strictly
     positive residuals there; a zero residual means the support bookkeeping
     is broken.  For p = 1 all weights are 1.
     """
-    if u.values.shape != f.values.shape:
+    if u.shape != f.shape:
         raise DimensionMismatch("u and f must have identical shapes")
-    residual = np.abs(u.values - f.values)[support]
+    residual = np.abs(u - f)[support]
     if np.any(residual == 0.0):
         raise ZeroResidualInSupport("zero residual inside the support")
     return p * residual ** (p - 1.0)
@@ -220,20 +221,20 @@ def plm_solve(
         system = NormalEquationSystem(assemble_gram(op), config.beta1,
                                       config.beta2, 0.0, part)
         f_start = _objective_raw(u0.values, f2, op, 0.0, 0.0, config.lam, 1.0)
-        result, inner_iters, inner_ok = _l1tv_solve_full(u0, config, system)
+        result, inner_iters, inner_ok = _l1tv_solve_full(u0.values, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
-        if not support_eps(result, f, config.eps_support).any():
+        if not support_eps(result, f2, config.eps_support).any():
             logger.warning("L1-TV moved no value by more than eps_support = %g: "
                            "lam = %g is probably too large for this mesh "
                            "resolution", config.eps_support, config.lam)
-        _, gap, slack = _step_decrease(result.values, u0.values, part, f_start,
+        _, gap, slack = _step_decrease(result, u0.values, part, f_start,
                                        config, 0.0, 0.0, 0)
         trace.append(TraceRecord(0, f_start, f2.size, gap, slack,
                                  inner_iters, free_vertices=system.n,
                                  inner_converged=inner_ok))
         trace.converged = inner_ok
-        return result, trace
+        return MeshImage(result), trace
 
     u = u0.values
     f_prev = _objective_raw(u, f2, op, 0.0, 0.0, config.lam, config.p)
@@ -249,7 +250,7 @@ def plm_solve(
         # jump_sq: the squared distance to the data of the values pinned here
         jump_sq, inner_iters, rejected, redos, inner_ok = 0.0, 0, 0, 0, True
         prev_support = support
-        support = support_eps(MeshImage(u), MeshImage(part.f_free), config.eps_support)
+        support = support_eps(u, part.f_free, config.eps_support)
         if (support & ~prev_support).any():
             raise SupportGrew(f"support grew at outer iteration {k}; pinning is broken")
         free = support.any(axis=1)
@@ -275,7 +276,7 @@ def plm_solve(
             f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
                                                 config.prox_weight, jump_sq, k)
         else:
-            w = weights(MeshImage(u), MeshImage(part.f_free), support, config.p)
+            w = weights(u, part.f_free, support, config.p)
             # Each try is (center, config, bar).  The first solve whose slack
             # reaches its bar is kept, and so is a solve around u^k that hit
             # inner_max_iter: a redo would repeat its iterates exactly.

@@ -73,12 +73,12 @@ def icosphere(level: int) -> TriangleMesh:
     return TriangleMesh(np.array(verts), faces)
 
 
-def planar_grid(n: int, extent: float = 1.0) -> TriangleMesh:
+def planar_grid(n: int) -> TriangleMesh:
     """Unit-square grid in the z = 0 plane with n x n vertices and
     2 * (n - 1)^2 triangles."""
     if n < 2:
         raise InvalidParams("grid needs at least 2 vertices per side")
-    axis = np.linspace(0.0, extent, n)
+    axis = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(n * n)])
     faces = []

@@ -86,6 +86,19 @@ def test_shrink_groups_equals_the_linalg_norm_form_bit_for_bit(channels, rng):
     assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
+@pytest.mark.parametrize("threshold", [0.0, 0.7, np.inf], ids=["zero", "finite", "inf"])
+def test_shrink_1d_equals_the_sign_form_bit_for_bit(threshold, rng):
+    # values only: where the result is zero the sign form may give -0.0, and
+    # an infinite threshold (a pinned channel) zeroes every entry
+    x = rng.normal(size=(200, 3))
+    x[::11] = 0.0
+    expected = np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+    assert np.array_equal(shrink_1d(x, threshold), expected)
+    # a per-entry threshold array, as the ADMM loop passes it
+    per_entry = np.full(x.shape, threshold)
+    assert np.array_equal(shrink_1d(x, per_entry), expected)
+
+
 @given(finite, finite, thresholds)
 @settings(max_examples=200, deadline=None)
 def test_shrink_1d_is_nonexpansive(a, b, thr):
