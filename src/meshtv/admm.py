@@ -100,17 +100,20 @@ class FreePart:
 def restrict(op: GradientOperator, vertices: np.ndarray,
              data: np.ndarray) -> FreePart:
     """The part of ``op`` that acts on the sorted free ``vertices``, for the
-    (n_vertices, channels) image values ``data``."""
+    (n_vertices, channels) image values ``data``.  When every vertex is
+    free, the part shares ``op`` and ``data`` and its offset and constants
+    are zero."""
     if vertices.size == op.n_vertices:
-        triangles, sub = np.arange(op.n_triangles), op
-    else:
-        columns = op.matrix[:, vertices]
-        # each triangle owns three rows; it touches a free vertex when one
-        # of them stores an entry in a free column
-        touched = np.diff(columns.indptr).reshape(-1, 3).any(axis=1)
-        triangles = np.flatnonzero(touched)
-        rows = (3 * triangles[:, None] + np.arange(3)).ravel()
-        sub = GradientOperator(tri_areas=op.tri_areas[triangles], matrix=columns[rows])
+        return FreePart(vertices, np.arange(op.n_triangles), op, data,
+                        np.zeros((op.n_triangles, 3, data.shape[1])), 0.0, 0.0,
+                        data.size)
+    columns = op.matrix[:, vertices]
+    # each triangle owns three rows; it touches a free vertex when one of
+    # them stores an entry in a free column
+    touched = np.diff(columns.indptr).reshape(-1, 3).any(axis=1)
+    triangles = np.flatnonzero(touched)
+    rows = (3 * triangles[:, None] + np.arange(3)).ravel()
+    sub = GradientOperator(tri_areas=op.tri_areas[triangles], matrix=columns[rows])
     pinned = data.copy()
     pinned[vertices] = 0.0
     grad = gradient.apply(op, pinned)

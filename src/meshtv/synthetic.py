@@ -39,56 +39,57 @@ def icosahedron() -> TriangleMesh:
 
 def icosphere(level: int) -> TriangleMesh:
     """Icosahedron subdivided ``level`` times, vertices projected to the unit
-    sphere.  Vertex count is 10 * 4**level + 2."""
+    sphere.  Vertex count is 10 * 4**level + 2.
+
+    Each level keeps the old vertices first and numbers the edge midpoints
+    after them in order of first visit, visiting the faces in order and each
+    face's edges as ab, bc, ca; face (a, b, c) becomes [a, ab, ca],
+    [b, bc, ab], [c, ca, bc] and [ab, bc, ca].  Each midpoint is scaled by
+    the same norm ``np.linalg.norm`` gives its row, so the mesh is the same
+    bit for bit as one built face by face.
+    """
     if not 0 <= level <= _MAX_SUBDIVISIONS:
         raise InvalidParams(
             f"subdivision level must be in [0, {_MAX_SUBDIVISIONS}], got {level}"
         )
     mesh = icosahedron()
-    verts = list(mesh.vertices)
-    faces = mesh.triangles
+    verts, faces = mesh.vertices, mesh.triangles
     for _ in range(level):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def midpoint_index(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            idx = midpoint.get(key)
-            if idx is None:
-                point = verts[i] + verts[j]
-                point = point / np.linalg.norm(point)
-                verts.append(point)
-                idx = len(verts) - 1
-                midpoint[key] = idx
-            return idx
-
-        new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-        for n, (a, b, c) in enumerate(faces):
-            ab = midpoint_index(a, b)
-            bc = midpoint_index(b, c)
-            ca = midpoint_index(c, a)
-            new_faces[4 * n : 4 * n + 4] = [
-                [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca],
-            ]
-        faces = new_faces
-    return TriangleMesh(np.array(verts), faces)
+        n = len(verts)
+        # every face's edges in visiting order: ab, bc, ca
+        heads = faces.ravel()
+        tails = faces[:, [1, 2, 0]].ravel()
+        keys = np.minimum(heads, tails) * n + np.maximum(heads, tails)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        visits = first[order]  # each edge's first visit, in visiting order
+        points = verts[heads[visits]] + verts[tails[visits]]
+        # one 3-vector dot per row, as np.linalg.norm computes it for one row
+        norms = np.sqrt(points[:, None, :] @ points[:, :, None]).reshape(-1, 1)
+        verts = np.concatenate([verts, points / norms])
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return TriangleMesh(verts, faces)
 
 
 def planar_grid(n: int) -> TriangleMesh:
     """Unit-square grid in the z = 0 plane with n x n vertices and
-    2 * (n - 1)^2 triangles."""
+    2 * (n - 1)^2 triangles, listed cell by cell, row-major: the cell with
+    lower-left vertex v = i * n + j gives [v, v + n, v + 1] and
+    [v + n, v + n + 1, v + 1]."""
     if n < 2:
         raise InvalidParams("grid needs at least 2 vertices per side")
     axis = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(n * n)])
-    faces = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            v00 = i * n + j
-            v10 = (i + 1) * n + j
-            faces.append([v00, v10, v00 + 1])
-            faces.append([v10, v10 + 1, v00 + 1])
-    return TriangleMesh(verts, np.array(faces))
+    # the lower-left vertex of each cell, row-major
+    corner = np.arange(n * n).reshape(n, n)[:-1, :-1].reshape(-1, 1)
+    faces = corner + np.array([0, n, 1, n, n + 1, 1])
+    return TriangleMesh(verts, faces.reshape(-1, 3))
 
 
 def two_patch_image(mesh: TriangleMesh) -> MeshImage:

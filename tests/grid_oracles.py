@@ -1,9 +1,12 @@
 """Brute-force oracles used to pin down expected values independently of the
 implementation: plain grid searches over objective functions, dense operator
-assembly, and subdivision counting.  Nothing here touches the closed-form
-shrinkage or sparse code paths it is meant to check."""
+assembly, subdivision counting, and synthetic meshes built one face or cell
+at a time.  Nothing here touches the closed-form shrinkage, sparse or
+vectorized code paths it is meant to check."""
 
 import numpy as np
+
+from meshtv.synthetic import icosahedron
 
 
 def argmin_1d_grid(objective, lo, hi, n=4001, refine_step=1e-6):
@@ -234,3 +237,53 @@ def interp_gradient(vertices, values):
     coords = np.column_stack([(v - v[0]) @ e1, (v - v[0]) @ e2, np.ones(3)])
     a, b, _ = np.linalg.solve(coords, np.asarray(values, dtype=float))
     return a * e1 + b * e2
+
+
+def icosphere_oracle(level):
+    """(vertices, triangles) of the icosahedron subdivided ``level`` times,
+    built one face at a time with a dict of edge midpoints: each face's
+    edges are visited as ab, bc, ca, and a midpoint gets the next vertex
+    number the first time its edge is visited."""
+    mesh = icosahedron()
+    verts = list(mesh.vertices)
+    faces = mesh.triangles
+    for _ in range(level):
+        midpoint = {}
+
+        def midpoint_index(i, j):
+            key = (i, j) if i < j else (j, i)
+            idx = midpoint.get(key)
+            if idx is None:
+                point = verts[i] + verts[j]
+                point = point / np.linalg.norm(point)
+                verts.append(point)
+                idx = len(verts) - 1
+                midpoint[key] = idx
+            return idx
+
+        new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
+        for n, (a, b, c) in enumerate(faces):
+            ab = midpoint_index(a, b)
+            bc = midpoint_index(b, c)
+            ca = midpoint_index(c, a)
+            new_faces[4 * n : 4 * n + 4] = [
+                [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca],
+            ]
+        faces = new_faces
+    return np.array(verts), faces
+
+
+def planar_grid_oracle(n):
+    """(vertices, triangles) of the n x n unit-square grid, with the
+    triangles listed cell by cell, row-major over (i, j)."""
+    axis = np.linspace(0.0, 1.0, n)
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    verts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(n * n)])
+    faces = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            v00 = i * n + j
+            v10 = (i + 1) * n + j
+            faces.append([v00, v10, v00 + 1])
+            faces.append([v10, v10 + 1, v00 + 1])
+    return verts, np.array(faces)

@@ -12,7 +12,7 @@ from grid_oracles import (
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
-from meshtv import lptv
+from meshtv import gradient, lptv
 from meshtv.admm import (
     NormalEquationSystem,
     _shrink_groups,
@@ -256,6 +256,27 @@ def test_admm_matches_grid_oracle_on_tiny_instance(two_triangle_mesh, rng):
         lam = rng.uniform(0.05, 0.5)
         got, expected = _tiny_admm_case(op, f_values, lam, rng)
         assert np.abs(got - expected).max() < 2e-3
+
+
+def test_all_free_part_applies_no_gradient(monkeypatch, rng):
+    # with every vertex free nothing is pinned: the offset and the constants
+    # are zero without applying the operator to an all-zero image
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    data = rng.uniform(0, 1, size=(mesh.n_vertices, 3))
+    calls = []
+    apply = gradient.apply
+    monkeypatch.setattr(gradient, "apply",
+                        lambda *args: calls.append(args) or apply(*args))
+    whole = restrict(op, np.arange(mesh.n_vertices), data)
+    assert calls == []
+    assert whole.op is op and np.array_equal(whole.f_free, data)
+    assert np.array_equal(whole.triangles, np.arange(op.n_triangles))
+    assert whole.offset.shape == (op.n_triangles, 3, 3) and not whole.offset.any()
+    assert (whole.pinned_tv, whole.pinned_sq, whole.size) == (0.0, 0.0, data.size)
+    # one pinned vertex: its offset needs one application
+    restrict(op, np.arange(1, mesh.n_vertices), data)
+    assert len(calls) == 1
 
 
 def test_full_support_prox_free_subproblem_is_l1tv(rng):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from grid_oracles import edge_incidence_counts, subdivision_counts
+from grid_oracles import (
+    edge_incidence_counts,
+    icosphere_oracle,
+    planar_grid_oracle,
+    subdivision_counts,
+)
 from meshtv.errors import InvalidParams
 from meshtv.synthetic import (
     checker_image,
@@ -18,6 +23,24 @@ def test_icosphere_counts_match_subdivision_oracle(level):
     n_vertices, n_triangles = subdivision_counts(level)
     assert mesh.n_vertices == n_vertices
     assert mesh.n_triangles == n_triangles
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+def test_icosphere_equals_the_face_by_face_build(level):
+    # the CLI draws noise by vertex index, so the numbering and the
+    # coordinates must be those of the build that visits one face at a time
+    mesh = icosphere(level)
+    vertices, triangles = icosphere_oracle(level)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, triangles)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 50])
+def test_planar_grid_equals_the_cell_by_cell_build(n):
+    mesh = planar_grid(n)
+    vertices, triangles = planar_grid_oracle(n)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, triangles)
 
 
 def test_icosphere_1_and_2_counts():
