@@ -111,59 +111,35 @@ def clamp_to_unit(image: MeshImage) -> MeshImage:
 
 
 def read_image(path: str) -> MeshImage:
-    """Read a per-vertex image from a .txt or .ply file."""
-    if path.lower().endswith(".ply"):
-        return read_image_ply(path)
-    return read_image_txt(path)
+    """Read a per-vertex image from a .txt or .ply file.
 
-
-def read_image_txt(path: str) -> MeshImage:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = []
-        width = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if width is None:
-                width = len(toks)
-                if width not in (1, 3):
-                    raise ParseError(
-                        f"line {lineno}: expected 1 or 3 values per line"
-                    )
-            elif len(toks) != width:
-                raise ParseError(f"line {lineno}: inconsistent channel count")
-            try:
-                rows.append([float(tok) for tok in toks])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad value in {raw!r}") from exc
-    if not rows:
-        raise ParseError("empty image file")
-    image = MeshImage(np.array(rows))
-    if not image.is_unit_range():
-        raise ParseError("image values must lie in [0, 1]")
-    return image
-
-
-def read_image_ply(path: str) -> MeshImage:
-    """Read vertex intensities from PLY properties.
-
-    Grayscale images use a float ``quality`` property; color images use
-    ``red``, ``green``, ``blue`` stored as 0-255 integers.
+    A text file holds one row per vertex, 1 (gray) or 3 (RGB) values on the
+    [0, 1] scale.  A PLY file holds a float ``quality`` property (gray) or
+    ``red``, ``green``, ``blue`` stored as 0-255 integers (RGB).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        elements = meshmod.parse_ply_elements(fh.read())
-    if "vertex" not in elements:
-        raise ParseError("PLY file has no vertex element")
-    props = elements["vertex"]
-    if "quality" in props:
-        image = MeshImage(np.asarray(props["quality"]))
-    elif all(key in props for key in ("red", "green", "blue")):
-        rgb = np.column_stack([props["red"], props["green"], props["blue"]])
-        image = MeshImage(rgb / 255.0)
+    text = meshmod.read_text(path)
+    if path.lower().endswith(".ply"):
+        props = meshmod.parse_ply_elements(text).get("vertex", {})
+        if "quality" in props:
+            values = props["quality"]
+        elif all(key in props for key in ("red", "green", "blue")):
+            rgb = np.column_stack([props["red"], props["green"], props["blue"]])
+            values = rgb / 255.0
+        else:
+            raise ParseError("PLY file has no vertex quality or red/green/blue")
     else:
-        raise ParseError("PLY vertex element has no quality or red/green/blue")
+        lines = meshmod.significant_lines(text)
+        if not lines:
+            raise ParseError("empty image file")
+        width = len(lines[0][1].split())
+        if width not in (1, 3):
+            raise ParseError(f"line {lines[0][0]}: expected 1 or 3 values per line")
+        ragged = next((i for i, (_, line) in enumerate(lines)
+                       if len(line.split()) != width), len(lines))
+        values = meshmod.numbers(lines[:ragged], width, "image line")
+        if ragged < len(lines):
+            raise ParseError(f"line {lines[ragged][0]}: inconsistent channel count")
+    image = MeshImage(values)
     if not image.is_unit_range():
         raise ParseError("image values must lie in [0, 1]")
     return image
@@ -179,13 +155,7 @@ def write_ply_with_image(
         )
     if not image.is_unit_range():
         raise ValueError("image values must lie in [0, 1]; clamp before writing")
-    if image.channel_count == 1:
-        extra = [("quality", "float64", image.values[:, 0])]
-    else:
-        scaled = np.rint(image.values * 255.0).astype(np.int64)
-        extra = [
-            ("red", "uchar", scaled[:, 0]),
-            ("green", "uchar", scaled[:, 1]),
-            ("blue", "uchar", scaled[:, 2]),
-        ]
-    meshmod.write_ply(path, mesh.vertices, mesh.triangles, extra)
+    values = image.values
+    if image.channel_count == 3:
+        values = np.rint(values * 255.0).astype(np.int64)
+    meshmod.write_ply(path, mesh.vertices, mesh.triangles, values)

@@ -127,9 +127,7 @@ def load_mesh(path: str) -> TriangleMesh:
     parse = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply_mesh}.get(ext)
     if parse is None:
         raise ValueError(f"cannot infer mesh format from {path!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    verts, tris = parse(text)
+    verts, tris = parse(read_text(path))
     if len(tris) == 0:
         raise ParseError(f"{path}: the face list is empty")
     nonfinite = np.flatnonzero(~np.isfinite(verts))
@@ -140,24 +138,79 @@ def load_mesh(path: str) -> TriangleMesh:
     return TriangleMesh(verts, tris)
 
 
-def _significant_lines(text: str) -> list[str]:
+# --- text and rows, shared by every mesh and image reader ----------------
+
+
+def read_text(path: str) -> str:
+    """The text of a mesh or image file.  Bytes that are not UTF-8 read as
+    U+FFFD, which no reader accepts as a number or keyword, so a binary file
+    fails with its reader's ``ParseError``."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return fh.read()
+
+
+def significant_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) of each line not blank once a ``#`` comment is cut."""
+    lines = (
+        (lineno, line.split("#", 1)[0].strip())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+    )
+    return [(lineno, line) for lineno, line in lines if line]
+
+
+def numbers(lines: list[tuple[int, str]], width: int, what: str) -> np.ndarray:
+    """The first ``width`` numbers of each (line number, line) row as an
+    (n, width) float64 array; tokens after them (colours, normals) are ignored."""
+    rows = []
+    for lineno, line in lines:
+        toks = line.split()[:width]
+        try:
+            if len(toks) < width:
+                raise ValueError(f"{len(toks)} of {width} numbers")
+            rows.append([float(tok) for tok in toks])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad {what}: {line!r}") from exc
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+
+
+def _index_lists(lines: list[tuple[int, str]], what: str) -> list:
+    """(line number, line, indices) of each ``count i_1 ... i_count`` row;
+    tokens after the list (OFF face colours) are ignored."""
     out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
+    for lineno, line in lines:
+        toks = line.split()
+        try:
+            count = int(toks[0])
+            indices = [int(tok) for tok in toks[1 : 1 + count]]
+            if len(indices) != count:
+                raise ValueError(f"{len(indices)} of {count} indices")
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"line {lineno}: bad {what}: {line!r}") from exc
+        out.append((lineno, line, indices))
     return out
 
 
+def _triangles(index_lists: list) -> np.ndarray:
+    for lineno, line, indices in index_lists:
+        if len(indices) != 3:
+            raise ParseError(
+                f"line {lineno}: only triangular faces are supported: {line!r}"
+            )
+    return np.array([indices for _, _, indices in index_lists])
+
+
+# --- OFF, OBJ and ASCII PLY ------------------------------------------------
+
+
 def _parse_off(text: str):
-    lines = _significant_lines(text)
+    lines = significant_lines(text)
     if not lines:
         raise ParseError("empty OFF file")
-    header = lines[0]
+    header = lines[0][1]
     if header.upper() == "OFF":
         if len(lines) < 2:
             raise ParseError("OFF file missing counts line")
-        counts_line, body = lines[1], lines[2:]
+        counts_line, body = lines[1][1], lines[2:]
     elif header.upper().startswith("OFF"):
         # counts on the header line
         counts_line, body = header[3:].strip(), lines[1:]
@@ -172,204 +225,129 @@ def _parse_off(text: str):
         raise ParseError(f"negative OFF counts: {counts_line!r}")
     if len(body) < nv + nf:
         raise ParseError("OFF file truncated")
-    verts = []
-    for line in body[:nv]:
-        toks = line.split()
-        if len(toks) < 3:
-            raise ParseError(f"bad OFF vertex line: {line!r}")
-        try:
-            verts.append([float(toks[0]), float(toks[1]), float(toks[2])])
-        except ValueError as exc:
-            raise ParseError(f"bad OFF vertex line: {line!r}") from exc
-    tris = []
-    for line in body[nv : nv + nf]:
-        toks = line.split()
-        try:
-            n = int(toks[0])
-            idx = [int(tok) for tok in toks[1 : 1 + n]]
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"bad OFF face line: {line!r}") from exc
-        if n != 3 or len(idx) != 3:
-            raise ParseError(f"only triangular faces are supported: {line!r}")
-        tris.append(idx)
-    return np.array(verts), np.array(tris)
+    verts = numbers(body[:nv], 3, "OFF vertex line")
+    return verts, _triangles(_index_lists(body[nv : nv + nf], "OFF face line"))
 
 
 def _parse_obj(text: str):
-    verts: list[list[float]] = []
-    tris: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "v":
-            if len(toks) < 4:
-                raise ParseError(f"line {lineno}: bad OBJ vertex: {raw!r}")
-            try:
-                verts.append([float(toks[1]), float(toks[2]), float(toks[3])])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad OBJ vertex: {raw!r}") from exc
-        elif toks[0] == "f":
-            refs = toks[1:]
-            if len(refs) != 3:
-                raise ParseError(
-                    f"line {lineno}: only triangular faces are supported: {raw!r}"
-                )
-            face = []
-            for ref in refs:
-                try:
-                    idx = int(ref.split("/")[0])
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: bad OBJ face: {raw!r}") from exc
-                if idx == 0:
-                    raise ParseError(f"line {lineno}: OBJ indices are 1-based")
-                face.append(idx - 1 if idx > 0 else len(verts) + idx)
-            tris.append(face)
+    vert_lines: list[tuple[int, str]] = []
+    face_lines = []
+    for lineno, line in significant_lines(text):
+        keyword, *refs = line.split()
+        if keyword == "v":
+            vert_lines.append((lineno, line[1:].lstrip()))
+        elif keyword == "f":
+            face_lines.append((lineno, line, refs, len(vert_lines)))
         # other directives (vn, vt, usemtl, ...) are ignored
-    if not verts or not tris:
+    verts = numbers(vert_lines, 3, "OBJ vertex")
+    tris = []
+    for lineno, line, refs, n_read in face_lines:
+        if len(refs) != 3:
+            raise ParseError(
+                f"line {lineno}: only triangular faces are supported: {line!r}"
+            )
+        try:
+            face = [int(ref.split("/")[0]) for ref in refs]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad OBJ face: {line!r}") from exc
+        if 0 in face:
+            raise ParseError(f"line {lineno}: OBJ indices are 1-based")
+        # a negative index counts back from the last vertex read before the face
+        tris.append([idx - 1 if idx > 0 else n_read + idx for idx in face])
+    if not len(verts) or not tris:
         raise ParseError("OBJ file contains no triangle mesh")
-    return np.array(verts), np.array(tris)
-
-
-# --- ASCII PLY -------------------------------------------------------------
-
-_PLY_INT_TYPES = {
-    "char", "int8", "uchar", "uint8", "short", "int16", "ushort", "uint16",
-    "int", "int32", "uint", "uint32",
-}
+    return verts, np.array(tris)
 
 
 def parse_ply_elements(text: str) -> dict:
-    """Parse the text of an ASCII PLY file into per-element property arrays.
+    """Parse an ASCII PLY file into {element: {property: values}}.
 
-    Returns a dict mapping element name to a dict of property name -> array.
-    A list property maps to a Python list of integer lists.  Only the ASCII
-    variant is supported.
+    A scalar property maps to a float64 column; a list property, which must
+    be its element's only property, to the ``_index_lists`` of its rows.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
+    lines = list(enumerate(text.splitlines(), start=1))
+    if not lines or lines[0][1].strip() != "ply":
         raise ParseError("missing 'ply' magic line")
-    elements: list[tuple[str, int, list]] = []
+    elements: list[tuple[str, int, list]] = []  # name, count, (property, is list)
     fmt_seen = False
-    i = 1
-    while i < len(lines):
-        toks = lines[i].split()
-        i += 1
+    for i, (lineno, line) in enumerate(lines[1:], start=1):
+        toks = line.split()
         if not toks or toks[0] == "comment":
             continue
-        if toks[0] == "format":
-            if len(toks) < 2 or toks[1] != "ascii":
+        keyword, *args = toks
+        if keyword == "format":
+            if args[:1] != ["ascii"]:
                 raise ParseError("only ASCII PLY is supported")
             fmt_seen = True
-        elif toks[0] == "element":
-            if len(toks) != 3 or not toks[2].isdecimal():
-                raise ParseError(f"bad element line: {lines[i - 1]!r}")
-            elements.append((toks[1], int(toks[2]), []))
-        elif toks[0] == "property":
-            if not elements:
-                raise ParseError("property before any element")
-            if toks[1:2] == ["list"]:
-                if len(toks) != 5:
-                    raise ParseError(f"bad list property: {lines[i - 1]!r}")
-                elements[-1][2].append((toks[4], "list"))
-            else:
-                if len(toks) != 3:
-                    raise ParseError(f"bad property: {lines[i - 1]!r}")
-                elements[-1][2].append((toks[2], toks[1]))
-        elif toks[0] == "end_header":
+        elif keyword == "element" and len(args) == 2 and args[1].isdecimal():
+            elements.append((args[0], int(args[1]), []))
+        elif (keyword == "property" and elements
+              and len(args) == (4 if args[:1] == ["list"] else 2)):
+            elements[-1][2].append((args[-1], args[0] == "list"))
+        elif keyword == "end_header":
             break
         else:
-            raise ParseError(f"unexpected header line: {lines[i - 1]!r}")
+            raise ParseError(f"line {lineno}: bad PLY header line: {line!r}")
     else:
         raise ParseError("missing end_header")
     if not fmt_seen:
         raise ParseError("missing format line")
 
     out: dict = {}
+    start = i + 1
     for name, count, props in elements:
-        if any(kind == "list" for _, kind in props):
+        rows = lines[start : start + count]
+        start += count
+        if any(is_list for _, is_list in props):
             if len(props) != 1:
-                raise ParseError(
-                    f"element {name!r}: list properties must stand alone"
-                )
-            rows = []
-            for _ in range(count):
-                if i >= len(lines):
-                    raise ParseError(f"element {name!r}: data truncated")
-                toks = lines[i].split()
-                i += 1
-                try:
-                    n = int(toks[0])
-                    rows.append([int(tok) for tok in toks[1 : 1 + n]])
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(f"bad list data: {lines[i - 1]!r}") from exc
-            out[name] = {props[0][0]: rows}
+                raise ParseError(f"element {name!r}: list properties must stand alone")
+            out[name] = {props[0][0]: _index_lists(rows, f"PLY {name} list")}
         else:
-            data = np.empty((count, len(props)))
-            for r in range(count):
-                if i >= len(lines):
-                    raise ParseError(f"element {name!r}: data truncated")
-                toks = lines[i].split()
-                i += 1
-                if len(toks) < len(props):
-                    raise ParseError(f"bad data line: {lines[i - 1]!r}")
-                try:
-                    data[r] = [float(tok) for tok in toks[: len(props)]]
-                except ValueError as exc:
-                    raise ParseError(f"bad data line: {lines[i - 1]!r}") from exc
-            out[name] = {
-                pname: data[:, j].copy() for j, (pname, _) in enumerate(props)
-            }
+            data = numbers(rows, len(props), f"PLY {name} line")
+            out[name] = {prop: data[:, j].copy() for j, (prop, _) in enumerate(props)}
+        if len(rows) < count:
+            raise ParseError(f"element {name!r}: data truncated")
     return out
 
 
 def _parse_ply_mesh(text: str):
     elements = parse_ply_elements(text)
-    if "vertex" not in elements or "face" not in elements:
-        raise ParseError("PLY file must contain vertex and face elements")
-    vert = elements["vertex"]
-    for key in ("x", "y", "z"):
-        if key not in vert:
-            raise ParseError(f"PLY vertex element lacks property {key!r}")
-    verts = np.column_stack([vert["x"], vert["y"], vert["z"]])
-    face_lists = next(iter(elements["face"].values()), None)
+    vert = elements.get("vertex", {})
+    if not all(key in vert for key in ("x", "y", "z")):
+        raise ParseError("PLY file lacks a vertex element with x, y and z")
+    face_lists = next(iter(elements.get("face", {}).values()), None)
     if not isinstance(face_lists, list):
-        raise ParseError("PLY face element lacks a vertex-index list property")
-    for face in face_lists:
-        if len(face) != 3:
-            raise ParseError("only triangular faces are supported")
-    return verts, np.array(face_lists)
+        raise ParseError("PLY file lacks a face element with a vertex-index list")
+    return np.column_stack([vert["x"], vert["y"], vert["z"]]), _triangles(face_lists)
 
 
 def write_ply(
     path: str,
     vertices: np.ndarray,
     triangles: np.ndarray,
-    extra_props: list[tuple[str, str, np.ndarray]] | None = None,
+    values: np.ndarray | None = None,
 ) -> None:
-    """Write an ASCII PLY file with optional extra per-vertex properties.
-
-    ``extra_props`` entries are (name, ply_type, column); integer-typed
-    columns are written as integers.
-    """
-    extra_props = extra_props or []
+    """Write a mesh as ASCII PLY, with an image's ``values`` on its vertices:
+    (n, 1) floats as a float64 ``quality``, or (n, 3) 0-255 integers as uchar
+    ``red``, ``green`` and ``blue``."""
+    if values is None:
+        values = np.empty((len(vertices), 0))
+    image_props, value_fmt = {
+        0: ("", ""),
+        1: ("property float64 quality\n", " {:.17g}"),
+        3: ("property uchar red\nproperty uchar green\nproperty uchar blue\n",
+            " {} {} {}"),
+    }[values.shape[1]]
+    row_fmt = "{:.17g} {:.17g} {:.17g}" + value_fmt + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(vertices)}\n")
         fh.write("property float64 x\nproperty float64 y\nproperty float64 z\n")
-        for name, ply_type, _ in extra_props:
-            fh.write(f"property {ply_type} {name}\n")
+        fh.write(image_props)
         fh.write(f"element face {len(triangles)}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
-        for i, (x, y, z) in enumerate(vertices):
-            parts = [f"{x:.17g}", f"{y:.17g}", f"{z:.17g}"]
-            for name, ply_type, col in extra_props:
-                if ply_type in _PLY_INT_TYPES:
-                    parts.append(str(int(col[i])))
-                else:
-                    parts.append(f"{col[i]:.17g}")
-            fh.write(" ".join(parts) + "\n")
-        for a, b, c in triangles:
+        for xyz, vals in zip(vertices.tolist(), values.tolist()):
+            fh.write(row_fmt.format(*xyz, *vals))
+        for a, b, c in triangles.tolist():
             fh.write(f"3 {a} {b} {c}\n")

@@ -9,7 +9,7 @@ from meshtv import cli
 from meshtv.config import SolverConfig
 from meshtv.errors import InvalidParams
 from meshtv.experiment import ExperimentSpec, run_experiment
-from meshtv.imaging import read_image, read_image_ply
+from meshtv.imaging import read_image
 from meshtv.synthetic import checker_image, generate_synthetic
 
 FAST_SOLVER = SolverConfig(lam=0.15, beta1=2.0, beta2=2.0,
@@ -66,7 +66,7 @@ def test_restored_images_are_valid(tmp_path):
     spec = _tiny_spec(tmp_path / "out")
     rows = run_experiment(spec)
     image_name = rows[0].image_name
-    restored = read_image_ply(
+    restored = read_image(
         str(tmp_path / "out" / image_name / "noise_0.1" / "LpTV_p0.5" / "restored.ply")
     )
     assert restored.is_unit_range()

@@ -16,7 +16,6 @@ from meshtv.imaging import (
     clamp_to_unit,
     psnr,
     read_image,
-    read_image_txt,
     write_ply_with_image,
 )
 from meshtv.synthetic import icosphere, two_patch_image
@@ -143,17 +142,21 @@ def test_txt_reads_17_significant_digits(tmp_path):
     path.write_text("# r g b\n"
                     "0.12345678901234568 0.5 1\n"
                     "0.99999999999999989 0 0.33333333333333331  # comment\n")
-    back = read_image_txt(str(path))
+    back = read_image(str(path))
     expected = [[0.12345678901234568, 0.5, 1.0],
                 [0.99999999999999989, 0.0, 0.33333333333333331]]
     assert np.array_equal(back.values, expected)
 
 
-def test_txt_rejects_out_of_range(tmp_path):
+@pytest.mark.parametrize("text, match", [
+    ("0.5\n1.5\n", r"must lie in \[0, 1\]"),
+    ("0.5\n0.5 0.5 0.5\n", "line 2"),
+], ids=["out-of-range", "ragged-width"])
+def test_txt_bad_image_rejected(tmp_path, text, match):
     path = tmp_path / "img.txt"
-    path.write_text("0.5\n1.5\n")
-    with pytest.raises(ParseError):
-        read_image_txt(str(path))
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match):
+        read_image(str(path))
 
 
 def test_ply_gray_round_trip(tmp_path):
@@ -162,7 +165,8 @@ def test_ply_gray_round_trip(tmp_path):
     path = tmp_path / "img.ply"
     write_ply_with_image(str(path), mesh, image)
     back = read_image(str(path))
-    assert np.abs(back.values - image.values).max() < 1e-12
+    # 17 significant digits round-trip every float64
+    assert np.array_equal(back.values, image.values)
 
 
 def test_ply_image_file_is_read_once(tmp_path, monkeypatch):

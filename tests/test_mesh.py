@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -41,9 +43,11 @@ def test_load_off_repeated_index_is_degenerate(tmp_path):
 
 def test_load_off_header_with_counts_inline(tmp_path):
     path = tmp_path / "inline.off"
-    path.write_text("OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    # the face's trailing colour tokens are ignored
+    path.write_text("OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n")
     mesh = load_mesh(str(path))
     assert mesh.n_vertices == 3
+    assert np.array_equal(mesh.triangles, [[0, 1, 2]])
 
 
 def test_load_off_garbage_raises_parse_error(tmp_path):
@@ -144,9 +148,10 @@ def test_round_trip(tmp_path, ext):
 
 def test_obj_one_based_indices(tmp_path):
     path = tmp_path / "tri.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    # a negative index counts back from the last vertex read so far
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 1 1 0\nf -3 -1 -2\n")
     mesh = load_mesh(str(path))
-    assert np.array_equal(mesh.triangles, [[0, 1, 2]])
+    assert np.array_equal(mesh.triangles, [[0, 1, 2], [1, 3, 2]])
 
 
 def test_obj_face_with_texture_refs(tmp_path):
@@ -163,11 +168,32 @@ def test_obj_quad_rejected(tmp_path):
         load_mesh(str(path))
 
 
-def test_ply_binary_rejected(tmp_path):
-    path = tmp_path / "bin.ply"
-    path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
-    with pytest.raises(ParseError):
-        load_mesh(str(path))
+_BINARY_PLY_TRIANGLE = (
+    b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+    b"property float x\nproperty float y\nproperty float z\n"
+    b"element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    + struct.pack("<9f", 0, 0, 0, 1, 0, 0, 0, 1, 0)
+    + struct.pack("<B3i", 3, 0, 1, 2)
+)
+
+
+@pytest.mark.parametrize("name, data, match", [
+    ("bin.ply", b"ply\nformat binary_little_endian 1.0\nend_header\n",
+     "only ASCII PLY is supported"),
+    ("bin.ply", _BINARY_PLY_TRIANGLE, "only ASCII PLY is supported"),
+    # a byte that is not UTF-8 (Latin-1 e-acute) in a vertex coordinate
+    ("latin1.off", b"OFF\n3 1 0\n0 0 0\n1 0\xe9 0\n0 1 0\n3 0 1 2\n",
+     "line 4: bad OFF vertex"),
+], ids=["header-only", "binary-body", "latin1-off-vertex"])
+def test_ply_binary_rejected(tmp_path, name, data, match):
+    path = tmp_path / name
+    path.write_bytes(data)
+    readers = [load_mesh]
+    if name.endswith(".ply"):
+        readers.append(imaging.read_image)
+    for read in readers:
+        with pytest.raises(ParseError, match=match):
+            read(str(path))
 
 
 _PLY_TRIANGLE_VERTICES = ("property float x\nproperty float y\n"
@@ -186,6 +212,14 @@ _PLY_TRIANGLE_VERTICES = ("property float x\nproperty float y\n"
     ("element vertex -3\n" + _PLY_TRIANGLE_VERTICES, ""),
     # a property line with no type
     ("element vertex 3\nproperty\n", ""),
+    # a face list with a token that is not an integer, or fewer indices
+    # than its count
+    pytest.param("element vertex 3\n" + _PLY_TRIANGLE_VERTICES + "element face 1\n"
+                 "property list uchar int vertex_indices\n",
+                 "0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", id="face-list-not-integer"),
+    pytest.param("element vertex 3\n" + _PLY_TRIANGLE_VERTICES + "element face 1\n"
+                 "property list uchar int vertex_indices\n",
+                 "0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", id="face-list-short"),
 ])
 def test_ply_malformed_header_rejected(tmp_path, header, body):
     path = tmp_path / "bad.ply"
