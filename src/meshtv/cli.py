@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -11,15 +12,16 @@ from .errors import MeshTVError
 from .experiment import ExperimentSpec, run_experiment
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number list: {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's options; every default is the matching dataclass default."""
+    """The CLI's options, each stored under the name of the dataclass field
+    it sets; an option not given stays unset, so its field keeps its default."""
     parser = argparse.ArgumentParser(
         prog="meshtv",
         description=(
@@ -28,44 +30,38 @@ def build_parser() -> argparse.ArgumentParser:
             "over a sweep of noise levels and p values, writing restored "
             "meshes, solver traces, and a PSNR table."
         ),
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--mesh", metavar="PATH",
+    parser.add_argument("--mesh", dest="mesh_path", metavar="PATH",
                         help="input mesh (.off, .obj, or ASCII .ply)")
-    parser.add_argument("--image", metavar="PATH",
+    parser.add_argument("--image", dest="image_path", metavar="PATH",
                         help="clean per-vertex image (.txt or .ply)")
     parser.add_argument("--synthetic", metavar="SPEC",
                         help="generate mesh and image instead of loading, "
                              "e.g. icosphere_k=3,pattern=two_patch")
-    parser.add_argument("--out", metavar="DIR", required=True,
+    parser.add_argument("--out", dest="output_dir", metavar="DIR", required=True,
                         help="output directory (results.csv plus per-method "
                              "restored.ply and trace.csv)")
-    parser.add_argument("--noise-levels", type=_float_list, metavar="A,B,...",
-                        default=list(ExperimentSpec.noise_levels))
-    parser.add_argument("--p-values", type=_float_list, metavar="A,B,...",
-                        default=list(ExperimentSpec.p_values))
-    parser.add_argument("--trials", type=int, default=ExperimentSpec.trials,
-                        metavar="N")
-    parser.add_argument("--seed", type=int, default=ExperimentSpec.base_seed,
-                        metavar="N", help="base RNG seed; trial t uses seed + t")
-    parser.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
-                        metavar="X", help="data-fitting weight")
-    parser.add_argument("--rho", type=float, default=SolverConfig.prox_weight,
-                        metavar="X", help="proximal weight of the outer subproblems")
-    parser.add_argument("--beta1", type=float, default=SolverConfig.beta1, metavar="X",
+    parser.add_argument("--noise-levels", type=_float_list, metavar="A,B,...")
+    parser.add_argument("--p-values", type=_float_list, metavar="A,B,...")
+    parser.add_argument("--trials", type=int, metavar="N")
+    parser.add_argument("--seed", dest="base_seed", type=int, metavar="N",
+                        help="base RNG seed; trial t uses seed + t")
+    parser.add_argument("--lambda", dest="lam", type=float, metavar="X",
+                        help="data-fitting weight")
+    parser.add_argument("--rho", dest="prox_weight", type=float, metavar="X",
+                        help="proximal weight of the outer subproblems")
+    parser.add_argument("--beta1", type=float, metavar="X",
                         help="ADMM fidelity penalty (default 10*lambda)")
-    parser.add_argument("--beta2", type=float, default=SolverConfig.beta2, metavar="X",
+    parser.add_argument("--beta2", type=float, metavar="X",
                         help="ADMM gradient penalty (default 10*lambda)")
-    parser.add_argument("--eps", type=float, default=SolverConfig.eps_support,
-                        metavar="X", help="support threshold on the [0,1] scale")
-    parser.add_argument("--outer-tol", type=float, default=SolverConfig.outer_tol,
-                        metavar="X")
-    parser.add_argument("--outer-max", type=int, default=SolverConfig.outer_max_iter,
-                        metavar="N")
-    parser.add_argument("--inner-tol", type=float, default=SolverConfig.inner_tol,
-                        metavar="X")
-    parser.add_argument("--inner-max", type=int, default=SolverConfig.inner_max_iter,
-                        metavar="N")
-    parser.add_argument("--no-time", action="store_true",
+    parser.add_argument("--eps", dest="eps_support", type=float, metavar="X",
+                        help="support threshold on the [0,1] scale")
+    parser.add_argument("--outer-tol", type=float, metavar="X")
+    parser.add_argument("--outer-max", dest="outer_max_iter", type=int, metavar="N")
+    parser.add_argument("--inner-tol", type=float, metavar="X")
+    parser.add_argument("--inner-max", dest="inner_max_iter", type=int, metavar="N")
+    parser.add_argument("--no-time", dest="record_time", action="store_false",
                         help="write zeros for wall time so repeated runs "
                              "produce byte-identical results.csv")
     return parser
@@ -75,33 +71,15 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.synthetic is None and (args.mesh is None or args.image is None):
+    args = vars(parser.parse_args(argv))
+    if "synthetic" not in args and not {"mesh_path", "image_path"} <= args.keys():
         parser.error("either --synthetic or both --mesh and --image are required")
 
+    solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
     try:
-        solver = SolverConfig(
-            lam=args.lam,
-            prox_weight=args.rho,
-            eps_support=args.eps,
-            outer_tol=args.outer_tol,
-            outer_max_iter=args.outer_max,
-            beta1=args.beta1,
-            beta2=args.beta2,
-            inner_tol=args.inner_tol,
-            inner_max_iter=args.inner_max,
-        )
+        solver = SolverConfig(**{k: v for k, v in args.items() if k in solver_fields})
         spec = ExperimentSpec(
-            output_dir=args.out,
-            mesh_path=args.mesh,
-            image_path=args.image,
-            synthetic=args.synthetic,
-            noise_levels=tuple(args.noise_levels),
-            p_values=tuple(args.p_values),
-            trials=args.trials,
-            base_seed=args.seed,
-            solver=solver,
-            record_time=not args.no_time,
+            solver=solver, **{k: v for k, v in args.items() if k not in solver_fields}
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -112,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(f"wrote {len(rows)} result rows to {args.out}/results.csv")
+    print(f"wrote {len(rows)} result rows to {spec.output_dir}/results.csv")
     return 0
 
 

@@ -21,7 +21,6 @@ from .config import SolverConfig
 from .errors import DimensionMismatch
 from .gradient import build_gradient_operator
 from .imaging import (
-    MeshImage,
     NoiseSpec,
     add_salt_pepper,
     clamp_to_unit,
@@ -30,7 +29,7 @@ from .imaging import (
     write_ply_with_image,
 )
 from .lptv import plm_solve
-from .mesh import TriangleMesh, load_mesh
+from .mesh import load_mesh
 from .synthetic import generate_synthetic
 
 RESULTS_HEADER = "image,noise_level,method,psnr_db,wall_time_s,outer_iters"
@@ -104,58 +103,47 @@ def _load_inputs(spec: ExperimentSpec):
     return mesh, clean, name
 
 
-def _method_label(p: float | None) -> str:
-    return "L1TV" if p is None else f"LpTV_p{p:g}"
-
-
-def _write_artifacts(out_dir: str, mesh: TriangleMesh, restored: MeshImage,
-                     trace) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    write_ply_with_image(os.path.join(out_dir, "restored.ply"), mesh, restored)
-    trace.write_csv(os.path.join(out_dir, "trace.csv"))
-
-
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full protocol and write results under ``spec.output_dir``."""
     mesh, clean, image_name = _load_inputs(spec)
     op = build_gradient_operator(mesh)
     os.makedirs(spec.output_dir, exist_ok=True)
 
-    methods: list[float | None] = [None] + list(spec.p_values)
+    methods = [("L1TV", 1.0)] + [(f"LpTV_p{p:g}", p) for p in spec.p_values]
     rows: list[ResultRow] = []
     for level in spec.noise_levels:
-        stats = {m: {"psnr": [], "time": [], "iters": []} for m in methods}
+        # per method, one (PSNR, wall time, outer iterations) per trial
+        runs: list[list[tuple]] = [[] for _ in methods]
         for trial in range(spec.trials):
             noisy = add_salt_pepper(clean, NoiseSpec(level, spec.base_seed + trial))
-            warm = None
-            for method in methods:
-                p = 1.0 if method is None else method
+            u0 = noisy
+            for (label, p), method_runs in zip(methods, runs):
                 config = dataclasses.replace(spec.solver, p=p)
-                start_from = noisy if method is None else warm
                 tic = time.perf_counter()
-                restored, trace = plm_solve(noisy, mesh, op, config, u0=start_from)
+                restored, trace = plm_solve(noisy, mesh, op, config, u0=u0)
                 elapsed = time.perf_counter() - tic
-                if method is None:
-                    warm = restored
+                if label == "L1TV":
+                    u0 = restored  # the Lp-TV solves start from L1-TV's result
                 restored = clamp_to_unit(restored)
-                stats[method]["psnr"].append(psnr(restored, clean))
-                stats[method]["time"].append(elapsed if spec.record_time else 0.0)
-                stats[method]["iters"].append(len(trace))
+                method_runs.append((psnr(restored, clean),
+                                    elapsed if spec.record_time else 0.0,
+                                    len(trace)))
                 if trial == 0:
-                    method_dir = os.path.join(
-                        spec.output_dir, image_name, f"noise_{level:g}",
-                        _method_label(method),
-                    )
-                    _write_artifacts(method_dir, mesh, restored, trace)
-        for method in methods:
-            acc = stats[method]
+                    out_dir = os.path.join(spec.output_dir, image_name,
+                                           f"noise_{level:g}", label)
+                    os.makedirs(out_dir, exist_ok=True)
+                    write_ply_with_image(os.path.join(out_dir, "restored.ply"),
+                                         mesh, restored)
+                    trace.write_csv(os.path.join(out_dir, "trace.csv"))
+        for (label, _), method_runs in zip(methods, runs):
+            psnrs, times, iters = zip(*method_runs)
             rows.append(ResultRow(
                 image_name=image_name,
                 noise_level=level,
-                method=_method_label(method),
-                psnr_db=float(np.mean(acc["psnr"])),
-                wall_time_s=float(np.mean(acc["time"])),
-                outer_iters=int(round(float(np.mean(acc["iters"])))),
+                method=label,
+                psnr_db=float(np.mean(psnrs)),
+                wall_time_s=float(np.mean(times)),
+                outer_iters=int(round(float(np.mean(iters)))),
             ))
 
     write_results_csv(os.path.join(spec.output_dir, "results.csv"), rows)

@@ -134,11 +134,15 @@ def read_image(path: str) -> MeshImage:
         width = len(lines[0][1].split())
         if width not in (1, 3):
             raise ParseError(f"line {lines[0][0]}: expected 1 or 3 values per line")
-        ragged = next((i for i, (_, line) in enumerate(lines)
-                       if len(line.split()) != width), len(lines))
-        values = meshmod.numbers(lines[:ragged], width, "image line")
-        if ragged < len(lines):
-            raise ParseError(f"line {lines[ragged][0]}: inconsistent channel count")
+        values = []
+        for lineno, line in lines:
+            toks = line.split()
+            if len(toks) != width:
+                raise ParseError(f"line {lineno}: inconsistent channel count")
+            try:
+                values.append([float(tok) for tok in toks])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad image line: {line!r}") from exc
     image = MeshImage(values)
     if not image.is_unit_range():
         raise ParseError("image values must lie in [0, 1]")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -187,6 +188,47 @@ def test_cli_missing_file_fails(tmp_path):
     )
     assert result.returncode == 1
     assert "error" in result.stderr.lower()
+
+
+def _cli_spec(monkeypatch, argv):
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+    assert cli.main(argv) == 0
+    (spec,) = specs
+    return spec
+
+
+def test_cli_sets_every_field(tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    spec = _cli_spec(monkeypatch, [
+        "--mesh", "m.off", "--image", "i.txt", "--synthetic", "icosphere_k=1",
+        "--out", out, "--noise-levels", "0.2,0.4", "--p-values", "0.3",
+        "--trials", "3", "--seed", "7", "--lambda", "0.5", "--rho", "2",
+        "--beta1", "3", "--beta2", "4", "--eps", "0.01", "--outer-tol", "1e-4",
+        "--outer-max", "9", "--inner-tol", "1e-5", "--inner-max", "11", "--no-time",
+    ])
+    solver = dict(lam=0.5, prox_weight=2.0, eps_support=0.01, outer_tol=1e-4,
+                  outer_max_iter=9, beta1=3.0, beta2=4.0, inner_tol=1e-5,
+                  inner_max_iter=11)
+    fields = dict(output_dir=out, mesh_path="m.off", image_path="i.txt",
+                  synthetic="icosphere_k=1", noise_levels=(0.2, 0.4),
+                  p_values=(0.3,), trials=3, base_seed=7, record_time=False)
+    assert dataclasses.asdict(spec) == {
+        **fields, "solver": {**solver, "p": SolverConfig.p}}
+    # every value differs from its default, so a dropped flag cannot pass
+    defaults = ExperimentSpec(output_dir="", synthetic="")
+    for name, value in solver.items():
+        assert value != getattr(defaults.solver, name), name
+    for name, value in fields.items():
+        assert value != getattr(defaults, name), name
+
+
+def test_cli_defaults_are_the_dataclass_defaults(tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    spec = _cli_spec(monkeypatch, ["--synthetic", "icosphere_k=1", "--out", out])
+    assert spec == ExperimentSpec(output_dir=out, synthetic="icosphere_k=1")
+    assert spec.solver == SolverConfig()
+    assert spec.solver.beta1 == spec.solver.beta2 == 10 * spec.solver.lam
 
 
 @pytest.mark.parametrize("bad", [

@@ -201,19 +201,16 @@ _PLY_TRIANGLE_VERTICES = ("property float x\nproperty float y\n"
 
 
 @pytest.mark.parametrize("header, body", [
-    # a face element without a vertex-index list
-    ("element vertex 3\n" + _PLY_TRIANGLE_VERTICES
-     + "element face 1\nproperty float a\n", "0 0 0\n1 0 0\n0 1 0\n2\n"),
-    # a face element with no property at all
-    ("element vertex 3\n" + _PLY_TRIANGLE_VERTICES + "element face 1\n",
-     "0 0 0\n1 0 0\n0 1 0\n\n"),
-    # an element count that is not a number
-    ("element vertex abc\n" + _PLY_TRIANGLE_VERTICES, ""),
-    ("element vertex -3\n" + _PLY_TRIANGLE_VERTICES, ""),
-    # a property line with no type
-    ("element vertex 3\nproperty\n", ""),
-    # a face list with a token that is not an integer, or fewer indices
-    # than its count
+    pytest.param("element vertex 3\n" + _PLY_TRIANGLE_VERTICES
+                 + "element face 1\nproperty float a\n",
+                 "0 0 0\n1 0 0\n0 1 0\n2\n", id="face-without-list"),
+    pytest.param("element vertex 3\n" + _PLY_TRIANGLE_VERTICES + "element face 1\n",
+                 "0 0 0\n1 0 0\n0 1 0\n\n", id="face-without-property"),
+    pytest.param("element vertex abc\n" + _PLY_TRIANGLE_VERTICES, "",
+                 id="count-not-a-number"),
+    pytest.param("element vertex -3\n" + _PLY_TRIANGLE_VERTICES, "",
+                 id="count-negative"),
+    pytest.param("element vertex 3\nproperty\n", "", id="property-without-type"),
     pytest.param("element vertex 3\n" + _PLY_TRIANGLE_VERTICES + "element face 1\n"
                  "property list uchar int vertex_indices\n",
                  "0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", id="face-list-not-integer"),
