@@ -10,6 +10,7 @@ restored PLY and a trace CSV per method.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
 import time
@@ -151,10 +152,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def write_results_csv(path: str, rows: list[ResultRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RESULTS_HEADER + "\n")
+    """Write ``rows`` as CSV; only a field holding a comma, quote or line
+    break (an image name can) is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULTS_HEADER.split(","))
         for row in rows:
-            fh.write(
-                f"{row.image_name},{row.noise_level:g},{row.method},"
-                f"{row.psnr_db:.6f},{row.wall_time_s:.6f},{row.outer_iters}\n"
-            )
+            writer.writerow([row.image_name, f"{row.noise_level:g}", row.method,
+                             f"{row.psnr_db:.6f}", f"{row.wall_time_s:.6f}",
+                             row.outer_iters])

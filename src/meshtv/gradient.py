@@ -1,10 +1,10 @@
 """Discrete gradient of piecewise-linear vertex data on a triangle mesh.
 
-The gradient of the linear interpolant is constant on each triangle.  For a
-triangle [a, b, c], the hat function of vertex a has gradient h / |h|^2 where
-h = a - proj(a) and proj(a) is the Euclidean projection of a onto the line
-through b and c.  Stacking the three hat-gradient columns per triangle gives
-a sparse linear operator from vertex values to per-triangle 3-vectors.
+The gradient of the linear interpolant is constant on each triangle.  On a
+triangle [a, b, c] with normal n = (b - a) x (c - a), the hat function of a
+corner has gradient n x e / |n|^2, of length |e| / (2 |tau|), where e is the
+opposite edge: c - b, a - c or b - a.  The three hat gradients per triangle
+make a sparse linear map from vertex values to per-triangle 3-vectors.
 """
 
 from __future__ import annotations
@@ -53,31 +53,22 @@ class GradientOperator:
 
 def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
     """Assemble the gradient operator of a validated mesh."""
-    verts = mesh.vertices
     tris = mesh.triangles
-    n_tri = tris.shape[0]
+    a, b, c = mesh.vertices[tris.T]
+    normal = np.cross(b - a, c - a)
+    nn = np.einsum("ij,ij->i", normal, normal)
+    if np.any(nn <= 0.0) or not np.all(np.isfinite(nn)):
+        raise DegenerateTriangle("zero-area triangle slipped past validation")
+    opposite = np.stack([c - b, a - c, b - a], axis=1)
+    hats = np.cross(normal[:, None, :], opposite) / nn[:, None, None]
 
-    columns = np.empty((n_tri, 3, 3))
-    for m in range(3):
-        a = verts[tris[:, m]]
-        b = verts[tris[:, (m + 1) % 3]]
-        c = verts[tris[:, (m + 2) % 3]]
-        edge = c - b
-        tpar = np.einsum("ij,ij->i", a - b, edge) / np.einsum("ij,ij->i", edge, edge)
-        h = a - (b + tpar[:, None] * edge)
-        hh = np.einsum("ij,ij->i", h, h)
-        if np.any(hh <= 0.0) or not np.all(np.isfinite(hh)):
-            raise DegenerateTriangle("zero-height triangle slipped past validation")
-        columns[:, m, :] = h / hh[:, None]
-
-    rows = np.repeat(3 * np.arange(n_tri), 9) + np.tile(np.tile(np.arange(3), 3), n_tri)
-    cols = np.repeat(tris.ravel(), 3)
-    # data order must match: triangle i, slot m, component r
-    data = columns.reshape(n_tri * 3, 3).ravel()
-    matrix = sp.coo_matrix(
-        (data, (rows, cols)), shape=(3 * n_tri, mesh.n_vertices)
-    ).tocsr()
-
+    # row 3i + r holds component r of the three hats of triangle i
+    matrix = sp.csr_matrix(
+        (hats.transpose(0, 2, 1).ravel(), np.repeat(tris, 3, axis=0).ravel(),
+         np.arange(0, hats.size + 1, 3)),
+        shape=(3 * len(tris), mesh.n_vertices),
+    )
+    matrix.sort_indices()  # fixes the order in which each row's products sum
     return GradientOperator(tri_areas=mesh.areas, matrix=matrix)
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import subprocess
@@ -172,6 +173,27 @@ def test_cli_synthetic_run(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "results.csv").is_file()
+
+
+def test_cli_results_csv_reads_back_with_a_comma_in_the_image_name(tmp_path):
+    from grid_oracles import off_text
+
+    mesh, image, _ = generate_synthetic("icosphere_k=1,pattern=two_patch")
+    (tmp_path / "m.off").write_text(off_text(mesh))
+    np.savetxt(tmp_path / "two,patch.txt", image.values, fmt="%.17g")
+    result = _run_cli(
+        ["--mesh", "m.off", "--image", "two,patch.txt", "--out", "out",
+         "--noise-levels", "0.1", "--p-values", "0.5", "--trials", "1",
+         "--lambda", "0.15", "--no-time"],
+        cwd=str(tmp_path),
+    )
+    assert result.returncode == 0, result.stderr
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["image"], r["method"]) for r in rows] == [
+        ("two,patch", "L1TV"), ("two,patch", "LpTV_p0.5")]
+    for r in rows:
+        assert float(r["psnr_db"]) > 0 and r["outer_iters"].isdigit()
 
 
 def test_cli_requires_inputs(tmp_path):

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from grid_oracles import dense_blocks, dense_gram, hat_columns, interp_gradient
 from meshtv.admm import restrict
-from meshtv.errors import DimensionMismatch
+from meshtv.errors import DegenerateTriangle, DimensionMismatch
 from meshtv.gradient import (
     apply,
     apply_adjoint,
@@ -22,18 +24,70 @@ def test_right_triangle_columns(right_triangle_mesh):
     assert np.abs(columns[0] - expected).max() < 1e-12
 
 
-def test_columns_match_plane_fit_oracle(rng):
-    mesh = icosphere(1)
+def _jittered_icosphere(level):
+    """icosphere(level) with every vertex moved off the sphere by noise."""
+    mesh = icosphere(level)
+    noise = np.random.default_rng(3).normal(scale=0.02, size=mesh.vertices.shape)
+    return TriangleMesh(mesh.vertices + noise, mesh.triangles)
+
+
+MESHES = {
+    "icosphere1": lambda: icosphere(1),
+    "jittered-icosphere3": lambda: _jittered_icosphere(3),
+    "grid12": lambda: planar_grid(12),
+}
+
+
+def test_columns_match_plane_fit_oracle():
+    for make_mesh in MESHES.values():
+        mesh = make_mesh()
+        columns = hat_columns(build_gradient_operator(mesh), mesh.triangles)
+        # gradient of each hat function on every triangle
+        for i in range(mesh.n_triangles):
+            corners = mesh.vertices[mesh.triangles[i]]
+            for m in range(3):
+                hat = np.zeros(3)
+                hat[m] = 1.0
+                expected = interp_gradient(corners, hat)
+                assert np.abs(columns[i, m] - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("make_mesh", [*MESHES.values(), lambda: icosphere(4)],
+                         ids=[*MESHES.keys(), "icosphere4"])
+def test_hat_lengths_are_half_the_opposite_edges(make_mesh):
+    # |tau| ||grad phi|| = |e| / 2 for the edge e opposite the corner, so a
+    # vertex's sum over its triangles is half the perimeter of its 1-ring
+    mesh = make_mesh()
     op = build_gradient_operator(mesh)
-    columns = hat_columns(op, mesh.triangles)
-    # gradient of each hat function on a random sample of triangles
-    for i in rng.choice(mesh.n_triangles, size=20, replace=False):
-        corners = mesh.vertices[mesh.triangles[i]]
+    verts, tris = mesh.vertices, mesh.triangles
+    # hat [t, k, r]: row 3t + r, in the column of corner k of triangle t
+    t, k, r = np.indices((mesh.n_triangles, 3, 3)).reshape(3, -1)
+    hats = np.asarray(op.matrix[3 * t + r, tris[t, k]]).reshape(-1, 3, 3)
+    weighted = mesh.areas[:, None] * np.linalg.norm(hats, axis=2)
+    half_edges = np.empty_like(weighted)
+    half_perimeter = np.zeros(mesh.n_vertices)
+    for i, tri in enumerate(tris):
         for m in range(3):
-            hat = np.zeros(3)
-            hat[m] = 1.0
-            expected = interp_gradient(corners, hat)
-            assert np.abs(columns[i, m] - expected).max() < 1e-10
+            b, c = tri[(m + 1) % 3], tri[(m + 2) % 3]
+            half_edges[i, m] = np.linalg.norm(verts[c] - verts[b]) / 2
+            half_perimeter[tri[m]] += half_edges[i, m]
+    assert np.abs(weighted - half_edges).max() <= 1e-14 * half_edges.max()
+    sums = np.bincount(tris.ravel(), weighted.ravel(), minlength=mesh.n_vertices)
+    assert np.abs(sums - half_perimeter).max() <= 1e-14 * half_perimeter.max()
+
+
+@pytest.mark.parametrize(
+    "vertices, triangle",
+    [([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]], [0, 1, 2]),
+     ([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [0, 0, 1])],
+    ids=["collinear", "repeated-corner"],
+)
+def test_zero_area_triangle_raises(vertices, triangle):
+    # a stand-in with the fields the builder reads skips TriangleMesh's checks
+    mesh = SimpleNamespace(vertices=np.array(vertices), triangles=np.array([triangle]),
+                           areas=np.zeros(1), n_vertices=3)
+    with pytest.raises(DegenerateTriangle):
+        build_gradient_operator(mesh)
 
 
 def test_constant_field_has_zero_gradient():
@@ -151,12 +205,16 @@ def test_apply_adjoint_builds_no_transpose(monkeypatch, rng):
     assert transposes == []
 
 
-def test_operator_shares_the_mesh_areas_and_sizes():
-    mesh = icosphere(1)
+def test_operator_shares_the_mesh_areas_and_sizes(rng):
+    # relabeled, most triangles list their corners out of order, yet every
+    # row keeps its columns sorted: that order fixes how each product sums
+    mesh = _relabeled_icosphere(2, rng)
     op = build_gradient_operator(mesh)
     assert op.tri_areas is mesh.areas
     assert (op.n_vertices, op.n_triangles) == (mesh.n_vertices, mesh.n_triangles)
     assert op.matrix.shape == (3 * mesh.n_triangles, mesh.n_vertices)
+    assert op.matrix.has_canonical_format
+    assert np.all(np.diff(op.matrix.indptr) == 3)
 
 
 def test_gram_kernel_contains_constants(right_triangle_mesh):

@@ -549,9 +549,11 @@ def _assert_run_time_guarantees(noisy, warm, restored, trace, op, config):
     assert residual_gap_report(restored, noisy)[0] > config.eps_support
 
 
-def test_plm_cg_path_keeps_the_guarantees_and_matches_lu(monkeypatch):
+@pytest.mark.parametrize("make_image", [two_patch_image, _rgb_image],
+                         ids=["gray", "rgb"])
+def test_plm_cg_path_keeps_the_guarantees_and_matches_lu(make_image, monkeypatch):
     mesh = icosphere(2)
-    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    noisy = add_salt_pepper(make_image(mesh), NoiseSpec(0.1, 0))
     _, lu_restored, _, _, _ = _warm_then_lptv(mesh, noisy)
     # every system above 0 vertices takes the preconditioned-CG path
     monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)

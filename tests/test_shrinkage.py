@@ -173,7 +173,8 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
     direct = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
     monkeypatch.setattr(admm_mod, "DIRECT_SOLVE_MAX_VERTICES", 0)
     iterative = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
-    rhs = rng.normal(size=4)
+    # three columns, as an RGB image gives
+    rhs = rng.normal(size=(4, 3))
     a = solve_normal_equation(direct, rhs)
     b = solve_normal_equation(iterative, rhs)
     assert np.abs(a - b).max() < 1e-8
