@@ -10,7 +10,8 @@ class ParseError(MeshTVError):
 
 
 class DegenerateTriangle(MeshTVError):
-    """Triangle with a repeated vertex or (near-)zero area."""
+    """Triangle with a repeated vertex, (near-)zero area, or coordinates too
+    large for its area to be finite."""
 
 
 class IndexOutOfRange(MeshTVError):

@@ -3,7 +3,8 @@
 The gradient of the linear interpolant is constant on each triangle.  On a
 triangle [a, b, c] with normal n = (b - a) x (c - a), the hat function of a
 corner has gradient n x e / |n|^2, of length |e| / (2 |tau|), where e is the
-opposite edge: c - b, a - c or b - a.  The three hat gradients per triangle
+opposite edge: c - b, a - c or b - a.  The mesh owns n, the areas and the one
+degeneracy rule; the builder reads them.  The three hat gradients per triangle
 make a sparse linear map from vertex values to per-triangle 3-vectors.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateTriangle, DimensionMismatch
+from .errors import DimensionMismatch
 from .mesh import TriangleMesh
 
 
@@ -55,12 +56,9 @@ def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
     """Assemble the gradient operator of a validated mesh."""
     tris = mesh.triangles
     a, b, c = mesh.vertices[tris.T]
-    normal = np.cross(b - a, c - a)
-    nn = np.einsum("ij,ij->i", normal, normal)
-    if np.any(nn <= 0.0) or not np.all(np.isfinite(nn)):
-        raise DegenerateTriangle("zero-area triangle slipped past validation")
+    nn = np.einsum("ij,ij->i", mesh.normals, mesh.normals)
     opposite = np.stack([c - b, a - c, b - a], axis=1)
-    hats = np.cross(normal[:, None, :], opposite) / nn[:, None, None]
+    hats = np.cross(mesh.normals[:, None, :], opposite) / nn[:, None, None]
 
     # row 3i + r holds component r of the three hats of triangle i
     matrix = sp.csr_matrix(

@@ -1,10 +1,10 @@
 """Triangle mesh container, validation, OFF/OBJ/PLY reading and PLY writing.
 
 Meshes are plain vertex/triangle index arrays.  Validation happens once at
-construction: index range checks, rejection of degenerate (repeated-vertex or
-near-zero-area) triangles, and rejection of isolated vertices.  Non-manifold
-connectivity is accepted; only vertex stars and per-triangle geometry are
-needed downstream.
+construction: index range checks, rejection of degenerate (repeated-vertex,
+near-zero-area or unmeasurably large) triangles and of isolated vertices.
+Non-manifold connectivity is accepted: downstream code needs only vertex
+stars and the per-triangle normals and areas, computed here once.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import (
     ParseError,
 )
 
-# Faces with area below this multiple of the squared bounding-box diagonal are
-# rejected: the gradient formula divides by squared heights of the same scale.
+# Faces with area at most this multiple of the squared bounding-box diagonal
+# are rejected: the gradient divides by |n|^2 = 4 area^2 of the same scale.
 DEGENERATE_AREA_FACTOR = 1e-12
 
 
@@ -41,9 +41,11 @@ class TriangleMesh:
         (n_vertices, 3) float64, read-only.
     triangles : np.ndarray
         (n_triangles, 3) int64, read-only.
+    normals : np.ndarray
+        (n_triangles, 3) float64 (b - a) x (c - a) of each triangle [a, b, c],
+        read-only: unnormalized, |n| = 2 * area, oriented by the corner order.
     areas : np.ndarray
-        (n_triangles,) float64 triangle areas (half cross-product
-        magnitude), all positive, read-only.
+        (n_triangles,) float64 triangle areas |n| / 2, all positive, read-only.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -72,11 +74,17 @@ class TriangleMesh:
                 f"triangle {int(np.flatnonzero(repeated)[0])} repeats a vertex index"
             )
 
-        areas = _areas(v, t)
-        bbox_diag2 = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2))
-        if bbox_diag2 == 0.0:
-            raise DegenerateTriangle("all vertices coincide")
-        small = areas < DEGENERATE_AREA_FACTOR * bbox_diag2
+        a, b, c = v[t.T]
+        with np.errstate(over="ignore", invalid="ignore"):
+            normals = np.cross(b - a, c - a)
+            areas = 0.5 * np.linalg.norm(normals, axis=1)
+            bbox_diag2 = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2))
+        huge = np.flatnonzero(~np.isfinite(areas))
+        if huge.size or not np.isfinite(bbox_diag2):
+            where = f"triangle {huge[0]}" if huge.size else "the mesh"
+            raise DegenerateTriangle(f"{where} has coordinates too large to measure")
+        # <=: an area that underflows to 0 fails even when its bound does too
+        small = areas <= DEGENERATE_AREA_FACTOR * bbox_diag2
         if small.any():
             raise DegenerateTriangle(
                 f"triangle {int(np.flatnonzero(small)[0])} has (near-)zero area"
@@ -91,9 +99,11 @@ class TriangleMesh:
 
         v.setflags(write=False)
         t.setflags(write=False)
+        normals.setflags(write=False)
         areas.setflags(write=False)
         self.vertices = v
         self.triangles = t
+        self.normals = normals
         self.areas = areas
 
     @property
@@ -103,14 +113,6 @@ class TriangleMesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
-
-
-def _areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    cross = np.cross(b - a, c - a)
-    return 0.5 * np.linalg.norm(cross, axis=1)
 
 
 # ---------------------------------------------------------------------------

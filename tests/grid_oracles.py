@@ -188,9 +188,10 @@ def dense_blocks(op):
 
 def hat_columns(op, triangles):
     """(n_tri, 3, 3) hat-function gradients: entry [i, m] is the 3-vector that
-    multiplies the value at vertex ``triangles[i, m]`` on triangle i."""
-    return np.stack([block[:, tri].T
-                     for block, tri in zip(dense_blocks(op), triangles)])
+    multiplies the value at vertex ``triangles[i, m]`` on triangle i, read
+    entry by entry from the matrix: row 3i + r holds its component r."""
+    i, m, r = np.indices((len(triangles), 3, 3)).reshape(3, -1)
+    return np.asarray(op.matrix[3 * i + r, triangles[i, m]]).reshape(-1, 3, 3)
 
 
 def off_text(mesh):

@@ -1,12 +1,10 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from grid_oracles import dense_blocks, dense_gram, hat_columns, interp_gradient
 from meshtv.admm import restrict
-from meshtv.errors import DegenerateTriangle, DimensionMismatch
+from meshtv.errors import DimensionMismatch
 from meshtv.gradient import (
     apply,
     apply_adjoint,
@@ -60,9 +58,7 @@ def test_hat_lengths_are_half_the_opposite_edges(make_mesh):
     mesh = make_mesh()
     op = build_gradient_operator(mesh)
     verts, tris = mesh.vertices, mesh.triangles
-    # hat [t, k, r]: row 3t + r, in the column of corner k of triangle t
-    t, k, r = np.indices((mesh.n_triangles, 3, 3)).reshape(3, -1)
-    hats = np.asarray(op.matrix[3 * t + r, tris[t, k]]).reshape(-1, 3, 3)
+    hats = hat_columns(op, tris)
     weighted = mesh.areas[:, None] * np.linalg.norm(hats, axis=2)
     half_edges = np.empty_like(weighted)
     half_perimeter = np.zeros(mesh.n_vertices)
@@ -74,20 +70,6 @@ def test_hat_lengths_are_half_the_opposite_edges(make_mesh):
     assert np.abs(weighted - half_edges).max() <= 1e-14 * half_edges.max()
     sums = np.bincount(tris.ravel(), weighted.ravel(), minlength=mesh.n_vertices)
     assert np.abs(sums - half_perimeter).max() <= 1e-14 * half_perimeter.max()
-
-
-@pytest.mark.parametrize(
-    "vertices, triangle",
-    [([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]], [0, 1, 2]),
-     ([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [0, 0, 1])],
-    ids=["collinear", "repeated-corner"],
-)
-def test_zero_area_triangle_raises(vertices, triangle):
-    # a stand-in with the fields the builder reads skips TriangleMesh's checks
-    mesh = SimpleNamespace(vertices=np.array(vertices), triangles=np.array([triangle]),
-                           areas=np.zeros(1), n_vertices=3)
-    with pytest.raises(DegenerateTriangle):
-        build_gradient_operator(mesh)
 
 
 def test_constant_field_has_zero_gradient():

@@ -32,6 +32,7 @@ def test_load_off_right_triangle(tmp_path):
     assert mesh.n_vertices == 3
     assert mesh.n_triangles == 1
     assert mesh.areas[0] == pytest.approx(0.5, abs=1e-15)
+    assert np.array_equal(mesh.normals, [[0.0, 0.0, 1.0]])
 
 
 def test_load_off_repeated_index_is_degenerate(tmp_path):
@@ -111,6 +112,19 @@ def test_nearly_zero_area_triangle_rejected():
     verts = [[0, 0, 0], [1, 0, 0], [0.5, 1e-14, 0]]
     with pytest.raises(DegenerateTriangle):
         TriangleMesh(verts, [[0, 1, 2]])
+
+
+# |n|^2 overflows at 1e150 and |n| itself at 1e200; at 1e-160 |n|^2
+# underflows, so the area is 0, and so is its bound 1e-12 * 2e-320
+@pytest.mark.parametrize("scale, match", [
+    (1e200, "triangle 0 has coordinates too large"),
+    (1e150, "triangle 0 has coordinates too large"),
+    (1e-160, r"triangle 0 has \(near-\)zero area"),
+], ids=["overflow", "square-overflow", "underflow"])
+@pytest.mark.filterwarnings("error")
+def test_triangle_beyond_float64_range_rejected(scale, match):
+    with pytest.raises(DegenerateTriangle, match=match):
+        TriangleMesh([[0, 0, 0], [scale, 0, 0], [0, scale, 0]], [[0, 1, 2]])
 
 
 def test_isolated_vertex_rejected():
@@ -228,6 +242,8 @@ def test_ply_malformed_header_rejected(tmp_path, header, body):
 def test_mesh_arrays_are_read_only(right_triangle_mesh):
     with pytest.raises(ValueError):
         right_triangle_mesh.vertices[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        right_triangle_mesh.normals[0, 2] = 5.0
     with pytest.raises(ValueError):
         right_triangle_mesh.areas[0] = 5.0
 
