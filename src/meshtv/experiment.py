@@ -67,12 +67,12 @@ class ExperimentSpec:
             raise ValueError(f"base seed {self.base_seed} is negative")
         if not self.noise_levels:
             raise ValueError("need at least one noise level")
-        # a repeated value would write its result row twice and overwrite
-        # its own restored.ply and trace.csv
+        # values that print alike under :g would write result rows that read
+        # the same and overwrite each other's restored.ply and trace.csv
         for name in ("noise_levels", "p_values"):
             values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"repeated value in {name}: {values}")
+            if len({f"{v:g}" for v in values}) != len(values):
+                raise ValueError(f"values in {name} print alike: {values}")
         for level in self.noise_levels:
             if not 0.0 <= level <= 1.0:
                 raise ValueError(f"noise level {level} outside [0, 1]")

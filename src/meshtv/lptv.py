@@ -99,20 +99,21 @@ class SolverTrace:
                     for v in row) + "\n")
 
 
-def _objective_raw(u2: np.ndarray, f2: np.ndarray, op: GradientOperator,
-                   offset, pinned_tv: float, lam: float, p: float) -> float:
-    """Objective of ``u2`` against ``f2`` on ``op``, with ``offset`` added to
-    the gradient and ``pinned_tv`` to the TV (a ``FreePart``'s, or 0 and 0)."""
-    grad = (op.matrix @ u2).reshape(op.n_triangles, 3, -1) + offset
+def _objective_raw(u: np.ndarray, part: FreePart, lam: float, p: float) -> float:
+    """Objective of the values ``u`` on ``part``: the part's fidelity and TV,
+    its offset added to the gradient, plus its pinned TV."""
+    op = part.op
+    grad = (op.matrix @ u).reshape(op.n_triangles, 3, -1) + part.offset
     norms = np.linalg.norm(grad.reshape(op.n_triangles, -1), axis=1)
-    tv = float(op.tri_areas @ norms) + pinned_tv
-    data = float(np.sum(np.abs(u2 - f2) ** p))
+    tv = float(op.tri_areas @ norms) + part.pinned_tv
+    data = float(np.sum(np.abs(u - part.f_free) ** p))
     return lam * data + tv
 
 
 def objective(u: MeshImage, f: MeshImage, op: GradientOperator,
               config: SolverConfig) -> float:
-    """Lp-TV objective value of ``u`` against data ``f``.
+    """Lp-TV objective value of ``u`` against data ``f``: the objective of
+    the all-free part.
 
     For color images the fidelity sums over channels and the TV term couples
     them through the Frobenius norm of the stacked per-triangle gradients.
@@ -121,7 +122,8 @@ def objective(u: MeshImage, f: MeshImage, op: GradientOperator,
         raise DimensionMismatch("u and f must have identical shapes")
     if u.vertex_count != op.n_vertices:
         raise DimensionMismatch("image and operator vertex counts differ")
-    return _objective_raw(u.values, f.values, op, 0.0, 0.0, config.lam, config.p)
+    part = restrict(op, np.arange(op.n_vertices), f.values)
+    return _objective_raw(u.values, part, config.lam, config.p)
 
 
 def support_eps(u: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
@@ -181,8 +183,8 @@ def plm_solve(
     system are built again, not at all once F is empty, and the carried
     arrays are sliced to it.  A step's objective is the part's plus its
     pinned constants, O(|F| + |T|), and its iterate gap is the whole-image
-    ||u^{k+1} - u^k||, with the jump of the values the step pins; f(u0) is
-    scored on the whole mesh.
+    ||u^{k+1} - u^k||, with the jump of the values the step pins; f(u0),
+    for L1-TV as for Lp-TV, is the objective of the all-free part.
 
     Each inner ADMM solve starts from the multipliers the previous outer
     step ended with.  Its proximal center is extrapolated to
@@ -216,11 +218,11 @@ def plm_solve(
     f2 = f.values
     # every vertex: the coordinates of u0 and of L1-TV
     part = restrict(op, np.arange(f.vertex_count), f2)
+    f_prev = _objective_raw(u0.values, part, config.lam, config.p)
 
     if config.p == 1.0:
         system = NormalEquationSystem(assemble_gram(op), config.beta1,
                                       config.beta2, 0.0, part)
-        f_start = _objective_raw(u0.values, f2, op, 0.0, 0.0, config.lam, 1.0)
         result, inner_iters, inner_ok = _l1tv_solve_full(u0.values, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
@@ -228,16 +230,15 @@ def plm_solve(
             logger.warning("L1-TV moved no value by more than eps_support = %g: "
                            "lam = %g is probably too large for this mesh "
                            "resolution", config.eps_support, config.lam)
-        _, gap, slack = _step_decrease(result, u0.values, part, f_start,
+        _, gap, slack = _step_decrease(result, u0.values, part, f_prev,
                                        config, 0.0, 0.0, 0)
-        trace.append(TraceRecord(0, f_start, f2.size, gap, slack,
+        trace.append(TraceRecord(0, f_prev, f2.size, gap, slack,
                                  inner_iters, free_vertices=system.n,
                                  inner_converged=inner_ok))
         trace.converged = inner_ok
         return MeshImage(result), trace
 
     u = u0.values
-    f_prev = _objective_raw(u, f2, op, 0.0, 0.0, config.lam, config.p)
     slack_floor = -SLACK_FLOOR_FACTOR * max(1.0, f_prev)
     redo_config = dataclasses.replace(config, inner_tol=config.inner_tol / 100.0)
     support = np.ones(f2.shape, dtype=bool)
@@ -326,26 +327,9 @@ def _step_decrease(u_next: np.ndarray, u: np.ndarray, part: FreePart,
                    jump_sq: float, k: int):
     """(objective at u_next, ||u_next - u||, proximal decrease slack) of
     values on ``part`` whose images differ by ``jump_sq`` outside it."""
-    f_next = _objective_raw(u_next, part.f_free, part.op, part.offset,
-                            part.pinned_tv, config.lam, config.p)
+    f_next = _objective_raw(u_next, part, config.lam, config.p)
     if not math.isfinite(f_next):
         raise NonFiniteIterate(f"objective became non-finite at iteration {k}")
     diff = u_next - u
     gap = math.sqrt(float(np.vdot(diff, diff)) + jump_sq)
     return f_next, gap, f_prev - f_next - 0.5 * prox_weight * gap**2
-
-
-def residual_gap_report(u: MeshImage, f: MeshImage):
-    """(smallest nonzero |u_j - f_j|, number of exact zeros).
-
-    The first element is +inf when every residual is exactly zero.  On a
-    converged run the minimum should sit strictly above eps_support: values
-    that left the support are pinned bit-exactly, the rest stay separated.
-    """
-    if u.values.shape != f.values.shape:
-        raise DimensionMismatch("u and f must have identical shapes")
-    residual = np.abs(u.values - f.values).ravel()
-    zero_count = int(np.count_nonzero(residual == 0.0))
-    nonzero = residual[residual > 0.0]
-    smallest = float(nonzero.min()) if nonzero.size else math.inf
-    return smallest, zero_count

@@ -83,8 +83,10 @@ class TriangleMesh:
         if huge.size or not np.isfinite(bbox_diag2):
             where = f"triangle {huge[0]}" if huge.size else "the mesh"
             raise DegenerateTriangle(f"{where} has coordinates too large to measure")
-        # <=: an area that underflows to 0 fails even when its bound does too
-        small = areas <= DEGENERATE_AREA_FACTOR * bbox_diag2
+        # <=: an area that underflows to 0 fails even when its bound does too;
+        # a subnormal |n|^2 = 4 area^2 has lost the digits the gradient divides by
+        small = ((areas <= DEGENERATE_AREA_FACTOR * bbox_diag2)
+                 | (4.0 * areas**2 < np.finfo(np.float64).tiny))
         if small.any():
             raise DegenerateTriangle(
                 f"triangle {int(np.flatnonzero(small)[0])} has (near-)zero area"
@@ -144,10 +146,11 @@ def load_mesh(path: str) -> TriangleMesh:
 
 
 def read_text(path: str) -> str:
-    """The text of a mesh or image file.  Bytes that are not UTF-8 read as
-    U+FFFD, which no reader accepts as a number or keyword, so a binary file
-    fails with its reader's ``ParseError``."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    """The text of a mesh or image file, without a leading UTF-8 byte-order
+    mark.  Bytes that are not UTF-8 read as U+FFFD, which no reader accepts as
+    a number or keyword, so a binary file fails with its reader's
+    ``ParseError``."""
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         return fh.read()
 
 

@@ -20,6 +20,16 @@ def count_opens(monkeypatch, *modules):
     return opened
 
 
+def smallest_nonzero_residual(u, f):
+    """The smallest nonzero |u_j - f_j| of the images ``u`` and ``f``; +inf
+    when every residual is exactly zero.  On a converged run it sits strictly
+    above eps_support: values that left the support are pinned bit-exactly,
+    the rest stay separated."""
+    residual = np.abs(u.values - f.values)
+    nonzero = residual[residual > 0.0]
+    return float(nonzero.min()) if nonzero.size else np.inf
+
+
 def prox_system(op, config, f, support):
     """The subproblem system of ``support``'s free vertices for the image
     ``f``, with ``config``'s penalties and proximal weight; None when the

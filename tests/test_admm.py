@@ -187,8 +187,7 @@ def test_part_objective_and_norm_equal_those_of_the_scattered_image(name, rng):
         v = part.f_free + rng.normal(scale=0.1, size=part.f_free.shape)
         u = f_values.copy()
         u[part.vertices] = v
-        got = lptv._objective_raw(v, part.f_free, part.op, part.offset,
-                                  part.pinned_tv, config.lam, config.p)
+        got = lptv._objective_raw(v, part, config.lam, config.p)
         expected = objective(MeshImage(u), MeshImage(f_values), op, config)
         if free.size == mesh.n_vertices:
             assert got == expected

@@ -264,6 +264,9 @@ def test_cli_defaults_are_the_dataclass_defaults(tmp_path, monkeypatch):
     ["--noise-levels", "0.1,0.1"],
     ["--p-values", "0.5,0.5"],
     ["--seed", "-1"],
+    # values that print alike would share a result label and output folder
+    ["--noise-levels", "0.1,0.1000001"],
+    ["--p-values", "0.5,0.5000001"],
 ])
 def test_cli_invalid_values_exit_2(tmp_path, bad):
     argv = ["--synthetic", "icosphere_k=1,pattern=two_patch",

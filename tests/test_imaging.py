@@ -159,6 +159,14 @@ def test_txt_bad_image_rejected(tmp_path, text, match):
         read_image(str(path))
 
 
+def test_txt_drops_a_utf8_byte_order_mark(tmp_path):
+    values = two_patch_image(icosphere(1)).values
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    np.savetxt(plain, values, fmt="%.17g")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(read_image(str(marked)).values, values)
+
+
 def test_ply_gray_round_trip(tmp_path):
     mesh = icosphere(1)
     image = two_patch_image(mesh)

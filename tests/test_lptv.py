@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import smallest_nonzero_residual
 from meshtv import admm, lptv
 from meshtv.config import SolverConfig
 from meshtv.errors import (
@@ -22,7 +23,6 @@ from meshtv.lptv import (
     TraceRecord,
     objective,
     plm_solve,
-    residual_gap_report,
     support_eps,
     weights,
 )
@@ -113,15 +113,6 @@ def test_majorization_inequality(p, t, r):
     assert lhs <= rhs + 1e-12
 
 
-def test_residual_gap_report_cases():
-    f = MeshImage(np.zeros(3))
-    assert residual_gap_report(f, f) == (math.inf, 3)
-    u = MeshImage(np.array([0.0, 0.3, 0.7]))
-    gap, zeros = residual_gap_report(u, f)
-    assert gap == pytest.approx(0.3)
-    assert zeros == 1
-
-
 def test_plm_with_exact_start_returns_data():
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
@@ -159,8 +150,7 @@ def test_plm_denoise_invariants():
     assert np.all(np.diff(sizes) <= 0)
     assert len(set(sizes[-min(5, len(sizes)):])) == 1
     # separation: every nonzero residual stays above the support threshold
-    gap, _ = residual_gap_report(restored, noisy)
-    assert gap > config.eps_support
+    assert smallest_nonzero_residual(restored, noisy) > config.eps_support
     # boundedness on the [0, 1] problem scale
     assert np.abs(restored.values).max() <= 10.0
 
@@ -302,8 +292,7 @@ def test_plm_extrapolates_the_center_and_keeps_only_a_decrease(monkeypatch):
         jump = (u - noisy.values)[newly_pinned]
         diff = out - u[rows]
         gap = math.sqrt(float(np.vdot(diff, diff)) + float(np.vdot(jump, jump)))
-        f_next = lptv._objective_raw(out, part.f_free, part.op, part.offset,
-                                     part.pinned_tv, config.lam, config.p)
+        f_next = lptv._objective_raw(out, part, config.lam, config.p)
         slack = (record.objective - f_next
                  - 0.5 * config.prox_weight * gap ** 2)
         assert record.rejected_extrapolations == int(slack < 0.0)
@@ -546,7 +535,7 @@ def _assert_run_time_guarantees(noisy, warm, restored, trace, op, config):
     assert np.all(np.diff(trace.column("support_size")) <= 0)
     floor = -1e-6 * max(1.0, objective(warm, noisy, op, config))  # criterion 4
     assert trace.column("decrease_slack").min() >= floor
-    assert residual_gap_report(restored, noisy)[0] > config.eps_support
+    assert smallest_nonzero_residual(restored, noisy) > config.eps_support
 
 
 @pytest.mark.parametrize("make_image", [two_patch_image, _rgb_image],

@@ -58,6 +58,21 @@ def test_load_off_garbage_raises_parse_error(tmp_path):
         load_mesh(str(path))
 
 
+# some editors start a UTF-8 file with a byte-order mark; it is not content
+@pytest.mark.parametrize("ext", ["off", "ply"])
+def test_load_mesh_drops_a_utf8_byte_order_mark(tmp_path, ext):
+    mesh = icosphere(1)
+    plain, marked = tmp_path / f"plain.{ext}", tmp_path / f"marked.{ext}"
+    if ext == "off":
+        plain.write_text(off_text(mesh))
+    else:
+        write_ply(str(plain), mesh.vertices, mesh.triangles)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected, got = load_mesh(str(plain)), load_mesh(str(marked))
+    assert np.array_equal(got.vertices, expected.vertices)
+    assert np.array_equal(got.triangles, expected.triangles)
+
+
 @pytest.mark.parametrize("text", [
     "OFF\n-1 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
     "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
@@ -115,16 +130,24 @@ def test_nearly_zero_area_triangle_rejected():
 
 
 # |n|^2 overflows at 1e150 and |n| itself at 1e200; at 1e-160 |n|^2
-# underflows, so the area is 0, and so is its bound 1e-12 * 2e-320
+# underflows, so the area is 0, and so is its bound 1e-12 * 2e-320; at 1e-78
+# |n|^2 = 1e-312 is subnormal, while at 1e-75 it is 1e-300, a normal float64
 @pytest.mark.parametrize("scale, match", [
     (1e200, "triangle 0 has coordinates too large"),
     (1e150, "triangle 0 has coordinates too large"),
     (1e-160, r"triangle 0 has \(near-\)zero area"),
-], ids=["overflow", "square-overflow", "underflow"])
+    (1e-78, r"triangle 0 has \(near-\)zero area"),
+    (1e-75, None),
+], ids=["overflow", "square-overflow", "underflow", "subnormal-square",
+        "smallest-normal-square"])
 @pytest.mark.filterwarnings("error")
 def test_triangle_beyond_float64_range_rejected(scale, match):
+    verts, tris = [[0, 0, 0], [scale, 0, 0], [0, scale, 0]], [[0, 1, 2]]
+    if match is None:
+        assert TriangleMesh(verts, tris).areas[0] == pytest.approx(0.5 * scale**2)
+        return
     with pytest.raises(DegenerateTriangle, match=match):
-        TriangleMesh([[0, 0, 0], [scale, 0, 0], [0, scale, 0]], [[0, 1, 2]])
+        TriangleMesh(verts, tris)
 
 
 def test_isolated_vertex_rejected():
