@@ -13,6 +13,17 @@ meshtv --synthetic icosphere_k=1,pattern=two_patch --trials 1 --no-time --out "$
   --lambda 1 --rho 1 --eps 0.001 --outer-tol 1e-6 --outer-max 500 --inner-tol 1e-6 --inner-max 2000 \
   --beta1 10 --beta2 10 --seed 0 --noise-levels 0.05,0.1,0.2,0.3 --p-values 0.1,0.3,0.5,0.7,0.9
 diff -r "$RUNNER_TEMP/meshtv-cli" "$RUNNER_TEMP/meshtv-defaults"
+# an Lp-TV sweep at icosphere(3), where supports shrink and the free part narrows
+meshtv --synthetic icosphere_k=3,pattern=two_patch --noise-levels 0.1,0.3 --p-values 0.5,0.9 --trials 2 \
+  --lambda 0.1 --beta1 2 --beta2 2 --no-time --out "$RUNNER_TEMP/meshtv-k3"
+# a header plus 2 noise levels x (L1-TV + 2 p values), each row with a finite PSNR
+test "$(wc -l < "$RUNNER_TEMP/meshtv-k3/results.csv")" -eq 7
+python -c "
+import csv, math, sys
+with open(sys.argv[1], newline='') as fh:
+    rows = list(csv.DictReader(fh))
+assert len(rows) == 6 and all(math.isfinite(float(r['psnr_db'])) for r in rows), rows
+" "$RUNNER_TEMP/meshtv-k3/results.csv"
 # the file-input path: an RGB icosphere(1) as mesh and image in one PLY
 python -c "
 import sys

@@ -58,8 +58,7 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
     at most ``threshold`` becomes zero; in particular a zero row stays zero,
     following the 0 * (0/0) = 0 convention.
     """
-    flat = a.reshape(a.shape[0], -1)
-    norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
+    norms = gradient.triangle_norms(a)
     # t / max(norm, t) is exactly 1 for a row with norm <= t; under a zero
     # threshold the divisor is 1 instead of 0, so a zero row gives 0
     scale = 1.0 - threshold / np.maximum(norms, threshold or 1.0)
@@ -119,7 +118,7 @@ def restrict(op: GradientOperator, vertices: np.ndarray,
     grad = gradient.apply(op, pinned)
     outside = np.ones(op.n_triangles, dtype=bool)
     outside[triangles] = False
-    norms = np.linalg.norm(grad[outside].reshape(-1, 3 * data.shape[1]), axis=1)
+    norms = gradient.triangle_norms(grad[outside])
     return FreePart(vertices, triangles, sub, data[vertices], grad[triangles],
                     float(op.tri_areas[outside] @ norms),
                     float(np.vdot(pinned, pinned)), data.size)
@@ -229,7 +228,9 @@ def admm_solve(
     ``duals`` is the multiplier pair (eta, mu), shaped (|F|, channels) and
     (|T|, 3, channels), or None for zeros.  The splitting variables (y, z)
     are computed from ``u_k`` and the duals, so the duals are the whole state
-    a warm start needs.  The inputs are not modified.
+    a warm start needs.  The inputs are not modified: ``plm_solve`` solves a
+    rejected or redone step again from the same starting duals, so the loop
+    copies the multipliers once and updates its copies in place.
 
     Returns (v, inner_iterations, converged, duals): the values on F, with
     pinned channels equal to the data bit for bit, and the final (eta, mu);
@@ -247,7 +248,7 @@ def admm_solve(
         raise DimensionMismatch("duals must be shaped like the part and its gradient")
     # None when no channel is pinned at a free vertex (always for gray images)
     unfitted = ~fitted if not fitted.all() else None
-    eta, mu = duals
+    eta, mu = duals[0].copy(), duals[1].copy()
 
     beta1, beta2 = system.beta1, system.beta2
     y_threshold = np.full(f_free.shape, np.inf)
@@ -263,21 +264,31 @@ def admm_solve(
     iters, converged = config.inner_max_iter, False
 
     for t in range(config.inner_max_iter):
-        y = shrink_1d(v - f_free + eta / beta1, y_threshold)
-        z = _shrink_groups(grad_v + mu / beta2, z_threshold)
+        # each in-place chain adds in the order of the written-out sum
+        x = v - f_free
+        x += eta / beta1
+        y = shrink_1d(x, y_threshold)
+        g = mu / beta2
+        g += grad_v
+        z = _shrink_groups(g, z_threshold)
 
-        rhs = (gradient.apply_adjoint(sub_op, beta2 * z - mu) + beta1 * y - eta
-               + rhs_fixed)
+        zw = beta2 * z
+        zw -= mu
+        rhs = gradient.apply_adjoint(sub_op, zw)
+        rhs += beta1 * y
+        rhs -= eta
+        rhs += rhs_fixed
         v = solve_normal_equation(system, rhs)
         if not np.isfinite(v).all():
             raise NonFiniteIterate("ADMM produced non-finite vertex values")
         grad_v = gradient.apply(sub_op, v)
         grad_v += offset
 
-        r_y = v - f_free - y
+        r_y = v - f_free
+        r_y -= y
         r_z = grad_v - z
-        eta = eta + beta1 * r_y
-        mu = mu + beta2 * r_z
+        eta += beta1 * r_y
+        mu += beta2 * r_z
 
         # Euclidean norms as np.linalg.norm computes them, minus its wrapper
         if unfitted is None:

@@ -10,6 +10,7 @@ make a sparse linear map from vertex values to per-triangle 3-vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,23 @@ def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
     else:
         zw = (z * op.tri_areas[:, None, None]).reshape(-1, z.shape[2])
     return op.adjoint @ zw
+
+
+def triangle_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n_tri, 3) or (n_tri, 3, c) stack,
+    over all its 3 * c entries: the bits of ``np.linalg.norm(x.reshape(n_tri,
+    -1), axis=1)``.
+
+    numpy adds fewer than 8 terms of a row left to right, so for three
+    entries the explicit sum gives the same bits without numpy's slow
+    reduction over a short axis; nine entries are summed pairwise, so a
+    color stack keeps ``np.add.reduce``.
+    """
+    sq = x.reshape(x.shape[0], math.prod(x.shape[1:]))  # also when empty
+    sq = sq * sq
+    if sq.shape[1] == 3:
+        return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    return np.sqrt(np.add.reduce(sq, axis=1))
 
 
 def assemble_gram(op: GradientOperator) -> sp.csr_matrix:

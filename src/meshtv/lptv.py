@@ -27,7 +27,7 @@ from .errors import (
     SupportGrew,
     ZeroResidualInSupport,
 )
-from .gradient import GradientOperator, assemble_gram
+from .gradient import GradientOperator, assemble_gram, triangle_norms
 from .imaging import MeshImage
 from .mesh import TriangleMesh
 
@@ -104,8 +104,7 @@ def _objective_raw(u: np.ndarray, part: FreePart, lam: float, p: float) -> float
     its offset added to the gradient, plus its pinned TV."""
     op = part.op
     grad = (op.matrix @ u).reshape(op.n_triangles, 3, -1) + part.offset
-    norms = np.linalg.norm(grad.reshape(op.n_triangles, -1), axis=1)
-    tv = float(op.tri_areas @ norms) + part.pinned_tv
+    tv = float(op.tri_areas @ triangle_norms(grad)) + part.pinned_tv
     data = float(np.sum(np.abs(u - part.f_free) ** p))
     return lam * data + tv
 

@@ -12,12 +12,14 @@ from grid_oracles import (
     shrink_1d_oracle,
     shrink_vec_oracle,
 )
-from meshtv import gradient, lptv
+from meshtv import admm, gradient, lptv
 from meshtv.admm import (
     NormalEquationSystem,
     _shrink_groups,
+    admm_solve,
     restrict,
     shrink_1d,
+    solve_normal_equation,
 )
 from meshtv.config import SolverConfig
 from meshtv.errors import DimensionMismatch
@@ -333,3 +335,139 @@ def test_l1tv_small_lambda_flattens(rng):
     out, _ = plm_solve(f, mesh, op, config, f)
     spread = out.values.max() - out.values.min()
     assert spread < 1e-2
+
+
+def _step_case(name, rng):
+    """(u_k, fitted, w, config, system, duals) of one subproblem in the
+    coordinates of its part, on icosphere(2): "gray" has full support,
+    "rgb-pin" a pinned channel at most free vertices.  The duals are nonzero
+    and the center is extrapolated, as ``plm_solve`` passes them on."""
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    if name == "gray":
+        f = rng.uniform(0, 1, size=(mesh.n_vertices, 1))
+        support = np.ones(f.shape, dtype=bool)
+    else:
+        f, support = _reference_case("rgb-pinned-channel", mesh, rng)
+    config = SolverConfig(lam=0.3, p=0.5, prox_weight=1.0, beta1=2.0,
+                          beta2=2.0, inner_tol=1e-8, inner_max_iter=1000)
+    system = prox_system(op, config, MeshImage(f), support)
+    part = system.part
+    fitted = support[part.vertices]
+    previous = part.f_free + rng.normal(scale=0.1, size=part.f_free.shape)
+    current = part.f_free + rng.normal(scale=0.1, size=part.f_free.shape)
+    u_k = current + 0.5 * (current - previous)
+    u_k[~fitted] = part.f_free[~fitted]
+    w = rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
+    duals = (rng.normal(scale=0.1, size=part.f_free.shape),
+             rng.normal(scale=0.1, size=part.offset.shape))
+    return u_k, fitted, w, config, system, duals
+
+
+def _out_of_place_admm(u_k, fitted, w, config, system, duals):
+    """The ADMM loop written out of place, one new array per operation, with
+    the group shrink's row norms from ``np.add.reduce``: the reference that
+    ``admm_solve`` must equal bit for bit."""
+    part = system.part
+    f_free, offset, sub_op = part.f_free, part.offset, part.op
+    unfitted = ~fitted if not fitted.all() else None
+    eta, mu = duals
+    beta1, beta2 = system.beta1, system.beta2
+    y_threshold = np.full(f_free.shape, np.inf)
+    y_threshold[fitted] = config.lam * w / beta1
+    z_threshold = 1.0 / beta2
+    rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
+                 - beta2 * gradient.apply_adjoint(sub_op, offset))
+    v = u_k
+    grad_v = gradient.apply(sub_op, v) + offset
+    iters, converged = config.inner_max_iter, False
+    for t in range(config.inner_max_iter):
+        y = shrink_1d(v - f_free + eta / beta1, y_threshold)
+        a = grad_v + mu / beta2
+        flat = a.reshape(a.shape[0], -1)
+        norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
+        z = a * (1.0 - z_threshold / np.maximum(norms, z_threshold))[:, None, None]
+        rhs = (gradient.apply_adjoint(sub_op, beta2 * z - mu) + beta1 * y - eta
+               + rhs_fixed)
+        v = solve_normal_equation(system, rhs)
+        grad_v = gradient.apply(sub_op, v) + offset
+        r_y = v - f_free - y
+        r_z = grad_v - z
+        eta = eta + beta1 * r_y
+        mu = mu + beta2 * r_z
+        if unfitted is None:
+            residuals = (r_y, r_z)
+        else:
+            residuals = (r_y[fitted], r_y[unfitted], r_z)
+        largest = max(np.linalg.norm(r) for r in residuals)
+        if largest / np.sqrt(part.size) < config.inner_tol:
+            iters, converged = t + 1, True
+            break
+    if unfitted is not None:
+        v[unfitted] = f_free[unfitted]
+    return v, iters, converged, (eta, mu)
+
+
+@pytest.mark.parametrize("name", ["gray", "rgb-pin"])
+def test_admm_solve_leaves_its_inputs_alone(name, rng):
+    # plm_solve solves a rejected or redone step again from the same duals
+    u_k, fitted, w, config, system, duals = _step_case(name, rng)
+    inputs = (u_k, fitted, w) + duals
+    kept = [a.copy() for a in inputs]
+    first = admm_solve(u_k, fitted, w, config, system, duals)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
+    second = admm_solve(u_k, fitted, w, config, system, duals)
+    assert first[1:3] == second[1:3]
+    for a, b in zip((first[0],) + first[3], (second[0],) + second[3]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("path", ["lu", "cg"])
+@pytest.mark.parametrize("name", ["gray", "rgb-pin"])
+def test_admm_solve_equals_the_out_of_place_loop_bit_for_bit(name, path,
+                                                             monkeypatch, rng):
+    if path == "cg":
+        monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
+    u_k, fitted, w, config, system, duals = _step_case(name, rng)
+    assert (system._lu is None) == (path == "cg")
+    v, iters, converged, (eta, mu) = admm_solve(u_k, fitted, w, config, system,
+                                                duals)
+    ref_v, ref_iters, ref_converged, (ref_eta, ref_mu) = _out_of_place_admm(
+        u_k, fitted, w, config, system, duals)
+    assert (iters, converged) == (ref_iters, ref_converged)
+    assert iters > 1
+    assert np.array_equal(v, ref_v)
+    assert np.array_equal(eta, ref_eta) and np.array_equal(mu, ref_mu)
+
+
+def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
+    # the benchmark's trace splits a step at these module attributes
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    f = rng.uniform(0, 1, size=(mesh.n_vertices, 1))
+    config = SolverConfig(lam=0.5, p=1.0, beta1=2.0, beta2=2.0,
+                          inner_tol=1e-8, inner_max_iter=2000)
+    whole = restrict(op, np.arange(mesh.n_vertices), f)
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
+                                  0.0, whole)
+    calls = dict.fromkeys(["shrink_1d", "_shrink_groups", "solve_normal_equation",
+                           "apply", "apply_adjoint"], 0)
+
+    def counting(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args):
+            calls[attr] += 1
+            return original(*args)
+        monkeypatch.setattr(module, attr, counted)
+
+    for attr in ("shrink_1d", "_shrink_groups", "solve_normal_equation"):
+        counting(admm, attr)
+    for attr in ("apply", "apply_adjoint"):
+        counting(gradient, attr)
+    _, n, converged, _ = admm_solve(f, np.ones(f.shape, dtype=bool),
+                                    np.ones(f.size), config, system)
+    assert converged and n > 1
+    assert calls == {"shrink_1d": n, "_shrink_groups": n,
+                     "solve_normal_equation": n, "apply": n + 1,
+                     "apply_adjoint": n + 1}

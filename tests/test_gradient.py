@@ -10,6 +10,7 @@ from meshtv.gradient import (
     apply_adjoint,
     assemble_gram,
     build_gradient_operator,
+    triangle_norms,
 )
 from meshtv.mesh import TriangleMesh
 from meshtv.synthetic import icosphere, planar_grid
@@ -168,6 +169,21 @@ def test_stored_adjoint_matches_the_transpose_product_bit_for_bit(channels, rng)
             z = rng.normal(size=(o.n_triangles, 3, channels))
             weighted = (z * areas[:, :, None]).reshape(-1, channels)
         assert np.array_equal(apply_adjoint(o, z), o.matrix.T @ weighted)
+
+
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+def test_triangle_norms_equal_the_linalg_norm_bit_for_bit(channels, rng):
+    # gradient stacks of a full and a restricted operator, with zero rows
+    op = build_gradient_operator(_relabeled_icosphere(3, rng))
+    for o in _full_and_restricted(op, channels, rng):
+        x = apply(o, rng.normal(size=(o.n_vertices, channels)))
+        x[::7] = 0.0
+        n = o.n_triangles
+        expected = np.linalg.norm(x.reshape(n, -1), axis=1)
+        assert np.array_equal(triangle_norms(x), expected)
+        if channels == 1:
+            assert np.array_equal(triangle_norms(x[:, :, 0]), expected)
+    assert triangle_norms(np.zeros((0, 3, channels))).shape == (0,)
 
 
 def test_apply_adjoint_builds_no_transpose(monkeypatch, rng):
