@@ -3,6 +3,8 @@
 # every input format, and the refusals that must exit with one error line.
 # Writes under $RUNNER_TEMP; run as `RUNNER_TEMP=<scratch dir> bash .github/cli-checks.sh`.
 set -eo pipefail
+# a numpy RuntimeWarning in any command below is an error
+export PYTHONWARNINGS=error::RuntimeWarning
 : "${RUNNER_TEMP:?set RUNNER_TEMP to a scratch directory}"
 
 meshtv --synthetic icosphere_k=1,pattern=two_patch --trials 1 --no-time --out "$RUNNER_TEMP/meshtv-cli"

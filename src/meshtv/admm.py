@@ -134,10 +134,11 @@ class NormalEquationSystem:
     depends on the support through its free-vertex set; the set only shrinks
     during an Lp-TV solve, so ``plm_solve`` builds a new system only when it
     does, and one factorization (or preconditioner) serves every inner
-    iteration in between.  Whether the system is factorized or solved by CG
-    depends on its size, the number of free vertices.  Because the penalties
-    stay fixed, the multipliers of one outer iteration are also a valid
-    starting point for the next, and ``plm_solve`` passes them on.  The
+    iteration in between.  Up to DIRECT_SOLVE_MAX_VERTICES free vertices
+    (``n``) the system keeps only its LU factor; above, only the CSR
+    ``matrix`` and the Jacobi preconditioner that CG reads.  Because the
+    penalties stay fixed, the multipliers of one outer iteration are also a
+    valid starting point for the next, and ``plm_solve`` passes them on.  The
     penalties and the proximal weight are kept because the ADMM steps must
     use the ones the matrix was built with; this system is their only source.
     """
@@ -148,54 +149,44 @@ class NormalEquationSystem:
             raise ValueError("penalties and prox_weight must be finite")
         if beta1 <= 0.0 or beta2 <= 0.0 or prox_weight < 0.0:
             raise ValueError("penalties must be positive, prox_weight nonnegative")
-        n = gram.shape[0]
+        self.n = gram.shape[0]
         self.beta1, self.beta2, self.prox_weight = beta1, beta2, prox_weight
         self.part = part
-        self.matrix = (beta2 * gram + (prox_weight + beta1) * sp.identity(n)).tocsr()
-        if n <= DIRECT_SOLVE_MAX_VERTICES:
+        matrix = beta2 * gram + (prox_weight + beta1) * sp.identity(self.n)
+        if self.n <= DIRECT_SOLVE_MAX_VERTICES:
             try:
-                self._lu = spla.splu(self.matrix.tocsc())
+                self._lu = spla.splu(matrix.tocsc())
             except RuntimeError as exc:
                 raise SingularSystem(str(exc)) from exc
-            self._precond = None
         else:
             self._lu = None
-            diag = self.matrix.diagonal()
-            if np.any(diag <= 0.0):
-                raise SingularSystem("nonpositive diagonal in SPD system")
-            self._precond = sp.diags(1.0 / diag)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+            self.matrix = matrix.tocsr()
+            # the Gram diagonal is nonnegative, so this one is at least beta1 > 0
+            self._precond = sp.diags(1.0 / self.matrix.diagonal())
 
 
 def solve_normal_equation(system: NormalEquationSystem,
                           rhs: np.ndarray) -> np.ndarray:
-    """Solve the vertex system for one or several right-hand-side columns."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != system.n:
-        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows for n={system.n}")
+    """Solve the vertex system for an (n, channels) right-hand side."""
+    if rhs.ndim != 2 or rhs.shape[0] != system.n:
+        raise DimensionMismatch(f"rhs is {rhs.shape}, not (n={system.n}, channels)")
     if system._lu is not None:
         return system._lu.solve(rhs)
-    cols = rhs[:, None] if rhs.ndim == 1 else rhs
-    out = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        x, info = spla.cg(
-            system.matrix, cols[:, j], rtol=CG_TOL, atol=0.0,
+    out = np.empty_like(rhs)
+    for j in range(rhs.shape[1]):
+        out[:, j], info = spla.cg(
+            system.matrix, rhs[:, j], rtol=CG_TOL, atol=0.0,
             maxiter=CG_MAX_ITER, M=system._precond,
         )
         if info > 0:
             raise IterationLimitExceeded(f"CG stopped after {CG_MAX_ITER} iterations")
         if info < 0:
             raise SingularSystem("CG reported an invalid system")
-        out[:, j] = x
-    return out[:, 0] if rhs.ndim == 1 else out
+    return out
 
 
 def admm_solve(
     u_k: np.ndarray,
-    fitted: np.ndarray,
     w: np.ndarray,
     config: SolverConfig,
     system: NormalEquationSystem,
@@ -211,19 +202,19 @@ def admm_solve(
     side's fixed terms beta1 * f_F + prox_weight * u_k - beta2 * D_F^T A g0
     (A the areas) are built once per solve.  ``u_k`` (|F|, channels) is both
     the proximal center and the starting iterate; ``plm_solve`` passes either
-    its current iterate or an extrapolated one.  ``fitted`` is the boolean
-    support mask on F, shaped like ``u_k``, and ``w`` holds one weight per
-    True entry, in C order.
+    its current iterate or an extrapolated one.  ``w`` holds one fidelity
+    weight per value, shaped like ``u_k``: finite where the value is fitted,
+    +inf where it is pinned.  L1-TV is ``w`` all ones.
 
     Minimizes lam * sum_j w_j |v_j - f_j| over the fitted entries, plus the
     area-weighted TV on T and prox_weight/2 * ||v - u_k||^2, subject to
-    v_j = f_j at the other entries.  For a color image a channel pinned at a
-    free vertex stays among the unknowns as a weight of +inf: its y threshold
-    is +inf, so its y stays 0 and its ``r_pin`` residual measures v_j - f_j;
-    without such a channel there is no ``r_pin`` to compute.  Residual norms
-    are scaled by sqrt(``part.size``), the whole image's value count.  The
-    penalties and the proximal weight are those ``system`` was built with;
-    from ``config`` only lam, inner_tol and inner_max_iter are read.
+    v_j = f_j at the pinned entries.  For a color image a channel pinned at a
+    free vertex stays among the unknowns: its y threshold is +inf, so its y
+    stays 0 and its ``r_pin`` residual measures v_j - f_j; without such a
+    channel there is no ``r_pin`` to compute.  Residual norms are scaled by
+    sqrt(``part.size``), the whole image's value count.  The penalties and
+    the proximal weight are those ``system`` was built with; from ``config``
+    only lam, inner_tol and inner_max_iter are read.
 
     ``duals`` is the multiplier pair (eta, mu), shaped (|F|, channels) and
     (|T|, 3, channels), or None for zeros.  The splitting variables (y, z)
@@ -237,22 +228,19 @@ def admm_solve(
     a False flag means the residual rule was not met within inner_max_iter.
     """
     f_free, offset, sub_op = system.part.f_free, system.part.offset, system.part.op
-    if fitted.dtype != bool or not u_k.shape == fitted.shape == f_free.shape:
-        raise DimensionMismatch(f"center and boolean support must be {f_free.shape}")
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (np.count_nonzero(fitted),):
-        raise DimensionMismatch("one weight per support entry required")
+    if not u_k.shape == w.shape == f_free.shape:
+        raise DimensionMismatch(f"center and weights must be {f_free.shape}")
     if duals is None:
         duals = np.zeros(f_free.shape), np.zeros(offset.shape)
     elif duals[0].shape != f_free.shape or duals[1].shape != offset.shape:
         raise DimensionMismatch("duals must be shaped like the part and its gradient")
+    fitted = np.isfinite(w)
     # None when no channel is pinned at a free vertex (always for gray images)
     unfitted = ~fitted if not fitted.all() else None
     eta, mu = duals[0].copy(), duals[1].copy()
 
     beta1, beta2 = system.beta1, system.beta2
-    y_threshold = np.full(f_free.shape, np.inf)
-    y_threshold[fitted] = config.lam * w / beta1
+    y_threshold = config.lam * w / beta1
     z_threshold = 1.0 / beta2
     rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
                  - beta2 * gradient.apply_adjoint(sub_op, offset))
@@ -306,8 +294,6 @@ def admm_solve(
 
 def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig,
                      system: NormalEquationSystem):
-    """L1-TV from the value array ``u0``: the subproblem of a ``system`` whose
-    part is every vertex, with full support, unit weights, no proximal term
-    and zero starting duals.  Returns (values, inner_iterations, converged)."""
-    fitted = np.ones(u0.shape, dtype=bool)
-    return admm_solve(u0, fitted, np.ones(u0.size), config, system)[:3]
+    """L1-TV from ``u0``: the subproblem of an all-vertex ``system`` with unit
+    weights and zero duals.  Returns (values, inner_iterations, converged)."""
+    return admm_solve(u0, np.ones(u0.shape), config, system)[:3]

@@ -1,13 +1,15 @@
 """Solver configuration.
 
-The support of the fidelity term is not a type of its own: the solver passes
+The support of the fidelity term is not a type of its own: the solver keeps
 it as a boolean array shaped like the image values, True where a value is
-still fitted and False where it is pinned to the observed data.
+still fitted, and hands the inner solver one weight per value, +inf where a
+value is pinned to the observed data.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -49,5 +51,6 @@ class SolverConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("outer_max_iter", "inner_max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

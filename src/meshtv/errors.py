@@ -27,7 +27,7 @@ class DimensionMismatch(MeshTVError):
 
 
 class NaNInput(MeshTVError):
-    """Input contains NaN where finite values are required."""
+    """Input contains a NaN or infinite value where finite values are required."""
 
 
 class ZeroResidualInSupport(MeshTVError):

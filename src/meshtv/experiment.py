@@ -3,15 +3,16 @@
 For every (noise level, trial) the harness corrupts the clean image with a
 trial-specific seed, solves L1-TV once, then runs the nonconvex solver for
 each requested p warm-started from that result, sharing the noisy image
-across methods.  Per-method PSNR / wall time / outer iterations are averaged
-over trials and written to ``results.csv``; trial 0 additionally leaves a
-restored PLY and a trace CSV per method.
+across methods.  Per-method PSNR / wall time / outer iterations / final
+objective are averaged over trials and written to ``results.csv``; trial 0
+additionally leaves a restored PLY and a trace CSV per method.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,11 +30,11 @@ from .imaging import (
     read_image,
     write_ply_with_image,
 )
-from .lptv import plm_solve
+from .lptv import objective, plm_solve
 from .mesh import load_mesh
 from .synthetic import generate_synthetic
 
-RESULTS_HEADER = "image,noise_level,method,psnr_db,wall_time_s,outer_iters"
+RESULTS_HEADER = "image,noise_level,method,psnr_db,wall_time_s,outer_iters,objective"
 
 
 @dataclass
@@ -61,10 +62,10 @@ class ExperimentSpec:
         if self.synthetic is None and (self.mesh_path is None
                                        or self.image_path is None):
             raise ValueError("need either synthetic or mesh_path + image_path")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base seed {self.base_seed} is negative")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials {self.trials!r} is not an integer >= 1")
+        if not isinstance(self.base_seed, numbers.Integral) or self.base_seed < 0:
+            raise ValueError(f"base_seed {self.base_seed!r} is not an integer >= 0")
         if not self.noise_levels:
             raise ValueError("need at least one noise level")
         # values that print alike under :g would write result rows that read
@@ -89,6 +90,7 @@ class ResultRow:
     psnr_db: float
     wall_time_s: float
     outer_iters: int
+    objective: float
 
 
 def _load_inputs(spec: ExperimentSpec):
@@ -113,7 +115,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     methods = [("L1TV", 1.0)] + [(f"LpTV_p{p:g}", p) for p in spec.p_values]
     rows: list[ResultRow] = []
     for level in spec.noise_levels:
-        # per method, one (PSNR, wall time, outer iterations) per trial
+        # per method, one (PSNR, wall time, outer iterations, objective) per trial
         runs: list[list[tuple]] = [[] for _ in methods]
         for trial in range(spec.trials):
             noisy = add_salt_pepper(clean, NoiseSpec(level, spec.base_seed + trial))
@@ -125,10 +127,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 elapsed = time.perf_counter() - tic
                 if label == "L1TV":
                     u0 = restored  # the Lp-TV solves start from L1-TV's result
+                value = objective(restored, noisy, op, config)
                 restored = clamp_to_unit(restored)
                 method_runs.append((psnr(restored, clean),
                                     elapsed if spec.record_time else 0.0,
-                                    len(trace)))
+                                    len(trace), value))
                 if trial == 0:
                     out_dir = os.path.join(spec.output_dir, image_name,
                                            f"noise_{level:g}", label)
@@ -137,7 +140,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                                          mesh, restored)
                     trace.write_csv(os.path.join(out_dir, "trace.csv"))
         for (label, _), method_runs in zip(methods, runs):
-            psnrs, times, iters = zip(*method_runs)
+            psnrs, times, iters, values = zip(*method_runs)
             rows.append(ResultRow(
                 image_name=image_name,
                 noise_level=level,
@@ -145,6 +148,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 psnr_db=float(np.mean(psnrs)),
                 wall_time_s=float(np.mean(times)),
                 outer_iters=int(round(float(np.mean(iters)))),
+                objective=float(np.mean(values)),
             ))
 
     write_results_csv(os.path.join(spec.output_dir, "results.csv"), rows)
@@ -160,4 +164,4 @@ def write_results_csv(path: str, rows: list[ResultRow]) -> None:
         for row in rows:
             writer.writerow([row.image_name, f"{row.noise_level:g}", row.method,
                              f"{row.psnr_db:.6f}", f"{row.wall_time_s:.6f}",
-                             row.outer_iters])
+                             row.outer_iters, f"{row.objective:.10g}"])

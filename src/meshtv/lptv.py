@@ -23,6 +23,7 @@ from .admm import (FreePart, NormalEquationSystem, _l1tv_solve_full,
 from .config import SolverConfig
 from .errors import (
     DimensionMismatch,
+    NaNInput,
     NonFiniteIterate,
     SupportGrew,
     ZeroResidualInSupport,
@@ -140,19 +141,21 @@ def support_eps(u: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
 
 
 def weights(u: np.ndarray, f: np.ndarray, support: np.ndarray, p: float) -> np.ndarray:
-    """Linearization weights p * |u_j - f_j|^(p-1) of the value arrays ``u``
-    and ``f`` on the support mask.
+    """Fidelity weights of the value arrays ``u`` and ``f``, shaped like them:
+    p * |u_j - f_j|^(p-1) on the ``support`` mask and +inf, a pin, off it.
 
-    One weight per True entry of ``support``, in C order.  Requires strictly
-    positive residuals there; a zero residual means the support bookkeeping
-    is broken.  For p = 1 all weights are 1.
+    A zero residual on the support means the support bookkeeping is broken.
+    A supported residual below about 1e-300 (an ``eps_support`` that small)
+    can overflow its weight to +inf, which pins that value too.
     """
     if u.shape != f.shape:
         raise DimensionMismatch("u and f must have identical shapes")
     residual = np.abs(u - f)[support]
     if np.any(residual == 0.0):
         raise ZeroResidualInSupport("zero residual inside the support")
-    return p * residual ** (p - 1.0)
+    w = np.full(u.shape, np.inf)
+    w[support] = p * residual ** (p - 1.0)
+    return w
 
 
 def plm_solve(
@@ -204,8 +207,11 @@ def plm_solve(
     ``trace.converged`` is True only when the outer loop met ``outer_tol``,
     the last inner solve converged and every step ended at or above the
     floor.  A non-converged inner solve is logged and recorded rather than
-    raised.
+    raised.  A NaN or infinite value in ``f`` or ``u0`` raises ``NaNInput``
+    before any solve.
     """
+    if not (np.isfinite(f.values).all() and np.isfinite(u0.values).all()):
+        raise NaNInput("f and u0 must be finite")
     if mesh.n_vertices != op.n_vertices:
         raise DimensionMismatch("mesh and operator vertex counts differ")
     if f.vertex_count != op.n_vertices:
@@ -287,7 +293,7 @@ def plm_solve(
                 tries.insert(0, (c, config, 0.0))
             for kept, (center, solve_config, bar) in enumerate(tries):
                 u_next, iters, inner_ok, duals_next = admm_solve(
-                    center, support, w, solve_config, system, duals)
+                    center, w, solve_config, system, duals)
                 inner_iters += iters
                 f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
                                                     config.prox_weight, jump_sq, k)

@@ -43,11 +43,15 @@ def prox_system(op, config, f, support):
 
 
 def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
-    """``admm_solve`` on full-size images, masks and duals: ``u_k``,
-    ``support`` and the duals are sliced to the rows of ``system.part``, and
-    the solve's values and duals are scattered back into copies of ``f`` and
-    of the duals (zeros when None).  Returns what ``admm_solve`` returns."""
+    """``admm_solve`` on full-size images, masks and duals: ``w`` holds one
+    weight per True entry of ``support`` in C order, and is spread into a
+    weight array that is +inf off the support; ``u_k``, the weights and the
+    duals are sliced to the rows of ``system.part``, and the solve's values
+    and duals are scattered back into copies of ``f`` and of the duals
+    (zeros when None).  Returns what ``admm_solve`` returns."""
     rows, triangles = system.part.vertices, system.part.triangles
+    weights = np.full(support.shape, np.inf)
+    weights[support] = w
     if duals is None:
         full = (np.zeros(f.values.shape),
                 np.zeros((op.n_triangles, 3, f.channel_count)))
@@ -55,7 +59,7 @@ def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
     else:
         full, part_duals = duals, (duals[0][rows], duals[1][triangles])
     v, iters, converged, (eta, mu) = admm_solve(
-        u_k.values[rows], support[rows], w, config, system, part_duals)
+        u_k.values[rows], weights[rows], config, system, part_duals)
     out, eta_out, mu_out = f.values.copy(), full[0].copy(), full[1].copy()
     out[rows], eta_out[rows], mu_out[triangles] = v, eta, mu
     return MeshImage(out), iters, converged, (eta_out, mu_out)

@@ -50,15 +50,17 @@ def test_empty_support_returns_data(two_triangle_mesh, rng):
     assert np.array_equal(out.values, f.values)
 
 
-def test_support_mask_must_match_image_shape(rng):
-    # an RGB image needs an (n, 3) mask; the flat mask of the same size is refused
+def test_weights_must_match_image_shape(rng):
+    # an RGB part needs (n, 3) weights; the flat array of the same size is refused
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
     f = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
     system = prox_system(op, TINY_CONFIG, f, np.ones(f.values.shape, dtype=bool))
-    flat = np.ones(f.values.size, dtype=bool)
     with pytest.raises(DimensionMismatch):
-        admm_full_size(f, f, flat, np.ones(f.values.size), op, TINY_CONFIG, system)
+        admm_solve(f.values, np.ones(f.values.size), TINY_CONFIG, system)
+    # so is a center of the wrong shape
+    with pytest.raises(DimensionMismatch):
+        admm_solve(f.values[:, :1], np.ones(f.values.shape), TINY_CONFIG, system)
 
 
 def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
@@ -338,10 +340,10 @@ def test_l1tv_small_lambda_flattens(rng):
 
 
 def _step_case(name, rng):
-    """(u_k, fitted, w, config, system, duals) of one subproblem in the
-    coordinates of its part, on icosphere(2): "gray" has full support,
-    "rgb-pin" a pinned channel at most free vertices.  The duals are nonzero
-    and the center is extrapolated, as ``plm_solve`` passes them on."""
+    """(u_k, w, config, system, duals) of one subproblem in the coordinates
+    of its part, on icosphere(2): "gray" has full support, "rgb-pin" a pinned
+    channel (weight +inf) at most free vertices.  The duals are nonzero and
+    the center is extrapolated, as ``plm_solve`` passes them on."""
     mesh = icosphere(2)
     op = build_gradient_operator(mesh)
     if name == "gray":
@@ -358,23 +360,26 @@ def _step_case(name, rng):
     current = part.f_free + rng.normal(scale=0.1, size=part.f_free.shape)
     u_k = current + 0.5 * (current - previous)
     u_k[~fitted] = part.f_free[~fitted]
-    w = rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
+    w = np.full(fitted.shape, np.inf)
+    w[fitted] = rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
     duals = (rng.normal(scale=0.1, size=part.f_free.shape),
              rng.normal(scale=0.1, size=part.offset.shape))
-    return u_k, fitted, w, config, system, duals
+    return u_k, w, config, system, duals
 
 
-def _out_of_place_admm(u_k, fitted, w, config, system, duals):
+def _out_of_place_admm(u_k, w, config, system, duals):
     """The ADMM loop written out of place, one new array per operation, with
-    the group shrink's row norms from ``np.add.reduce``: the reference that
-    ``admm_solve`` must equal bit for bit."""
+    the y thresholds set only at the finite weights and the group shrink's
+    row norms from ``np.add.reduce``: the reference that ``admm_solve`` must
+    equal bit for bit."""
     part = system.part
     f_free, offset, sub_op = part.f_free, part.offset, part.op
+    fitted = np.isfinite(w)
     unfitted = ~fitted if not fitted.all() else None
     eta, mu = duals
     beta1, beta2 = system.beta1, system.beta2
     y_threshold = np.full(f_free.shape, np.inf)
-    y_threshold[fitted] = config.lam * w / beta1
+    y_threshold[fitted] = config.lam * w[fitted] / beta1
     z_threshold = 1.0 / beta2
     rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
                  - beta2 * gradient.apply_adjoint(sub_op, offset))
@@ -411,12 +416,12 @@ def _out_of_place_admm(u_k, fitted, w, config, system, duals):
 @pytest.mark.parametrize("name", ["gray", "rgb-pin"])
 def test_admm_solve_leaves_its_inputs_alone(name, rng):
     # plm_solve solves a rejected or redone step again from the same duals
-    u_k, fitted, w, config, system, duals = _step_case(name, rng)
-    inputs = (u_k, fitted, w) + duals
+    u_k, w, config, system, duals = _step_case(name, rng)
+    inputs = (u_k, w) + duals
     kept = [a.copy() for a in inputs]
-    first = admm_solve(u_k, fitted, w, config, system, duals)
+    first = admm_solve(u_k, w, config, system, duals)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-    second = admm_solve(u_k, fitted, w, config, system, duals)
+    second = admm_solve(u_k, w, config, system, duals)
     assert first[1:3] == second[1:3]
     for a, b in zip((first[0],) + first[3], (second[0],) + second[3]):
         assert np.array_equal(a, b)
@@ -428,12 +433,12 @@ def test_admm_solve_equals_the_out_of_place_loop_bit_for_bit(name, path,
                                                              monkeypatch, rng):
     if path == "cg":
         monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
-    u_k, fitted, w, config, system, duals = _step_case(name, rng)
+    u_k, w, config, system, duals = _step_case(name, rng)
     assert (system._lu is None) == (path == "cg")
-    v, iters, converged, (eta, mu) = admm_solve(u_k, fitted, w, config, system,
-                                                duals)
+    assert np.isinf(w).any() == (name == "rgb-pin")
+    v, iters, converged, (eta, mu) = admm_solve(u_k, w, config, system, duals)
     ref_v, ref_iters, ref_converged, (ref_eta, ref_mu) = _out_of_place_admm(
-        u_k, fitted, w, config, system, duals)
+        u_k, w, config, system, duals)
     assert (iters, converged) == (ref_iters, ref_converged)
     assert iters > 1
     assert np.array_equal(v, ref_v)
@@ -465,8 +470,7 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
         counting(admm, attr)
     for attr in ("apply", "apply_adjoint"):
         counting(gradient, attr)
-    _, n, converged, _ = admm_solve(f, np.ones(f.shape, dtype=bool),
-                                    np.ones(f.size), config, system)
+    _, n, converged, _ = admm_solve(f, np.ones(f.shape), config, system)
     assert converged and n > 1
     assert calls == {"shrink_1d": n, "_shrink_groups": n,
                      "solve_normal_equation": n, "apply": n + 1,

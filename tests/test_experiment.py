@@ -54,7 +54,8 @@ def test_run_experiment_rows_and_layout(tmp_path):
     assert methods == {"L1TV", "LpTV_p0.5"}
     results = tmp_path / "out" / "results.csv"
     lines = results.read_text().splitlines()
-    assert lines[0] == "image,noise_level,method,psnr_db,wall_time_s,outer_iters"
+    assert lines[0] == ("image,noise_level,method,psnr_db,wall_time_s,"
+                        "outer_iters,objective")
     assert len(lines) == 1 + len(rows)
     image_name = rows[0].image_name
     for level in ("0.1", "0.2"):
@@ -92,6 +93,7 @@ def test_timed_runs_agree_except_wall_time(tmp_path):
             rb.image_name, rb.noise_level, rb.method)
         assert ra.psnr_db == rb.psnr_db
         assert ra.outer_iters == rb.outer_iters
+        assert ra.objective == rb.objective
         assert ra.wall_time_s > 0.0 and rb.wall_time_s > 0.0
 
 
@@ -135,6 +137,13 @@ def test_spec_validation(tmp_path):
         _tiny_spec(tmp_path, noise_levels=(1.5,))
     with pytest.raises(ValueError):
         _tiny_spec(tmp_path, trials=0)
+    # counts are integers; numpy integers are accepted
+    for name in ("trials", "base_seed"):
+        with pytest.raises(ValueError, match=name):
+            _tiny_spec(tmp_path, **{name: 2.5})
+        with pytest.raises(ValueError, match=name):
+            _tiny_spec(tmp_path, **{name: 1.0})
+        assert getattr(_tiny_spec(tmp_path, **{name: np.int64(3)}), name) == 3
 
 
 def _run_cli(args, cwd):

@@ -13,6 +13,7 @@ from meshtv.config import SolverConfig
 from meshtv.errors import (
     DimensionMismatch,
     IterationLimitExceeded,
+    NaNInput,
     SupportGrew,
     ZeroResidualInSupport,
 )
@@ -88,11 +89,14 @@ def test_weights_examples():
     f = np.zeros((3, 1))
     u = np.array([[4.0], [1.0], [0.0]])
     support = np.array([[True], [True], [False]])
+    # one weight per value: the linearization weight on the support, a pin
+    # (+inf) off it, even where the residual is zero
     w = weights(u, f, support, 0.5)
-    assert w[0] == pytest.approx(0.25)
+    assert w.shape == u.shape
+    assert w[0, 0] == pytest.approx(0.25) and w[2, 0] == np.inf
     w9 = weights(u, f, support, 0.9)
-    assert w9[1] == pytest.approx(0.9)
-    assert np.allclose(weights(u, f, support, 1.0), 1.0)
+    assert w9[1, 0] == pytest.approx(0.9) and w9[2, 0] == np.inf
+    assert np.array_equal(weights(u, f, support, 1.0), [[1.0], [1.0], [np.inf]])
 
 
 def test_weights_zero_residual_raises():
@@ -213,8 +217,8 @@ def _spy_on_admm(monkeypatch, f):
     calls = []
     original = lptv.admm_solve
 
-    def spy(u_k, fitted, w, config, system, duals=None):
-        result = original(u_k, fitted, w, config, system, duals)
+    def spy(u_k, w, config, system, duals=None):
+        result = original(u_k, w, config, system, duals)
         whole = f.values.copy()
         whole[system.part.vertices] = result[0]
         calls.append((config.inner_tol, duals, result[3], u_k.copy(), whole,
@@ -590,6 +594,29 @@ def test_plm_dimension_checks():
         plm_solve(f, mesh, op, PLM_CONFIG, u0=bad)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("where", ["u0", "f"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_plm_refuses_a_non_finite_input_before_any_solve(bad, where, p,
+                                                         monkeypatch):
+    # a NaN in u0 used to be pinned silently, with a run reported converged
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    config = SolverConfig(lam=0.3, p=1.0, beta1=6.0, beta2=6.0)
+    warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
+    images = {"u0": warm.values.copy(), "f": noisy.values.copy()}
+    images[where][7, 0] = bad
+    calls = []
+    for module in (admm, lptv):
+        monkeypatch.setattr(module, "admm_solve", lambda *args, solve=module.admm_solve:
+                            calls.append(args) or solve(*args))
+    with pytest.raises(NaNInput):
+        plm_solve(MeshImage(images["f"]), mesh, op,
+                  dataclasses.replace(config, p=p), u0=MeshImage(images["u0"]))
+    assert calls == []
+
+
 def test_trace_csv_round_trip(tmp_path):
     trace = SolverTrace()
     trace.append(TraceRecord(0, 12.5, 100, 0.5, 0.01, 42))
@@ -616,6 +643,13 @@ def test_solver_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 SolverConfig(**{name: bad})
+    # iteration counts must be integers; numpy integers are accepted
+    for name in ("outer_max_iter", "inner_max_iter"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: 2.5})
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: 100.0})
+        assert getattr(SolverConfig(**{name: np.int64(7)}), name) == 7
     config = SolverConfig(lam=0.3)
     assert config.beta1 == pytest.approx(3.0)
     assert config.beta2 == pytest.approx(3.0)

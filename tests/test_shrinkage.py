@@ -11,6 +11,7 @@ from meshtv.admm import (
     shrink_1d,
     solve_normal_equation,
 )
+from meshtv.errors import DimensionMismatch
 from meshtv.gradient import assemble_gram, build_gradient_operator
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
@@ -132,8 +133,11 @@ def _identity_system(scale, op, n):
 def test_solve_scaled_identity(two_triangle_mesh):
     op = build_gradient_operator(two_triangle_mesh)
     system = _identity_system(2.0, op, 2)
-    out = solve_normal_equation(system, np.array([2.0, 4.0]))
-    assert np.allclose(out, [1.0, 2.0], atol=1e-12)
+    out = solve_normal_equation(system, np.array([[2.0], [4.0]]))
+    assert np.allclose(out, [[1.0], [2.0]], atol=1e-12)
+    # the right-hand side is (n, channels), as the ADMM loop builds it
+    with pytest.raises(DimensionMismatch):
+        solve_normal_equation(system, np.array([2.0, 4.0]))
 
 
 def test_solve_matches_dense_lu(two_triangle_mesh, rng):
@@ -141,9 +145,11 @@ def test_solve_matches_dense_lu(two_triangle_mesh, rng):
     gram = assemble_gram(op)
     system = NormalEquationSystem(gram, beta1=0.7, beta2=1.3, prox_weight=0.5,
                                   part=_whole(op))
-    dense = system.matrix.toarray()
+    # the LU path keeps only its factor
+    assert not hasattr(system, "matrix")
+    dense = 1.3 * gram.toarray() + (0.5 + 0.7) * np.eye(4)
     for _ in range(20):
-        rhs = rng.normal(size=4)
+        rhs = rng.normal(size=(4, 1))
         x = solve_normal_equation(system, rhs)
         expected = np.linalg.solve(dense, rhs)
         assert np.abs(x - expected).max() < 1e-8
@@ -151,18 +157,20 @@ def test_solve_matches_dense_lu(two_triangle_mesh, rng):
 
 def test_solve_consistency_constant(two_triangle_mesh):
     op = build_gradient_operator(two_triangle_mesh)
-    system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0, _whole(op))
-    rhs = system.matrix @ np.ones(4)
+    gram = assemble_gram(op)
+    system = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
+    rhs = (gram.toarray() + 2.0 * np.eye(4)) @ np.ones((4, 1))
     out = solve_normal_equation(system, rhs)
     assert np.abs(out - 1.0).max() < 1e-10
 
 
 def test_solve_multiple_channels(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
-    system = NormalEquationSystem(assemble_gram(op), 1.0, 1.0, 1.0, _whole(op))
+    gram = assemble_gram(op)
+    system = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
     rhs = rng.normal(size=(4, 3))
     out = solve_normal_equation(system, rhs)
-    assert np.abs(system.matrix @ out - rhs).max() < 1e-10
+    assert np.abs((gram.toarray() + 2.0 * np.eye(4)) @ out - rhs).max() < 1e-10
 
 
 def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
@@ -173,6 +181,9 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
     direct = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
     monkeypatch.setattr(admm_mod, "DIRECT_SOLVE_MAX_VERTICES", 0)
     iterative = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
+    # only the CG path stores the matrix it multiplies by
+    assert not hasattr(direct, "matrix") and iterative._lu is None
+    assert iterative.matrix.format == "csr"
     # three columns, as an RGB image gives
     rhs = rng.normal(size=(4, 3))
     a = solve_normal_equation(direct, rhs)
