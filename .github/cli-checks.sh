@@ -26,6 +26,17 @@ with open(sys.argv[1], newline='') as fh:
     rows = list(csv.DictReader(fh))
 assert len(rows) == 6 and all(math.isfinite(float(r['psnr_db'])) for r in rows), rows
 " "$RUNNER_TEMP/meshtv-k3/results.csv"
+# each Lp-TV stop comes from a converged step solved at the full --inner-tol
+# (1e-06, or 1e-08 for a redo), not at a looser, step-tied tolerance
+python -c "
+import csv, glob, os, sys
+paths = sorted(glob.glob(os.path.join(sys.argv[1], '*', 'noise_*', 'LpTV_p*', 'trace.csv')))
+assert len(paths) == 4, paths
+for path in paths:
+    with open(path, newline='') as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert float(last['inner_tol']) <= 1e-06 and last['inner_converged'] == 'True', (path, last)
+" "$RUNNER_TEMP/meshtv-k3"
 # the file-input path: an RGB icosphere(1) as mesh and image in one PLY
 python -c "
 import sys

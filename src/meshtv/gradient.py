@@ -103,20 +103,22 @@ def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
 
 
 def triangle_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n_tri, 3) or (n_tri, 3, c) stack,
-    over all its 3 * c entries: the bits of ``np.linalg.norm(x.reshape(n_tri,
-    -1), axis=1)``.
+    """Euclidean norm of each row of an (n_tri, 3) gray or (n_tri, 3, 3)
+    color stack, over all its 3 or 9 entries: the bits of
+    ``np.linalg.norm(x.reshape(n_tri, -1), axis=1)``.
 
-    numpy adds fewer than 8 terms of a row left to right, so for three
-    entries the explicit sum gives the same bits without numpy's slow
-    reduction over a short axis; nine entries are summed pairwise, so a
-    color stack keeps ``np.add.reduce``.
+    numpy adds fewer than 8 terms of a row left to right, and 8 to 15 in
+    eight pairwise-combined accumulators followed by the rest, so the
+    explicit sums give the same bits without numpy's slow reduction over a
+    short axis.
     """
     sq = x.reshape(x.shape[0], math.prod(x.shape[1:]))  # also when empty
     sq = sq * sq
-    if sq.shape[1] == 3:
-        return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-    return np.sqrt(np.add.reduce(sq, axis=1))
+    s = sq.T
+    if len(s) == 3:
+        return np.sqrt(s[0] + s[1] + s[2])
+    return np.sqrt((((s[0] + s[1]) + (s[2] + s[3]))
+                    + ((s[4] + s[5]) + (s[6] + s[7]))) + s[8])
 
 
 def assemble_gram(op: GradientOperator) -> sp.csr_matrix:

@@ -44,6 +44,12 @@ SLACK_FLOOR_FACTOR = 1e-6
 # the fewest ADMM steps on both Lp-TV benchmark workloads.
 EXTRAPOLATION = 0.5
 
+# Factor of the inner tolerance tied to the last outer step (see
+# plm_solve).  Of the factors measured, 0.1 moved a gate PSNR by more than
+# 0.01 dB, and 0.05 took 2% less time than 0.03 on lptv-dense3 but 6% more
+# on sweep-rgb2.
+INEXACT_FACTOR = 0.03
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -56,8 +62,9 @@ class TraceRecord:
     below the floor, ``rejected_extrapolations`` the number of extrapolated
     solves discarded because their slack was negative, ``free_vertices`` the
     number of unknowns in the step's linear system (the vertices with a
-    supported value), and ``inner_converged`` the flag of the inner solve
-    that was kept.
+    supported value), ``inner_converged`` the flag of the inner solve that
+    was kept, and ``inner_tol`` the tolerance that solve ran at (NaN when
+    not given).
     """
 
     iteration: int
@@ -70,6 +77,7 @@ class TraceRecord:
     rejected_extrapolations: int = 0
     free_vertices: int = 0
     inner_converged: bool = True
+    inner_tol: float = math.nan
 
 
 class SolverTrace:
@@ -168,9 +176,10 @@ def plm_solve(
     """Run the full outer loop from the given starting point.
 
     Returns (restored_image, trace).  Stops when the relative iterate change
-    drops below ``outer_tol`` or after ``outer_max_iter`` iterations.  With
-    p = 1 this degenerates to a single L1-TV solve (no reweighting, no
-    support shrinking, no proximal term) from zero duals.  An L1-TV result
+    of a step solved at ``inner_tol`` drops below ``outer_tol``, or after
+    ``outer_max_iter`` iterations.  With p = 1 this degenerates to a single
+    L1-TV solve (no reweighting, no support shrinking, no proximal term) from
+    zero duals.  An L1-TV result
     within ``eps_support`` of the data at every value is logged as a
     warning: ``lam`` is not resolution-independent (the fidelity sums over
     vertices, TV is area-weighted), so a value that suits a coarse mesh can
@@ -209,6 +218,23 @@ def plm_solve(
     floor.  A non-converged inner solve is logged and recorded rather than
     raised.  A NaN or infinite value in ``f`` or ``u0`` raises ``NaNInput``
     before any solve.
+
+    The inner solves are inexact, tied to the outer step.  The first step
+    runs ADMM to ``inner_tol``; each later one to tol_k = max(inner_tol,
+    INEXACT_FACTOR * gap_{k-1} / sqrt(size)), with
+    gap_{k-1} the previous step's iterate gap and size the image's value
+    count (the scale of the ADMM stopping rule); its extrapolated solve and
+    the re-solve around u^k both use tol_k, and a floor redo keeps
+    ``inner_tol / 100``.  A loose step that meets ``outer_tol`` does not
+    stop the loop: one more step runs at ``inner_tol`` and decides, so the
+    deciding step is always solved at ``inner_tol`` or tighter.  The trace
+    records each kept solve's tolerance.  Enforced at run time, loose steps
+    included: the decrease slack floor and its redo (H1 of Attouch, Bolte &
+    Svaiter 2013), a support that never grows, and nonzero residuals above
+    ``eps_support``.  Only the shape of their relative-error condition (H2)
+    is met: tol_k shrinks with the last step, but no bound
+    ||w|| <= b ||u^{k+1} - u^k|| on a subgradient w at u^{k+1} is computed
+    or checked.
     """
     if not (np.isfinite(f.values).all() and np.isfinite(u0.values).all()):
         raise NaNInput("f and u0 must be finite")
@@ -239,7 +265,8 @@ def plm_solve(
                                        config, 0.0, 0.0, 0)
         trace.append(TraceRecord(0, f_prev, f2.size, gap, slack,
                                  inner_iters, free_vertices=system.n,
-                                 inner_converged=inner_ok))
+                                 inner_converged=inner_ok,
+                                 inner_tol=config.inner_tol))
         trace.converged = inner_ok
         return MeshImage(result), trace
 
@@ -251,10 +278,14 @@ def plm_solve(
     # the iterate before u, or None when the next step is not extrapolated
     u_prev = None
     outer_ok, decrease_held = False, True
+    # the next step's inner tolerance: the full one first and to decide a stop
+    tol = config.inner_tol
 
     for k in range(config.outer_max_iter):
         # jump_sq: the squared distance to the data of the values pinned here
         jump_sq, inner_iters, rejected, redos, inner_ok = 0.0, 0, 0, 0, True
+        # a step that solves nothing is exact
+        kept_tol = config.inner_tol
         prev_support = support
         support = support_eps(u, part.f_free, config.eps_support)
         if (support & ~prev_support).any():
@@ -286,11 +317,12 @@ def plm_solve(
             # Each try is (center, config, bar).  The first solve whose slack
             # reaches its bar is kept, and so is a solve around u^k that hit
             # inner_max_iter: a redo would repeat its iterates exactly.
-            tries = [(u, config, slack_floor), (u, redo_config, -math.inf)]
+            step_config = dataclasses.replace(config, inner_tol=tol)
+            tries = [(u, step_config, slack_floor), (u, redo_config, -math.inf)]
             if u_prev is not None:
                 c = u + EXTRAPOLATION * (u - u_prev)
                 c[~support] = part.f_free[~support]
-                tries.insert(0, (c, config, 0.0))
+                tries.insert(0, (c, step_config, 0.0))
             for kept, (center, solve_config, bar) in enumerate(tries):
                 u_next, iters, inner_ok, duals_next = admm_solve(
                     center, w, solve_config, system, duals)
@@ -301,6 +333,7 @@ def plm_solve(
                     break
             rejected = int(kept > 0 and tries[0][0] is not u)
             redos = int(kept == len(tries) - 1)
+            kept_tol = solve_config.inner_tol
         if slack < slack_floor:
             decrease_held = False
             logger.warning("decrease slack %.3g below the floor %.3g at outer "
@@ -311,15 +344,21 @@ def plm_solve(
             )
         trace.append(TraceRecord(k, f_prev, int(np.count_nonzero(support)), gap,
                                  slack, inner_iters, redos, rejected,
-                                 int(np.count_nonzero(free)), inner_ok))
+                                 int(np.count_nonzero(free)), inner_ok, kept_tol))
 
         u_norm = math.sqrt(float(np.vdot(u_next, u_next)) + part.pinned_sq)
         u_prev = u if inner_ok else None
         u, f_prev, duals = u_next, f_next, duals_next
         rel_change = gap / u_norm if u_norm > 0.0 else gap
-        if rel_change < config.outer_tol:
+        if rel_change >= config.outer_tol:
+            tol = max(config.inner_tol,
+                      INEXACT_FACTOR * gap / math.sqrt(part.size))
+        elif kept_tol <= config.inner_tol:
             outer_ok = True
             break
+        else:
+            # a loose solve can make a small gap: a full-tolerance step decides
+            tol = config.inner_tol
 
     trace.converged = outer_ok and inner_ok and decrease_held
     restored = f2.copy()

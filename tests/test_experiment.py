@@ -306,7 +306,7 @@ def test_cli_trace_records_unconverged_inner_solves(tmp_path):
     traces = sorted((tmp_path / "out").rglob("trace.csv"))
     assert len(traces) == 2  # L1TV and LpTV_p0.5
     for path in traces:
-        header, *rows = path.read_text().splitlines()
-        assert header.endswith(",inner_converged")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         assert rows
-        assert all(row.rsplit(",", 1)[1] == "False" for row in rows)
+        assert all(row["inner_converged"] == "False" for row in rows)

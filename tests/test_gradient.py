@@ -186,6 +186,18 @@ def test_triangle_norms_equal_the_linalg_norm_bit_for_bit(channels, rng):
     assert triangle_norms(np.zeros((0, 3, channels))).shape == (0,)
 
 
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+def test_triangle_norms_match_the_linalg_norm_across_magnitudes(channels, rng):
+    # rows scaled from 1e-150 to 1e150, so their squares span 1e-300 to
+    # 1e300, with exact zeros among the entries and whole zero rows
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, size=(4000, 1, 1))
+    x = scale * rng.normal(size=(4000, 3, channels))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[::11] = 0.0
+    expected = np.linalg.norm(x.reshape(len(x), -1), axis=1)
+    assert np.array_equal(triangle_norms(x), expected)
+
+
 def test_apply_adjoint_builds_no_transpose(monkeypatch, rng):
     op = build_gradient_operator(icosphere(2))
     ops = _full_and_restricted(op, 1, rng)

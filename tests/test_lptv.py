@@ -339,16 +339,34 @@ def test_iterate_gap_is_the_whole_image_step(color, monkeypatch):
             np.linalg.norm(iterates[k + 1] - iterates[k]), rel=1e-12, abs=0.0)
 
 
-def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
-    # icosphere k=1, 10% noise, seed 0, lam 0.3, beta 2: one Lp-TV step
-    # lands below the decrease floor at the default inner tolerance
+def _loose_tolerance(gap, config, size):
+    """The inner tolerance that follows a step of iterate gap ``gap``."""
+    return max(config.inner_tol, lptv.INEXACT_FACTOR * gap / math.sqrt(size))
+
+
+def _iterate_norm(call):
+    """The whole-image norm of a spied solve's result, summed as
+    ``plm_solve`` sums it for its stop: the part's values, plus the pinned
+    data's squares."""
+    part = call[5]
+    free = call[4][part.vertices]
+    return math.sqrt(float(np.vdot(free, free)) + part.pinned_sq)
+
+
+def _redo_instance():
+    """icosphere k=1, 10% noise, seed 0, lam 0.3, beta 2: one Lp-TV step
+    lands below the decrease floor at the default inner tolerance."""
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
     noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.10, 0))
     config = SolverConfig(lam=0.3, p=1.0, beta1=2.0, beta2=2.0,
                           inner_max_iter=4000)
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
-    config = dataclasses.replace(config, p=0.5)
+    return mesh, op, noisy, warm, dataclasses.replace(config, p=0.5)
+
+
+def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
+    mesh, op, noisy, warm, config = _redo_instance()
     calls = _spy_on_admm(monkeypatch, noisy)
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     redos = trace.column("inner_redos")
@@ -362,6 +380,68 @@ def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
     floor = -1e-6 * max(1.0, trace.records[0].objective)  # criterion 4
     assert trace.column("decrease_slack").min() >= floor
     assert trace.converged
+
+
+@pytest.mark.parametrize("instance", ["denoise", "denoise-cg", "redo"])
+def test_plm_inner_tolerance_follows_the_last_step(instance, monkeypatch):
+    if instance == "denoise-cg":
+        # every system above 0 vertices takes the preconditioned-CG path
+        monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
+    if instance == "redo":
+        mesh, op, noisy, warm, config = _redo_instance()
+    else:
+        mesh, op, noisy, warm, _, _, config = _denoise_run()
+    calls = _spy_on_admm(monkeypatch, noisy)
+    _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    assert trace.converged
+    floor = -1e-6 * max(1.0, trace.records[0].objective)  # criterion 4
+    assert trace.column("decrease_slack").min() >= floor
+    steps = _calls_by_step(calls, trace)
+    loose = 0
+    for k, (step, record) in enumerate(zip(steps, trace.records)):
+        tol = config.inner_tol
+        if k > 0:
+            before = trace.records[k - 1]
+            stop_met = (before.iterate_gap / _iterate_norm(steps[k - 1][-1])
+                        < config.outer_tol)
+            if not stop_met:
+                tol = _loose_tolerance(before.iterate_gap, config, noisy.values.size)
+        loose += tol > config.inner_tol
+        # the first solve and a re-solve around u^k run at the step's
+        # tolerance, a floor redo at inner_tol / 100
+        tols = [call[0] for call in step]
+        if record.inner_redos:
+            assert tols[-1] == config.inner_tol / 100.0
+            tols = tols[:-1]
+        assert tols == [tol] * len(tols)
+        assert record.inner_tol == step[-1][0]
+    if instance != "redo":
+        assert loose > len(trace) // 2
+    else:
+        # steps of a few 1e-6 put every later tolerance at the floor
+        assert loose == 0 and trace.column("inner_redos").sum() == 1
+    # the stop is decided by a step solved at the full tolerance, or by its redo
+    assert trace.records[-1].inner_tol in (config.inner_tol,
+                                           config.inner_tol / 100.0)
+
+
+def test_plm_a_loose_step_that_meets_outer_tol_is_checked_at_full_tolerance(
+        monkeypatch):
+    # with outer_tol 1e-2 the first loose step already moves less than
+    # outer_tol; one more step, solved at inner_tol, decides the stop
+    mesh, op, noisy, warm, _, _, config = _denoise_run()
+    config = dataclasses.replace(config, outer_tol=1e-2)
+    calls = _spy_on_admm(monkeypatch, noisy)
+    _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    assert trace.converged
+    assert trace.column("inner_tol").tolist() == [
+        config.inner_tol,
+        _loose_tolerance(trace.records[0].iterate_gap, config, noisy.values.size),
+        config.inner_tol]
+    assert trace.records[1].inner_tol > config.inner_tol
+    loose_step = _calls_by_step(calls, trace)[1][-1]
+    assert (trace.records[1].iterate_gap / _iterate_norm(loose_step)
+            < config.outer_tol)
 
 
 def test_plm_not_converged_when_the_decrease_guarantee_fails(caplog, monkeypatch):
@@ -627,7 +707,7 @@ def test_trace_csv_round_trip(tmp_path):
     assert lines[0] == ("iteration,objective,support_size,iterate_gap,"
                         "decrease_slack,inner_iterations,inner_redos,"
                         "rejected_extrapolations,free_vertices,"
-                        "inner_converged")
+                        "inner_converged,inner_tol")
     assert lines[1].startswith("0,12.5,100,")
     assert len(lines) == 3
 

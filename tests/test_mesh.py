@@ -77,7 +77,7 @@ def test_load_mesh_drops_a_utf8_byte_order_mark(tmp_path, ext):
     "OFF\n-1 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
     "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
     "OFF -1 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
-])
+], ids=["vertices", "faces", "header-line"])
 def test_load_off_negative_counts_raise_parse_error(tmp_path, text):
     path = tmp_path / "negative.off"
     path.write_text(text)
