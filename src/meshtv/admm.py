@@ -11,7 +11,16 @@ group soft-thresholding for (y, z), a sparse SPD normal equation for v, then
 gradient-ascent multiplier updates.
 
 The same loop with full support, unit weights, and zero proximal weight is
-the plain L1-TV solver used as a warm start.
+the plain L1-TV solver used as a warm start.  Only that loop tunes its
+penalties: with no proximal term its matrix beta2 * Gram + beta1 * I is
+homogeneous in the penalties, so scaling both by one factor s scales the
+matrix by s, and the one factorization still solves the scaled system as
+v = M^-1 rhs / s.  Every BALANCE_EVERY steps it compares the normalized
+primal and dual residuals (residual balancing, Wohlberg 2017,
+arXiv:1704.06209) and moves s by BALANCE_FACTOR towards their balance; it
+stops only when both residuals are small, so its stopping point does not
+depend on the penalty.  A subproblem with a proximal term keeps the
+penalties of its system: a new penalty would cost a new factorization.
 """
 
 from __future__ import annotations
@@ -39,6 +48,14 @@ from .gradient import GradientOperator
 DIRECT_SOLVE_MAX_VERTICES = 50_000
 CG_TOL = 1e-10
 CG_MAX_ITER = 2000
+
+# Residual balancing of a prox-free (L1-TV) solve: every BALANCE_EVERY steps,
+# when one normalized residual exceeds BALANCE_RATIO times the other, the
+# common penalty factor is multiplied or divided by BALANCE_FACTOR.  A power of
+# two scales the penalties, thresholds and fixed right-hand side exactly.
+BALANCE_EVERY = 10
+BALANCE_RATIO = 10.0
+BALANCE_FACTOR = 2.0
 
 
 def shrink_1d(x: np.ndarray, threshold) -> np.ndarray:
@@ -141,6 +158,9 @@ class NormalEquationSystem:
     valid starting point for the next, and ``plm_solve`` passes them on.  The
     penalties and the proximal weight are kept because the ADMM steps must
     use the ones the matrix was built with; this system is their only source.
+    Without a proximal term (L1-TV) the steps may use a common power-of-two
+    multiple of both penalties, which scales the matrix by that factor and
+    leaves its factorization valid (see ``admm_solve``).
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
@@ -212,9 +232,24 @@ def admm_solve(
     free vertex stays among the unknowns: its y threshold is +inf, so its y
     stays 0 and its ``r_pin`` residual measures v_j - f_j; without such a
     channel there is no ``r_pin`` to compute.  Residual norms are scaled by
-    sqrt(``part.size``), the whole image's value count.  The penalties and
-    the proximal weight are those ``system`` was built with; from ``config``
-    only lam, inner_tol and inner_max_iter are read.
+    sqrt(``part.size``), the whole image's value count.  The proximal weight
+    is the one ``system`` was built with; from ``config`` only lam, inner_tol
+    and inner_max_iter are read.
+
+    With a proximal term the penalties are those of ``system``, and the solve
+    stops when the primal residuals (r_y, r_z) fall below inner_tol.  Without
+    one (L1-TV) the penalties start there and are scaled by a common factor
+    s, a power of BALANCE_FACTOR: every BALANCE_EVERY steps s is raised when
+    the normalized primal residual exceeds BALANCE_RATIO times the normalized
+    dual one, and lowered in the opposite case.  The primal residual is
+    normalized by the largest of ||(v, D v + g0)||, ||(y, z)|| and ||f||,
+    and the dual residual (s beta1 dv, s beta2 D dv), with dv the step's
+    change of v, by ||(eta, mu)||.  The scaled system is s times the factored one, so v is
+    its solution divided by s, and the multipliers, which are unscaled, carry
+    over unchanged.  That solve also stops only when the dual residual rule
+    max(||dv||, ||D dv||) / sqrt(size) < inner_tol holds, so where it stops
+    does not depend on the penalty.  The rule is checked at the balancing
+    steps and at every step after one that met the primal rule.
 
     ``duals`` is the multiplier pair (eta, mu), shaped (|F|, channels) and
     (|T|, 3, channels), or None for zeros.  The splitting variables (y, z)
@@ -223,9 +258,10 @@ def admm_solve(
     rejected or redone step again from the same starting duals, so the loop
     copies the multipliers once and updates its copies in place.
 
-    Returns (v, inner_iterations, converged, duals): the values on F, with
-    pinned channels equal to the data bit for bit, and the final (eta, mu);
-    a False flag means the residual rule was not met within inner_max_iter.
+    Returns (v, inner_iterations, converged, duals, penalty_scale): the
+    values on F, with pinned channels equal to the data bit for bit, the
+    final (eta, mu) and the final factor s (1.0 with a proximal term); a
+    False flag means the residual rules were not met within inner_max_iter.
     """
     f_free, offset, sub_op = system.part.f_free, system.part.offset, system.part.op
     if not u_k.shape == w.shape == f_free.shape:
@@ -244,6 +280,10 @@ def admm_solve(
     z_threshold = 1.0 / beta2
     rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
                  - beta2 * gradient.apply_adjoint(sub_op, offset))
+    # the common penalty factor; it stays 1 unless the solve balances
+    balancing, penalty_scale = system.prox_weight == 0.0, 1.0
+    # whether the last step met the primal rule of a balancing solve
+    primal_met = False
 
     v = u_k
     grad_v = gradient.apply(sub_op, v)
@@ -266,11 +306,24 @@ def admm_solve(
         rhs += beta1 * y
         rhs -= eta
         rhs += rhs_fixed
-        v = solve_normal_equation(system, rhs)
-        if not np.isfinite(v).all():
+        balance = balancing and (t + 1) % BALANCE_EVERY == 0
+        # the dual residual is measured where the balance or the stop reads
+        # it, as each new iterate replaces the old: keeping the old arrays
+        # alive for longer fragments the heap
+        measure_dual = balance or primal_met
+        v_new = solve_normal_equation(system, rhs)
+        if penalty_scale != 1.0:
+            v_new /= penalty_scale
+        if not np.isfinite(v_new).all():
             raise NonFiniteIterate("ADMM produced non-finite vertex values")
-        grad_v = gradient.apply(sub_op, v)
-        grad_v += offset
+        if measure_dual:
+            dual_v = _distance(v_new, v)
+        v = v_new
+        grad_new = gradient.apply(sub_op, v)
+        grad_new += offset
+        if measure_dual:
+            dual = dual_v, _distance(grad_new, grad_v)
+        grad_v = grad_new
 
         r_y = v - f_free
         r_y -= y
@@ -283,17 +336,61 @@ def admm_solve(
             residuals = (r_y.ravel(), r_z.ravel())
         else:
             residuals = (r_y[fitted], r_y[unfitted], r_z.ravel())
-        if max(math.sqrt(r.dot(r)) for r in residuals) / scale < config.inner_tol:
+        primal = [math.sqrt(r.dot(r)) for r in residuals]
+        done = max(primal) / scale < config.inner_tol
+        if balancing:
+            primal_met = done
+            done = done and measure_dual and max(dual) / scale < config.inner_tol
+        if done:
             iters, converged = t + 1, True
             break
+        if balance:
+            change = _balance(primal, dual, beta1, beta2, v, grad_v, y, z,
+                              f_free, eta, mu)
+            if change != 1.0:
+                penalty_scale *= change
+                beta1 *= change
+                beta2 *= change
+                y_threshold /= change
+                z_threshold = 1.0 / beta2
+                rhs_fixed *= change
 
     if unfitted is not None:
         v[unfitted] = f_free[unfitted]
-    return v, iters, converged, (eta, mu)
+    return v, iters, converged, (eta, mu), penalty_scale
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||, as np.linalg.norm computes it."""
+    d = (a - b).ravel()
+    return math.sqrt(d.dot(d))
+
+
+def _balance(primal, dual, beta1, beta2, v, grad_v, y, z, f_free, eta, mu):
+    """The factor, BALANCE_FACTOR, its inverse or 1, that moves the penalties
+    towards balanced normalized residuals; ``primal`` holds the norms of the
+    primal residual blocks and ``dual`` those of dv and D dv."""
+    def norm(*arrays):
+        return math.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
+
+    primal_size = max(norm(v, grad_v), norm(y, z), norm(f_free))
+    dual_size = norm(eta, mu)
+    if primal_size == 0.0 or dual_size == 0.0:
+        return 1.0
+    r = math.hypot(*primal) / primal_size
+    s = math.hypot(beta1 * dual[0], beta2 * dual[1]) / dual_size
+    if r > BALANCE_RATIO * s:
+        return BALANCE_FACTOR
+    if s > BALANCE_RATIO * r:
+        return 1.0 / BALANCE_FACTOR
+    return 1.0
 
 
 def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig,
                      system: NormalEquationSystem):
     """L1-TV from ``u0``: the subproblem of an all-vertex ``system`` with unit
-    weights and zero duals.  Returns (values, inner_iterations, converged)."""
-    return admm_solve(u0, np.ones(u0.shape), config, system)[:3]
+    weights and zero duals.  Returns (values, inner_iterations, converged,
+    penalty_scale)."""
+    v, iters, converged, _, penalty_scale = admm_solve(u0, np.ones(u0.shape),
+                                                       config, system)
+    return v, iters, converged, penalty_scale

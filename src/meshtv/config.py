@@ -24,7 +24,9 @@ class SolverConfig:
     the residual threshold below which a value counts as exactly fitted.
     ``beta1``/``beta2`` are the ADMM penalties for the fidelity and gradient
     splittings; they default to 10 * lam and reach the ADMM loop only through
-    the normal-equation system built from them.
+    the normal-equation system built from them.  Lp-TV keeps them fixed;
+    L1-TV starts from them and scales both by a common power of two that
+    balances its residuals (see ``admm.admm_solve``).
     """
 
     lam: float = 1.0

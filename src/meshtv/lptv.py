@@ -63,8 +63,10 @@ class TraceRecord:
     solves discarded because their slack was negative, ``free_vertices`` the
     number of unknowns in the step's linear system (the vertices with a
     supported value), ``inner_converged`` the flag of the inner solve that
-    was kept, and ``inner_tol`` the tolerance that solve ran at (NaN when
-    not given).
+    was kept, ``inner_tol`` the tolerance that solve ran at (NaN when not
+    given), and ``penalty_scale`` the common factor of the ADMM penalties
+    that solve ended with: a power of two for L1-TV, which balances its
+    residuals, and 1.0 for an Lp-TV step, whose penalties stay fixed.
     """
 
     iteration: int
@@ -78,6 +80,7 @@ class TraceRecord:
     free_vertices: int = 0
     inner_converged: bool = True
     inner_tol: float = math.nan
+    penalty_scale: float = 1.0
 
 
 class SolverTrace:
@@ -254,7 +257,8 @@ def plm_solve(
     if config.p == 1.0:
         system = NormalEquationSystem(assemble_gram(op), config.beta1,
                                       config.beta2, 0.0, part)
-        result, inner_iters, inner_ok = _l1tv_solve_full(u0.values, config, system)
+        result, inner_iters, inner_ok, penalty_scale = _l1tv_solve_full(
+            u0.values, config, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
         if not support_eps(result, f2, config.eps_support).any():
@@ -266,7 +270,8 @@ def plm_solve(
         trace.append(TraceRecord(0, f_prev, f2.size, gap, slack,
                                  inner_iters, free_vertices=system.n,
                                  inner_converged=inner_ok,
-                                 inner_tol=config.inner_tol))
+                                 inner_tol=config.inner_tol,
+                                 penalty_scale=penalty_scale))
         trace.converged = inner_ok
         return MeshImage(result), trace
 
@@ -324,7 +329,7 @@ def plm_solve(
                 c[~support] = part.f_free[~support]
                 tries.insert(0, (c, step_config, 0.0))
             for kept, (center, solve_config, bar) in enumerate(tries):
-                u_next, iters, inner_ok, duals_next = admm_solve(
+                u_next, iters, inner_ok, duals_next, _ = admm_solve(
                     center, w, solve_config, system, duals)
                 inner_iters += iters
                 f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,

@@ -48,7 +48,8 @@ def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
     weight array that is +inf off the support; ``u_k``, the weights and the
     duals are sliced to the rows of ``system.part``, and the solve's values
     and duals are scattered back into copies of ``f`` and of the duals
-    (zeros when None).  Returns what ``admm_solve`` returns."""
+    (zeros when None).  Returns what ``admm_solve`` returns but the penalty
+    scale: (image, iterations, converged, duals)."""
     rows, triangles = system.part.vertices, system.part.triangles
     weights = np.full(support.shape, np.inf)
     weights[support] = w
@@ -58,7 +59,7 @@ def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
         part_duals = None
     else:
         full, part_duals = duals, (duals[0][rows], duals[1][triangles])
-    v, iters, converged, (eta, mu) = admm_solve(
+    v, iters, converged, (eta, mu), _ = admm_solve(
         u_k.values[rows], weights[rows], config, system, part_duals)
     out, eta_out, mu_out = f.values.copy(), full[0].copy(), full[1].copy()
     out[rows], eta_out[rows], mu_out[triangles] = v, eta, mu

@@ -24,9 +24,9 @@ from meshtv.admm import (
 from meshtv.config import SolverConfig
 from meshtv.errors import DimensionMismatch
 from meshtv.gradient import assemble_gram, build_gradient_operator
-from meshtv.imaging import MeshImage
+from meshtv.imaging import MeshImage, NoiseSpec, add_salt_pepper
 from meshtv.lptv import objective, plm_solve
-from meshtv.synthetic import icosphere
+from meshtv.synthetic import icosphere, two_patch_image
 
 TINY_CONFIG = SolverConfig(
     lam=0.5, p=0.5, prox_weight=1.0, beta1=2.0, beta2=2.0,
@@ -339,6 +339,35 @@ def test_l1tv_small_lambda_flattens(rng):
     assert spread < 1e-2
 
 
+@pytest.mark.parametrize("beta", [200.0, 2000.0, 0.01])
+def test_l1tv_stops_at_the_minimum_from_any_starting_penalty(beta, monkeypatch):
+    # from beta 200 a stop on the primal residual alone ended after 39 steps
+    # at objective 14.30, against a minimum of 6.107, and reported converged;
+    # from beta 2000 it still did so after 24 steps with the balancing on
+    mesh = icosphere(3)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    factorizations = []
+    splu = admm.spla.splu
+    monkeypatch.setattr(admm.spla, "splu",
+                        lambda a: factorizations.append(a) or splu(a))
+    config = SolverConfig(lam=0.1, p=1.0, beta1=beta, beta2=beta)
+    out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
+    assert trace.converged
+    # the penalties moved towards the balance by powers of two, and the one
+    # factorization of the solve served every factor
+    scale = trace.records[0].penalty_scale
+    assert np.log2(scale) == round(np.log2(scale))
+    assert (scale < 1.0) == (beta > 1.0) and scale != 1.0
+    assert len(factorizations) == 1
+    tight = dataclasses.replace(config, beta1=2.0, beta2=2.0, inner_tol=1e-10,
+                                inner_max_iter=20_000)
+    reference, tight_trace = plm_solve(noisy, mesh, op, tight, u0=noisy)
+    assert tight_trace.converged
+    assert objective(out, noisy, op, config) == pytest.approx(
+        objective(reference, noisy, op, config), rel=1e-6)
+
+
 def _step_case(name, rng):
     """(u_k, w, config, system, duals) of one subproblem in the coordinates
     of its part, on icosphere(2): "gray" has full support, "rgb-pin" a pinned
@@ -436,11 +465,12 @@ def test_admm_solve_equals_the_out_of_place_loop_bit_for_bit(name, path,
     u_k, w, config, system, duals = _step_case(name, rng)
     assert (system._lu is None) == (path == "cg")
     assert np.isinf(w).any() == (name == "rgb-pin")
-    v, iters, converged, (eta, mu) = admm_solve(u_k, w, config, system, duals)
+    v, iters, converged, (eta, mu), penalty_scale = admm_solve(u_k, w, config,
+                                                               system, duals)
     ref_v, ref_iters, ref_converged, (ref_eta, ref_mu) = _out_of_place_admm(
         u_k, w, config, system, duals)
     assert (iters, converged) == (ref_iters, ref_converged)
-    assert iters > 1
+    assert iters > 1 and penalty_scale == 1.0
     assert np.array_equal(v, ref_v)
     assert np.array_equal(eta, ref_eta) and np.array_equal(mu, ref_mu)
 
@@ -470,7 +500,7 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
         counting(admm, attr)
     for attr in ("apply", "apply_adjoint"):
         counting(gradient, attr)
-    _, n, converged, _ = admm_solve(f, np.ones(f.shape), config, system)
+    _, n, converged, _, _ = admm_solve(f, np.ones(f.shape), config, system)
     assert converged and n > 1
     assert calls == {"shrink_1d": n, "_shrink_groups": n,
                      "solve_normal_equation": n, "apply": n + 1,

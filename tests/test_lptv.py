@@ -354,11 +354,11 @@ def _iterate_norm(call):
 
 
 def _redo_instance():
-    """icosphere k=1, 10% noise, seed 0, lam 0.3, beta 2: one Lp-TV step
+    """icosphere k=1, 20% noise, seed 0, lam 0.3, beta 2: one Lp-TV step
     lands below the decrease floor at the default inner tolerance."""
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
-    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.10, 0))
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.20, 0))
     config = SolverConfig(lam=0.3, p=1.0, beta1=2.0, beta2=2.0,
                           inner_max_iter=4000)
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
@@ -596,6 +596,32 @@ def test_l1tv_that_moves_no_value_warns_that_lam_is_too_large(caplog):
     assert "lam = 10000 is probably too large" in caplog.messages[0]
 
 
+def test_l1tv_above_the_largest_hat_length_moves_nothing_and_warns(caplog):
+    # lam 0.25 lies above the max L_j of 0.247 on icosphere(4) (README,
+    # "Picking lambda"), so the data minimize L1-TV.  A stop on the primal
+    # residual alone left values moved by up to 2.8e-3, and no warning.
+    mesh = icosphere(4)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    config = SolverConfig(lam=0.25, p=1.0, beta1=5.0, beta2=5.0)
+    with caplog.at_level(logging.WARNING, logger="meshtv.lptv"):
+        out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
+    assert trace.converged
+    assert np.abs(out.values - noisy.values).max() <= config.eps_support
+    assert len(caplog.records) == 1
+    assert "lam = 0.25 is probably too large" in caplog.messages[0]
+
+
+def test_trace_records_the_penalty_scale():
+    # L1-TV balances its penalties by a power of two; Lp-TV keeps them
+    mesh, op, noisy, warm, _, trace, config = _denoise_run()
+    _, l1_trace = plm_solve(noisy, mesh, op, dataclasses.replace(config, p=1.0),
+                            u0=noisy)
+    scale = l1_trace.records[0].penalty_scale
+    assert scale > 0.0 and math.log2(scale) == round(math.log2(scale))
+    assert trace.column("penalty_scale").tolist() == [1.0] * len(trace)
+
+
 def test_l1tv_that_denoises_logs_no_warning(caplog):
     mesh = icosphere(2)
     noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
@@ -707,7 +733,7 @@ def test_trace_csv_round_trip(tmp_path):
     assert lines[0] == ("iteration,objective,support_size,iterate_gap,"
                         "decrease_slack,inner_iterations,inner_redos,"
                         "rejected_extrapolations,free_vertices,"
-                        "inner_converged,inner_tol")
+                        "inner_converged,inner_tol,penalty_scale")
     assert lines[1].startswith("0,12.5,100,")
     assert len(lines) == 3
 
