@@ -10,17 +10,19 @@ offset.  Splitting the fidelity residuals (y) and the per-triangle gradients
 group soft-thresholding for (y, z), a sparse SPD normal equation for v, then
 gradient-ascent multiplier updates.
 
-The same loop with full support, unit weights, and zero proximal weight is
-the plain L1-TV solver used as a warm start.  Only that loop tunes its
-penalties: with no proximal term its matrix beta2 * Gram + beta1 * I is
-homogeneous in the penalties, so scaling both by one factor s scales the
-matrix by s, and the one factorization still solves the scaled system as
-v = M^-1 rhs / s.  Every BALANCE_EVERY steps it compares the normalized
-primal and dual residuals (residual balancing, Wohlberg 2017,
-arXiv:1704.06209) and moves s by BALANCE_FACTOR towards their balance; it
-stops only when both residuals are small, so its stopping point does not
-depend on the penalty.  A subproblem with a proximal term keeps the
-penalties of its system: a new penalty would cost a new factorization.
+This module reads no solver configuration: the outer loop passes the
+weights with lam in them, the system, the tolerance and the step limit.
+The same loop with full support, every weight lam, and zero proximal weight
+is the plain L1-TV warm start.  Only that loop tunes its penalties: with no
+proximal term its matrix beta2 * Gram + beta1 * I is homogeneous in the
+penalties, so scaling both by one factor s scales the matrix by s, and the
+one factorization still solves the scaled system as v = M^-1 rhs / s.
+Every BALANCE_EVERY steps it compares the normalized primal and dual
+residuals (residual balancing, Wohlberg 2017, arXiv:1704.06209) and moves s
+by BALANCE_FACTOR towards their balance; it stops only when both residuals
+are small, so its stopping point does not depend on the penalty.  A
+subproblem with a proximal term keeps the penalties of its system: a new
+penalty would cost a new factorization.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import gradient
-from .config import SolverConfig
 from .errors import (
     DimensionMismatch,
     IterationLimitExceeded,
@@ -147,11 +148,12 @@ class NormalEquationSystem:
 
     ``gram`` is the Gram matrix of ``part.op``, the operator the ADMM loop
     runs on, and the system carries ``part``, so that a subproblem is its
-    system plus its center, weights and multipliers.  The system therefore
-    depends on the support through its free-vertex set; the set only shrinks
-    during an Lp-TV solve, so ``plm_solve`` builds a new system only when it
-    does, and one factorization (or preconditioner) serves every inner
-    iteration in between.  Up to DIRECT_SOLVE_MAX_VERTICES free vertices
+    system plus its center, lam-weighted weights and multipliers, solved to
+    a tolerance within a step limit.  The system therefore depends on the
+    support through its free-vertex set; the set only shrinks during an
+    Lp-TV solve, so ``plm_solve`` builds a new system only when it does, and
+    one factorization (or preconditioner) serves every inner iteration in
+    between.  Up to DIRECT_SOLVE_MAX_VERTICES free vertices
     (``n``) the system keeps only its LU factor; above, only the CSR
     ``matrix`` and the Jacobi preconditioner that CG reads.  Because the
     penalties stay fixed, the multipliers of one outer iteration are also a
@@ -208,8 +210,9 @@ def solve_normal_equation(system: NormalEquationSystem,
 def admm_solve(
     u_k: np.ndarray,
     w: np.ndarray,
-    config: SolverConfig,
     system: NormalEquationSystem,
+    tol: float,
+    max_iter: int,
     duals: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
@@ -223,33 +226,33 @@ def admm_solve(
     (A the areas) are built once per solve.  ``u_k`` (|F|, channels) is both
     the proximal center and the starting iterate; ``plm_solve`` passes either
     its current iterate or an extrapolated one.  ``w`` holds one fidelity
-    weight per value, shaped like ``u_k``: finite where the value is fitted,
-    +inf where it is pinned.  L1-TV is ``w`` all ones.
+    weight per value, shaped like ``u_k``, with lam in it: finite where the
+    value is fitted, +inf where it is pinned.  L1-TV is ``w`` all lam.
 
-    Minimizes lam * sum_j w_j |v_j - f_j| over the fitted entries, plus the
+    Minimizes sum_j w_j |v_j - f_j| over the fitted entries, plus the
     area-weighted TV on T and prox_weight/2 * ||v - u_k||^2, subject to
     v_j = f_j at the pinned entries.  For a color image a channel pinned at a
     free vertex stays among the unknowns: its y threshold is +inf, so its y
-    stays 0 and its ``r_pin`` residual measures v_j - f_j; without such a
-    channel there is no ``r_pin`` to compute.  Residual norms are scaled by
-    sqrt(``part.size``), the whole image's value count.  The proximal weight
-    is the one ``system`` was built with; from ``config`` only lam, inner_tol
-    and inner_max_iter are read.
+    stays 0, its part of r_y measures v_j - f_j, and it is reset to f_j
+    after the loop.  Residual norms are scaled by sqrt(``part.size``), the
+    whole image's value count.  The proximal weight is the one ``system``
+    was built with; ``max_iter`` is at least 1.
 
     With a proximal term the penalties are those of ``system``, and the solve
-    stops when the primal residuals (r_y, r_z) fall below inner_tol.  Without
-    one (L1-TV) the penalties start there and are scaled by a common factor
-    s, a power of BALANCE_FACTOR: every BALANCE_EVERY steps s is raised when
-    the normalized primal residual exceeds BALANCE_RATIO times the normalized
-    dual one, and lowered in the opposite case.  The primal residual is
-    normalized by the largest of ||(v, D v + g0)||, ||(y, z)|| and ||f||,
-    and the dual residual (s beta1 dv, s beta2 D dv), with dv the step's
-    change of v, by ||(eta, mu)||.  The scaled system is s times the factored one, so v is
-    its solution divided by s, and the multipliers, which are unscaled, carry
-    over unchanged.  That solve also stops only when the dual residual rule
-    max(||dv||, ||D dv||) / sqrt(size) < inner_tol holds, so where it stops
-    does not depend on the penalty.  The rule is checked at the balancing
-    steps and at every step after one that met the primal rule.
+    stops when the primal residuals r_y (every value) and r_z fall below tol.
+    Without one (L1-TV) the penalties start there and are scaled by a common
+    factor s, a power of BALANCE_FACTOR: every BALANCE_EVERY steps s is
+    raised when the normalized primal residual exceeds BALANCE_RATIO times
+    the normalized dual one, and lowered in the opposite case.  The primal
+    residual is normalized by the largest of ||(v, D v + g0)||, ||(y, z)||
+    and ||f||, and the dual residual (s beta1 dv, s beta2 D dv), with dv the
+    step's change of v, by ||(eta, mu)||.  The scaled system is s times the
+    factored one, so v is its solution divided by s, and the multipliers,
+    which are unscaled, carry over unchanged.  That solve also stops only
+    when the dual residual rule max(||dv||, ||D dv||) / sqrt(size) < tol
+    holds, so where it stops does not depend on the penalty.  The rule is
+    checked at the balancing steps and at every step after one that met the
+    primal rule.
 
     ``duals`` is the multiplier pair (eta, mu), shaped (|F|, channels) and
     (|T|, 3, channels), or None for zeros.  The splitting variables (y, z)
@@ -261,7 +264,7 @@ def admm_solve(
     Returns (v, inner_iterations, converged, duals, penalty_scale): the
     values on F, with pinned channels equal to the data bit for bit, the
     final (eta, mu) and the final factor s (1.0 with a proximal term); a
-    False flag means the residual rules were not met within inner_max_iter.
+    False flag means the residual rules were not met within max_iter.
     """
     f_free, offset, sub_op = system.part.f_free, system.part.offset, system.part.op
     if not u_k.shape == w.shape == f_free.shape:
@@ -270,13 +273,10 @@ def admm_solve(
         duals = np.zeros(f_free.shape), np.zeros(offset.shape)
     elif duals[0].shape != f_free.shape or duals[1].shape != offset.shape:
         raise DimensionMismatch("duals must be shaped like the part and its gradient")
-    fitted = np.isfinite(w)
-    # None when no channel is pinned at a free vertex (always for gray images)
-    unfitted = ~fitted if not fitted.all() else None
     eta, mu = duals[0].copy(), duals[1].copy()
 
     beta1, beta2 = system.beta1, system.beta2
-    y_threshold = config.lam * w / beta1
+    y_threshold = w / beta1
     z_threshold = 1.0 / beta2
     rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
                  - beta2 * gradient.apply_adjoint(sub_op, offset))
@@ -289,9 +289,9 @@ def admm_solve(
     grad_v = gradient.apply(sub_op, v)
     grad_v += offset
     scale = np.sqrt(system.part.size)
-    iters, converged = config.inner_max_iter, False
+    iters, converged = max_iter, False
 
-    for t in range(config.inner_max_iter):
+    for t in range(max_iter):
         # each in-place chain adds in the order of the written-out sum
         x = v - f_free
         x += eta / beta1
@@ -332,15 +332,11 @@ def admm_solve(
         mu += beta2 * r_z
 
         # Euclidean norms as np.linalg.norm computes them, minus its wrapper
-        if unfitted is None:
-            residuals = (r_y.ravel(), r_z.ravel())
-        else:
-            residuals = (r_y[fitted], r_y[unfitted], r_z.ravel())
-        primal = [math.sqrt(r.dot(r)) for r in residuals]
-        done = max(primal) / scale < config.inner_tol
+        primal = [math.sqrt(r.dot(r)) for r in (r_y.ravel(), r_z.ravel())]
+        done = max(primal) / scale < tol
         if balancing:
             primal_met = done
-            done = done and measure_dual and max(dual) / scale < config.inner_tol
+            done = done and measure_dual and max(dual) / scale < tol
         if done:
             iters, converged = t + 1, True
             break
@@ -355,8 +351,8 @@ def admm_solve(
                 z_threshold = 1.0 / beta2
                 rhs_fixed *= change
 
-    if unfitted is not None:
-        v[unfitted] = f_free[unfitted]
+    pinned = np.isinf(w)
+    v[pinned] = f_free[pinned]
     return v, iters, converged, (eta, mu), penalty_scale
 
 
@@ -385,12 +381,3 @@ def _balance(primal, dual, beta1, beta2, v, grad_v, y, z, f_free, eta, mu):
         return 1.0 / BALANCE_FACTOR
     return 1.0
 
-
-def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig,
-                     system: NormalEquationSystem):
-    """L1-TV from ``u0``: the subproblem of an all-vertex ``system`` with unit
-    weights and zero duals.  Returns (values, inner_iterations, converged,
-    penalty_scale)."""
-    v, iters, converged, _, penalty_scale = admm_solve(u0, np.ones(u0.shape),
-                                                       config, system)
-    return v, iters, converged, penalty_scale

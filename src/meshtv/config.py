@@ -2,8 +2,8 @@
 
 The support of the fidelity term is not a type of its own: the solver keeps
 it as a boolean array shaped like the image values, True where a value is
-still fitted, and hands the inner solver one weight per value, +inf where a
-value is pinned to the observed data.
+still fitted, and hands the inner solver one weight per value, lam times the
+majorizer weight, and +inf where a value is pinned to the observed data.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the Lp-TV solver.
 
@@ -26,7 +26,10 @@ class SolverConfig:
     splittings; they default to 10 * lam and reach the ADMM loop only through
     the normal-equation system built from them.  Lp-TV keeps them fixed;
     L1-TV starts from them and scales both by a common power of two that
-    balances its residuals (see ``admm.admm_solve``).
+    balances its residuals (see ``admm.admm_solve``).  ADMM reads no config:
+    ``lptv.plm_solve`` passes it lam inside the weights, each solve's
+    tolerance and inner_max_iter.  A config is frozen and validated when
+    built, also by ``dataclasses.replace``.
     """
 
     lam: float = 1.0
@@ -42,9 +45,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.beta1 is None:
-            self.beta1 = 10.0 * self.lam
+            object.__setattr__(self, "beta1", 10.0 * self.lam)
         if self.beta2 is None:
-            self.beta2 = 10.0 * self.lam
+            object.__setattr__(self, "beta2", 10.0 * self.lam)
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         for name in ("lam", "prox_weight", "eps_support", "outer_tol",

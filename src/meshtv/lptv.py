@@ -11,15 +11,13 @@ support can only shrink and eventually freezes.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .admm import (FreePart, NormalEquationSystem, _l1tv_solve_full,
-                   admm_solve, restrict)
+from .admm import FreePart, NormalEquationSystem, admm_solve, restrict
 from .config import SolverConfig
 from .errors import (
     DimensionMismatch,
@@ -156,8 +154,8 @@ def weights(u: np.ndarray, f: np.ndarray, support: np.ndarray, p: float) -> np.n
     p * |u_j - f_j|^(p-1) on the ``support`` mask and +inf, a pin, off it.
 
     A zero residual on the support means the support bookkeeping is broken.
-    A supported residual below about 1e-300 (an ``eps_support`` that small)
-    can overflow its weight to +inf, which pins that value too.
+    A supported weight that overflows, as at a subnormal residual and a small
+    p (1e-310 at p = 0.001), is +inf without a warning: a pin too.
     """
     if u.shape != f.shape:
         raise DimensionMismatch("u and f must have identical shapes")
@@ -165,7 +163,8 @@ def weights(u: np.ndarray, f: np.ndarray, support: np.ndarray, p: float) -> np.n
     if np.any(residual == 0.0):
         raise ZeroResidualInSupport("zero residual inside the support")
     w = np.full(u.shape, np.inf)
-    w[support] = p * residual ** (p - 1.0)
+    with np.errstate(over="ignore"):
+        w[support] = p * residual ** (p - 1.0)
     return w
 
 
@@ -277,7 +276,6 @@ def plm_solve(
 
     u = u0.values
     slack_floor = -SLACK_FLOOR_FACTOR * max(1.0, f_prev)
-    redo_config = dataclasses.replace(config, inner_tol=config.inner_tol / 100.0)
     support = np.ones(f2.shape, dtype=bool)
     system = duals = None
     # the iterate before u, or None when the next step is not extrapolated
@@ -318,19 +316,20 @@ def plm_solve(
             f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
                                                 config.prox_weight, jump_sq, k)
         else:
-            w = weights(u, part.f_free, support, config.p)
-            # Each try is (center, config, bar).  The first solve whose slack
+            # a weight times lam that overflows is +inf too: a pin
+            with np.errstate(over="ignore"):
+                w = config.lam * weights(u, part.f_free, support, config.p)
+            # Each try is (center, tol, bar).  The first solve whose slack
             # reaches its bar is kept, and so is a solve around u^k that hit
             # inner_max_iter: a redo would repeat its iterates exactly.
-            step_config = dataclasses.replace(config, inner_tol=tol)
-            tries = [(u, step_config, slack_floor), (u, redo_config, -math.inf)]
+            tries = [(u, tol, slack_floor), (u, config.inner_tol / 100.0, -math.inf)]
             if u_prev is not None:
                 c = u + EXTRAPOLATION * (u - u_prev)
                 c[~support] = part.f_free[~support]
-                tries.insert(0, (c, step_config, 0.0))
-            for kept, (center, solve_config, bar) in enumerate(tries):
+                tries.insert(0, (c, tol, 0.0))
+            for kept, (center, kept_tol, bar) in enumerate(tries):
                 u_next, iters, inner_ok, duals_next, _ = admm_solve(
-                    center, w, solve_config, system, duals)
+                    center, w, system, kept_tol, config.inner_max_iter, duals)
                 inner_iters += iters
                 f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
                                                     config.prox_weight, jump_sq, k)
@@ -338,7 +337,6 @@ def plm_solve(
                     break
             rejected = int(kept > 0 and tries[0][0] is not u)
             redos = int(kept == len(tries) - 1)
-            kept_tol = solve_config.inner_tol
         if slack < slack_floor:
             decrease_held = False
             logger.warning("decrease slack %.3g below the floor %.3g at outer "
@@ -369,6 +367,17 @@ def plm_solve(
     restored = f2.copy()
     restored[part.vertices] = u
     return MeshImage(restored), trace
+
+
+def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig,
+                     system: NormalEquationSystem):
+    """L1-TV from ``u0``: the subproblem of an all-vertex ``system`` with
+    every weight lam and zero duals.  Returns (values, inner_iterations,
+    converged, penalty_scale)."""
+    v, iters, converged, _, penalty_scale = admm_solve(
+        u0, np.full(u0.shape, config.lam), system, config.inner_tol,
+        config.inner_max_iter)
+    return v, iters, converged, penalty_scale
 
 
 def _step_decrease(u_next: np.ndarray, u: np.ndarray, part: FreePart,

@@ -45,7 +45,9 @@ def prox_system(op, config, f, support):
 def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
     """``admm_solve`` on full-size images, masks and duals: ``w`` holds one
     weight per True entry of ``support`` in C order, and is spread into a
-    weight array that is +inf off the support; ``u_k``, the weights and the
+    weight array that is +inf off the support and multiplied by
+    ``config.lam``; the solve runs to ``config.inner_tol`` within
+    ``config.inner_max_iter`` steps.  ``u_k``, the weights and the
     duals are sliced to the rows of ``system.part``, and the solve's values
     and duals are scattered back into copies of ``f`` and of the duals
     (zeros when None).  Returns what ``admm_solve`` returns but the penalty
@@ -60,7 +62,8 @@ def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
     else:
         full, part_duals = duals, (duals[0][rows], duals[1][triangles])
     v, iters, converged, (eta, mu), _ = admm_solve(
-        u_k.values[rows], weights[rows], config, system, part_duals)
+        u_k.values[rows], config.lam * weights[rows], system, config.inner_tol,
+        config.inner_max_iter, part_duals)
     out, eta_out, mu_out = f.values.copy(), full[0].copy(), full[1].copy()
     out[rows], eta_out[rows], mu_out[triangles] = v, eta, mu
     return MeshImage(out), iters, converged, (eta_out, mu_out)

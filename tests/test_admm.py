@@ -57,10 +57,12 @@ def test_weights_must_match_image_shape(rng):
     f = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
     system = prox_system(op, TINY_CONFIG, f, np.ones(f.values.shape, dtype=bool))
     with pytest.raises(DimensionMismatch):
-        admm_solve(f.values, np.ones(f.values.size), TINY_CONFIG, system)
+        admm_solve(f.values, np.ones(f.values.size), system,
+                   TINY_CONFIG.inner_tol, TINY_CONFIG.inner_max_iter)
     # so is a center of the wrong shape
     with pytest.raises(DimensionMismatch):
-        admm_solve(f.values[:, :1], np.ones(f.values.shape), TINY_CONFIG, system)
+        admm_solve(f.values[:, :1], np.ones(f.values.shape), system,
+                   TINY_CONFIG.inner_tol, TINY_CONFIG.inner_max_iter)
 
 
 def test_pinned_coordinates_are_bit_exact(two_triangle_mesh, rng):
@@ -371,8 +373,9 @@ def test_l1tv_stops_at_the_minimum_from_any_starting_penalty(beta, monkeypatch):
 def _step_case(name, rng):
     """(u_k, w, config, system, duals) of one subproblem in the coordinates
     of its part, on icosphere(2): "gray" has full support, "rgb-pin" a pinned
-    channel (weight +inf) at most free vertices.  The duals are nonzero and
-    the center is extrapolated, as ``plm_solve`` passes them on."""
+    channel (weight +inf) at most free vertices.  The weights carry
+    ``config.lam``, the duals are nonzero and the center is extrapolated, as
+    ``plm_solve`` passes them on."""
     mesh = icosphere(2)
     op = build_gradient_operator(mesh)
     if name == "gray":
@@ -390,32 +393,31 @@ def _step_case(name, rng):
     u_k = current + 0.5 * (current - previous)
     u_k[~fitted] = part.f_free[~fitted]
     w = np.full(fitted.shape, np.inf)
-    w[fitted] = rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
+    w[fitted] = config.lam * rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
     duals = (rng.normal(scale=0.1, size=part.f_free.shape),
              rng.normal(scale=0.1, size=part.offset.shape))
     return u_k, w, config, system, duals
 
 
-def _out_of_place_admm(u_k, w, config, system, duals):
+def _out_of_place_admm(u_k, w, system, tol, max_iter, duals):
     """The ADMM loop written out of place, one new array per operation, with
-    the y thresholds set only at the finite weights and the group shrink's
-    row norms from ``np.add.reduce``: the reference that ``admm_solve`` must
-    equal bit for bit."""
+    the y thresholds set only at the finite weights, the group shrink's
+    row norms from ``np.add.reduce`` and one primal residual r_y over every
+    value: the reference that ``admm_solve`` must equal bit for bit."""
     part = system.part
     f_free, offset, sub_op = part.f_free, part.offset, part.op
     fitted = np.isfinite(w)
-    unfitted = ~fitted if not fitted.all() else None
     eta, mu = duals
     beta1, beta2 = system.beta1, system.beta2
     y_threshold = np.full(f_free.shape, np.inf)
-    y_threshold[fitted] = config.lam * w[fitted] / beta1
+    y_threshold[fitted] = w[fitted] / beta1
     z_threshold = 1.0 / beta2
     rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
                  - beta2 * gradient.apply_adjoint(sub_op, offset))
     v = u_k
     grad_v = gradient.apply(sub_op, v) + offset
-    iters, converged = config.inner_max_iter, False
-    for t in range(config.inner_max_iter):
+    iters, converged = max_iter, False
+    for t in range(max_iter):
         y = shrink_1d(v - f_free + eta / beta1, y_threshold)
         a = grad_v + mu / beta2
         flat = a.reshape(a.shape[0], -1)
@@ -429,16 +431,11 @@ def _out_of_place_admm(u_k, w, config, system, duals):
         r_z = grad_v - z
         eta = eta + beta1 * r_y
         mu = mu + beta2 * r_z
-        if unfitted is None:
-            residuals = (r_y, r_z)
-        else:
-            residuals = (r_y[fitted], r_y[unfitted], r_z)
-        largest = max(np.linalg.norm(r) for r in residuals)
-        if largest / np.sqrt(part.size) < config.inner_tol:
+        largest = max(np.linalg.norm(r) for r in (r_y, r_z))
+        if largest / np.sqrt(part.size) < tol:
             iters, converged = t + 1, True
             break
-    if unfitted is not None:
-        v[unfitted] = f_free[unfitted]
+    v[~fitted] = f_free[~fitted]
     return v, iters, converged, (eta, mu)
 
 
@@ -448,9 +445,11 @@ def test_admm_solve_leaves_its_inputs_alone(name, rng):
     u_k, w, config, system, duals = _step_case(name, rng)
     inputs = (u_k, w) + duals
     kept = [a.copy() for a in inputs]
-    first = admm_solve(u_k, w, config, system, duals)
+    first = admm_solve(u_k, w, system, config.inner_tol, config.inner_max_iter,
+                       duals)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-    second = admm_solve(u_k, w, config, system, duals)
+    second = admm_solve(u_k, w, system, config.inner_tol, config.inner_max_iter,
+                        duals)
     assert first[1:3] == second[1:3]
     for a, b in zip((first[0],) + first[3], (second[0],) + second[3]):
         assert np.array_equal(a, b)
@@ -465,10 +464,10 @@ def test_admm_solve_equals_the_out_of_place_loop_bit_for_bit(name, path,
     u_k, w, config, system, duals = _step_case(name, rng)
     assert (system._lu is None) == (path == "cg")
     assert np.isinf(w).any() == (name == "rgb-pin")
-    v, iters, converged, (eta, mu), penalty_scale = admm_solve(u_k, w, config,
-                                                               system, duals)
+    v, iters, converged, (eta, mu), penalty_scale = admm_solve(
+        u_k, w, system, config.inner_tol, config.inner_max_iter, duals)
     ref_v, ref_iters, ref_converged, (ref_eta, ref_mu) = _out_of_place_admm(
-        u_k, w, config, system, duals)
+        u_k, w, system, config.inner_tol, config.inner_max_iter, duals)
     assert (iters, converged) == (ref_iters, ref_converged)
     assert iters > 1 and penalty_scale == 1.0
     assert np.array_equal(v, ref_v)
@@ -500,7 +499,8 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
         counting(admm, attr)
     for attr in ("apply", "apply_adjoint"):
         counting(gradient, attr)
-    _, n, converged, _, _ = admm_solve(f, np.ones(f.shape), config, system)
+    _, n, converged, _, _ = admm_solve(f, np.full(f.shape, config.lam), system,
+                                       config.inner_tol, config.inner_max_iter)
     assert converged and n > 1
     assert calls == {"shrink_1d": n, "_shrink_groups": n,
                      "solve_normal_equation": n, "apply": n + 1,

@@ -107,6 +107,31 @@ def test_weights_zero_residual_raises():
         weights(u, f, support, 0.5)
 
 
+@pytest.mark.parametrize("residual, lam", [(1e-310, 1.0), (1e-305, 1e7)],
+                         ids=["power", "lam-product"])
+def test_an_overflowing_weight_pins_its_value_without_a_warning(residual, lam):
+    # p * r^(p-1) at a subnormal residual and a small p overflows, and so
+    # does lam times a finite but huge weight: the value is pinned, as an
+    # off-support value is, and numpy stays silent (a RuntimeWarning fails
+    # this suite)
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    f = two_patch_image(mesh).values.copy()
+    f[7, 0] = 0.0
+    u0 = f.copy()
+    u0[:5, 0] += 0.3
+    u0[7, 0] = residual
+    config = SolverConfig(lam=lam, p=0.001, eps_support=1e-315, beta1=2.0 * lam,
+                          beta2=2.0, inner_max_iter=4000)
+    support = support_eps(u0, f, config.eps_support)
+    assert support[7, 0]
+    w = weights(u0, f, support, config.p)
+    assert np.isinf(w[7, 0]) == (residual < 1e-308)
+    out, trace = plm_solve(MeshImage(f), mesh, op, config, MeshImage(u0))
+    assert trace.converged
+    assert out.values[7, 0] == 0.0
+
+
 @given(st.floats(0.01, 0.99), st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
 @settings(max_examples=300, deadline=None)
 def test_majorization_inequality(p, t, r):
@@ -199,8 +224,9 @@ def test_plm_p_one_is_single_l1tv_solve():
                           inner_tol=1e-8, inner_max_iter=6000)
     out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
     assert len(trace) == 1
-    from meshtv.admm import NormalEquationSystem, _l1tv_solve_full, restrict
+    from meshtv.admm import NormalEquationSystem, restrict
     from meshtv.gradient import assemble_gram
+    from meshtv.lptv import _l1tv_solve_full
 
     whole = restrict(op, np.arange(mesh.n_vertices), noisy.values)
     system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
@@ -217,12 +243,11 @@ def _spy_on_admm(monkeypatch, f):
     calls = []
     original = lptv.admm_solve
 
-    def spy(u_k, w, config, system, duals=None):
-        result = original(u_k, w, config, system, duals)
+    def spy(u_k, w, system, tol, max_iter, duals=None):
+        result = original(u_k, w, system, tol, max_iter, duals)
         whole = f.values.copy()
         whole[system.part.vertices] = result[0]
-        calls.append((config.inner_tol, duals, result[3], u_k.copy(), whole,
-                      system.part))
+        calls.append((tol, duals, result[3], u_k.copy(), whole, system.part))
         return result
 
     monkeypatch.setattr(lptv, "admm_solve", spy)
@@ -378,6 +403,46 @@ def test_plm_redoes_a_step_below_the_floor_from_the_same_duals(monkeypatch):
     assert redo[0] == config.inner_tol / 100.0
     assert redo[1] is first[1]
     floor = -1e-6 * max(1.0, trace.records[0].objective)  # criterion 4
+    assert trace.column("decrease_slack").min() >= floor
+    assert trace.converged
+
+
+def test_plm_redoes_a_forced_step_below_the_floor_once(monkeypatch):
+    # at step 1 the extrapolated solve reports a negative slack and the
+    # solve around u^1 one below the decrease floor: the latter is solved
+    # again at inner_tol / 100 from the same duals, whatever the rounding of
+    # the instance
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.10, 0))
+    config = SolverConfig(lam=0.15, p=1.0, beta1=2.0, beta2=2.0,
+                          inner_max_iter=4000)
+    warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
+    config = dataclasses.replace(config, p=0.5)
+    floor = -lptv.SLACK_FLOOR_FACTOR * max(1.0, objective(warm, noisy, op, config))
+    calls = _spy_on_admm(monkeypatch, noisy)
+    forced = []
+    step_decrease = lptv._step_decrease
+
+    def below_floor(u_next, u, *args):
+        f_next, gap, slack = step_decrease(u_next, u, *args)
+        if args[-1] == 1 and len(forced) < 2:
+            forced.append(np.array_equal(calls[-1][3], u))
+            slack = 2.0 * floor if forced[-1] else 0.5 * floor
+        return f_next, gap, slack
+
+    monkeypatch.setattr(lptv, "_step_decrease", below_floor)
+    _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
+    # the first solve was extrapolated, the second centered at u^1
+    assert forced == [False, True]
+    assert trace.records[1].rejected_extrapolations == 1
+    assert trace.column("inner_redos").tolist() == [0, 1] + [0] * (len(trace) - 2)
+    first, redo = _calls_by_step(calls, trace)[1][-2:]
+    assert first[0] == _loose_tolerance(trace.records[0].iterate_gap, config,
+                                        noisy.values.size)
+    assert redo[0] == trace.records[1].inner_tol == config.inner_tol / 100.0
+    assert redo[1] is first[1] and redo[1] is not None
+    assert np.array_equal(redo[3], first[3])
     assert trace.column("decrease_slack").min() >= floor
     assert trace.converged
 
@@ -759,3 +824,17 @@ def test_solver_config_validation():
     config = SolverConfig(lam=0.3)
     assert config.beta1 == pytest.approx(3.0)
     assert config.beta2 == pytest.approx(3.0)
+
+
+def test_solver_config_is_frozen_and_replace_validates():
+    # a config is checked once, when it is built: no field can change after
+    config = SolverConfig(lam=0.3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.inner_tol = 1e-3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.beta1 = None
+    # replace builds a new config, and validates it
+    with pytest.raises(ValueError, match="inner_tol"):
+        dataclasses.replace(config, inner_tol=-1.0)
+    with pytest.raises(ValueError, match="p must be"):
+        dataclasses.replace(config, p=1.5)
