@@ -37,7 +37,7 @@ for path in paths:
         last = list(csv.DictReader(fh))[-1]
     assert float(last['inner_tol']) <= 1e-06 and last['inner_converged'] == 'True', (path, last)
 " "$RUNNER_TEMP/meshtv-k3"
-# L1-TV balances its ADMM penalties by a power-of-two factor; Lp-TV keeps them (factor 1)
+# every ADMM solve balances its penalties: each trace row's factor is a positive power of two
 python -c "
 import csv, glob, math, os, sys
 for method, count in (('L1TV', 2), ('LpTV_p*', 4)):
@@ -46,10 +46,8 @@ for method, count in (('L1TV', 2), ('LpTV_p*', 4)):
     for path in paths:
         with open(path, newline='') as fh:
             scales = [float(r['penalty_scale']) for r in csv.DictReader(fh)]
-        if method == 'L1TV':
-            assert len(scales) == 1 and scales[0] > 0 and math.log2(scales[0]).is_integer(), (path, scales)
-        else:
-            assert scales == [1.0] * len(scales), (path, scales)
+        assert len(scales) == 1 if method == 'L1TV' else scales, (path, scales)
+        assert all(s > 0 and math.log2(s).is_integer() for s in scales), (path, scales)
 " "$RUNNER_TEMP/meshtv-k3"
 # the file-input path: an RGB icosphere(1) as mesh and image in one PLY
 python -c "

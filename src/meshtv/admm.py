@@ -8,21 +8,21 @@ triangles that touch them; the pinned neighbours enter as a fixed gradient
 offset.  Splitting the fidelity residuals (y) and the per-triangle gradients
 (z) out of the vertex variable (v) makes every step closed-form: scalar and
 group soft-thresholding for (y, z), a sparse SPD normal equation for v, then
-gradient-ascent multiplier updates.
+gradient-ascent multiplier updates.  The proximal term is written on y, as
+prox/2 * ||y + f - c||^2 with c the center, so it enters the scalar shrink
+and not the matrix.
 
-This module reads no solver configuration: the outer loop passes the
-weights with lam in them, the system, the tolerance and the step limit.
-The same loop with full support, every weight lam, and zero proximal weight
-is the plain L1-TV warm start.  Only that loop tunes its penalties: with no
-proximal term its matrix beta2 * Gram + beta1 * I is homogeneous in the
-penalties, so scaling both by one factor s scales the matrix by s, and the
-one factorization still solves the scaled system as v = M^-1 rhs / s.
-Every BALANCE_EVERY steps it compares the normalized primal and dual
-residuals (residual balancing, Wohlberg 2017, arXiv:1704.06209) and moves s
-by BALANCE_FACTOR towards their balance; it stops only when both residuals
-are small, so its stopping point does not depend on the penalty.  A
-subproblem with a proximal term keeps the penalties of its system: a new
-penalty would cost a new factorization.
+This module reads no solver configuration: the outer loop passes the center,
+the weights with lam in them, the proximal weight, the system, the tolerance
+and the step limit.  The same loop with full support, every weight lam, and
+zero proximal weight is the plain L1-TV warm start.  Every subproblem's
+matrix beta2 * Gram + beta1 * I is homogeneous in the penalties, so scaling
+both by one factor s scales the matrix by s, and the one factorization still
+solves the scaled system as v = M^-1 rhs / s.  Every BALANCE_EVERY steps a
+solve compares the normalized primal and dual residuals (residual
+balancing, Wohlberg 2017, arXiv:1704.06209) and moves s by BALANCE_FACTOR
+towards their balance; it stops only when both residuals are small, so its
+stopping point does not depend on the penalty.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ DIRECT_SOLVE_MAX_VERTICES = 50_000
 CG_TOL = 1e-10
 CG_MAX_ITER = 2000
 
-# Residual balancing of a prox-free (L1-TV) solve: every BALANCE_EVERY steps,
-# when one normalized residual exceeds BALANCE_RATIO times the other, the
-# common penalty factor is multiplied or divided by BALANCE_FACTOR.  A power of
-# two scales the penalties, thresholds and fixed right-hand side exactly.
+# Residual balancing of every solve: every BALANCE_EVERY steps, when one
+# normalized residual exceeds BALANCE_RATIO times the other, the common
+# penalty factor is multiplied or divided by BALANCE_FACTOR.  A power of two
+# scales the penalties and the fixed right-hand side exactly.
 BALANCE_EVERY = 10
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
@@ -143,38 +143,35 @@ def restrict(op: GradientOperator, vertices: np.ndarray,
 
 
 class NormalEquationSystem:
-    """The SPD system beta2 * Gram + (prox_weight + beta1) * I of the free
-    vertices of ``part``.
+    """The SPD system beta2 * Gram + beta1 * I of the free vertices of ``part``.
 
     ``gram`` is the Gram matrix of ``part.op``, the operator the ADMM loop
     runs on, and the system carries ``part``, so that a subproblem is its
-    system plus its center, lam-weighted weights and multipliers, solved to
-    a tolerance within a step limit.  The system therefore depends on the
-    support through its free-vertex set; the set only shrinks during an
-    Lp-TV solve, so ``plm_solve`` builds a new system only when it does, and
-    one factorization (or preconditioner) serves every inner iteration in
-    between.  Up to DIRECT_SOLVE_MAX_VERTICES free vertices
-    (``n``) the system keeps only its LU factor; above, only the CSR
-    ``matrix`` and the Jacobi preconditioner that CG reads.  Because the
-    penalties stay fixed, the multipliers of one outer iteration are also a
-    valid starting point for the next, and ``plm_solve`` passes them on.  The
-    penalties and the proximal weight are kept because the ADMM steps must
-    use the ones the matrix was built with; this system is their only source.
-    Without a proximal term (L1-TV) the steps may use a common power-of-two
-    multiple of both penalties, which scales the matrix by that factor and
-    leaves its factorization valid (see ``admm_solve``).
+    system plus its center, lam-weighted weights, proximal weight and
+    starting state, solved to a tolerance within a step limit.  The system
+    therefore depends on the support through its free-vertex set; the set
+    only shrinks during an Lp-TV solve, so ``plm_solve`` builds a new system
+    only when it does, and one factorization (or preconditioner) serves
+    every inner iteration in between.  Up to DIRECT_SOLVE_MAX_VERTICES free
+    vertices (``n``) the system keeps only its LU factor; above, only the
+    CSR ``matrix`` and the Jacobi preconditioner that CG reads.  The
+    penalties are kept because the ADMM steps must use multiples of the ones
+    the matrix was built with; this system is their only source.  The matrix
+    holds no proximal term, so a common power-of-two multiple s of both
+    penalties scales it by s and leaves its factorization valid (see
+    ``admm_solve``).
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
-                 prox_weight: float, part: FreePart):
-        if not all(map(math.isfinite, (beta1, beta2, prox_weight))):
-            raise ValueError("penalties and prox_weight must be finite")
-        if beta1 <= 0.0 or beta2 <= 0.0 or prox_weight < 0.0:
-            raise ValueError("penalties must be positive, prox_weight nonnegative")
+                 part: FreePart):
+        if not (math.isfinite(beta1) and math.isfinite(beta2)):
+            raise ValueError("penalties must be finite")
+        if beta1 <= 0.0 or beta2 <= 0.0:
+            raise ValueError("penalties must be positive")
         self.n = gram.shape[0]
-        self.beta1, self.beta2, self.prox_weight = beta1, beta2, prox_weight
+        self.beta1, self.beta2 = beta1, beta2
         self.part = part
-        matrix = beta2 * gram + (prox_weight + beta1) * sp.identity(self.n)
+        matrix = beta2 * gram + beta1 * sp.identity(self.n)
         if self.n <= DIRECT_SOLVE_MAX_VERTICES:
             try:
                 self._lu = spla.splu(matrix.tocsc())
@@ -210,10 +207,11 @@ def solve_normal_equation(system: NormalEquationSystem,
 def admm_solve(
     u_k: np.ndarray,
     w: np.ndarray,
+    prox_weight: float,
     system: NormalEquationSystem,
     tol: float,
     max_iter: int,
-    duals: tuple[np.ndarray, np.ndarray] | None = None,
+    state: tuple[np.ndarray, np.ndarray, float] | None = None,
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
 
@@ -222,67 +220,70 @@ def admm_solve(
     other vertices are the constant f, so TV is kept only on T, where the
     gradient is D_F v_F + g0, with the pinned vertices' offset g0 and f_F
     carried by the part.  z splits that true gradient, and the right-hand
-    side's fixed terms beta1 * f_F + prox_weight * u_k - beta2 * D_F^T A g0
-    (A the areas) are built once per solve.  ``u_k`` (|F|, channels) is both
-    the proximal center and the starting iterate; ``plm_solve`` passes either
-    its current iterate or an extrapolated one.  ``w`` holds one fidelity
-    weight per value, shaped like ``u_k``, with lam in it: finite where the
-    value is fitted, +inf where it is pinned.  L1-TV is ``w`` all lam.
+    side's fixed terms beta1 * f_F - beta2 * D_F^T A g0 (A the areas) are
+    built once per solve.  ``u_k`` (|F|, channels) is both the proximal
+    center and the starting iterate; ``plm_solve`` passes either its current
+    iterate or an extrapolated one.  ``w`` holds one fidelity weight per
+    value, shaped like ``u_k``, with lam in it: finite where the value is
+    fitted, +inf where it is pinned.  L1-TV is ``w`` all lam and a zero
+    ``prox_weight``.
 
     Minimizes sum_j w_j |v_j - f_j| over the fitted entries, plus the
     area-weighted TV on T and prox_weight/2 * ||v - u_k||^2, subject to
-    v_j = f_j at the pinned entries.  For a color image a channel pinned at a
-    free vertex stays among the unknowns: its y threshold is +inf, so its y
+    v_j = f_j at the pinned entries.  y splits v - f, and the proximal term
+    is taken on it: with x = v - f + eta / beta1 the y-update is
+    shrink(x + m (u_k - f - x), w / (beta1 + prox_weight)) with
+    m = prox_weight / (beta1 + prox_weight), which is x itself, bit for bit,
+    at zero proximal weight.  For a color image a channel pinned at a free
+    vertex stays among the unknowns: its y threshold is +inf, so its y
     stays 0, its part of r_y measures v_j - f_j, and it is reset to f_j
     after the loop.  Residual norms are scaled by sqrt(``part.size``), the
-    whole image's value count.  The proximal weight is the one ``system``
-    was built with; ``max_iter`` is at least 1.
+    whole image's value count.  ``max_iter`` is at least 1.
 
-    With a proximal term the penalties are those of ``system``, and the solve
-    stops when the primal residuals r_y (every value) and r_z fall below tol.
-    Without one (L1-TV) the penalties start there and are scaled by a common
-    factor s, a power of BALANCE_FACTOR: every BALANCE_EVERY steps s is
-    raised when the normalized primal residual exceeds BALANCE_RATIO times
-    the normalized dual one, and lowered in the opposite case.  The primal
-    residual is normalized by the largest of ||(v, D v + g0)||, ||(y, z)||
-    and ||f||, and the dual residual (s beta1 dv, s beta2 D dv), with dv the
-    step's change of v, by ||(eta, mu)||.  The scaled system is s times the
+    The penalties are those of ``system`` times a common factor s, a power
+    of BALANCE_FACTOR: every BALANCE_EVERY steps s is raised when the
+    normalized primal residual exceeds BALANCE_RATIO times the normalized
+    dual one, and lowered in the opposite case.  The primal residual is
+    normalized by the largest of ||(v, D v + g0)||, ||(y, z)|| and ||f||,
+    and the dual residual (s beta1 dv, s beta2 D dv), with dv the step's
+    change of v, by ||(eta, mu)||.  The scaled system is s times the
     factored one, so v is its solution divided by s, and the multipliers,
-    which are unscaled, carry over unchanged.  That solve also stops only
-    when the dual residual rule max(||dv||, ||D dv||) / sqrt(size) < tol
-    holds, so where it stops does not depend on the penalty.  The rule is
-    checked at the balancing steps and at every step after one that met the
-    primal rule.
+    which are unscaled, carry over unchanged.  The solve stops when the
+    primal residuals r_y (every value) and r_z, and the dual residual rule
+    max(||dv||, ||D dv||), all fall below tol per value, so where it stops
+    does not depend on the penalty.  The dual rule is checked at the
+    balancing steps and at every step after one that met the primal rule.
 
-    ``duals`` is the multiplier pair (eta, mu), shaped (|F|, channels) and
-    (|T|, 3, channels), or None for zeros.  The splitting variables (y, z)
-    are computed from ``u_k`` and the duals, so the duals are the whole state
-    a warm start needs.  The inputs are not modified: ``plm_solve`` solves a
-    rejected or redone step again from the same starting duals, so the loop
-    copies the multipliers once and updates its copies in place.
+    ``state`` is (eta, mu, s): the multipliers, shaped (|F|, channels) and
+    (|T|, 3, channels), and the penalty factor, or None for zeros and 1.
+    The splitting variables (y, z) are computed from ``u_k`` and the
+    multipliers, so the state is all a warm start needs.  The inputs are not
+    modified: ``plm_solve`` solves a rejected or redone step again from the
+    same starting state, so the loop copies the multipliers once and
+    updates its copies in place.
 
-    Returns (v, inner_iterations, converged, duals, penalty_scale): the
-    values on F, with pinned channels equal to the data bit for bit, the
-    final (eta, mu) and the final factor s (1.0 with a proximal term); a
-    False flag means the residual rules were not met within max_iter.
+    Returns (v, inner_iterations, converged, state): the values on F, with
+    pinned channels equal to the data bit for bit, and the final
+    (eta, mu, s); a False flag means the residual rules were not met within
+    max_iter.
     """
     f_free, offset, sub_op = system.part.f_free, system.part.offset, system.part.op
     if not u_k.shape == w.shape == f_free.shape:
         raise DimensionMismatch(f"center and weights must be {f_free.shape}")
-    if duals is None:
-        duals = np.zeros(f_free.shape), np.zeros(offset.shape)
-    elif duals[0].shape != f_free.shape or duals[1].shape != offset.shape:
+    if state is None:
+        state = np.zeros(f_free.shape), np.zeros(offset.shape), 1.0
+    elif state[0].shape != f_free.shape or state[1].shape != offset.shape:
         raise DimensionMismatch("duals must be shaped like the part and its gradient")
-    eta, mu = duals[0].copy(), duals[1].copy()
+    eta, mu, penalty_scale = state[0].copy(), state[1].copy(), state[2]
 
-    beta1, beta2 = system.beta1, system.beta2
-    y_threshold = w / beta1
+    beta1 = penalty_scale * system.beta1
+    beta2 = penalty_scale * system.beta2
+    y_threshold = w / (beta1 + prox_weight)
+    mix = prox_weight / (beta1 + prox_weight)
     z_threshold = 1.0 / beta2
-    rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
-                 - beta2 * gradient.apply_adjoint(sub_op, offset))
-    # the common penalty factor; it stays 1 unless the solve balances
-    balancing, penalty_scale = system.prox_weight == 0.0, 1.0
-    # whether the last step met the primal rule of a balancing solve
+    rhs_fixed = beta1 * f_free - beta2 * gradient.apply_adjoint(sub_op, offset)
+    center_residual = u_k - f_free
+    # whether the last step met the primal rule
     primal_met = False
 
     v = u_k
@@ -295,6 +296,7 @@ def admm_solve(
         # each in-place chain adds in the order of the written-out sum
         x = v - f_free
         x += eta / beta1
+        x += mix * (center_residual - x)
         y = shrink_1d(x, y_threshold)
         g = mu / beta2
         g += grad_v
@@ -306,7 +308,7 @@ def admm_solve(
         rhs += beta1 * y
         rhs -= eta
         rhs += rhs_fixed
-        balance = balancing and (t + 1) % BALANCE_EVERY == 0
+        balance = (t + 1) % BALANCE_EVERY == 0
         # the dual residual is measured where the balance or the stop reads
         # it, as each new iterate replaces the old: keeping the old arrays
         # alive for longer fragments the heap
@@ -333,11 +335,8 @@ def admm_solve(
 
         # Euclidean norms as np.linalg.norm computes them, minus its wrapper
         primal = [math.sqrt(r.dot(r)) for r in (r_y.ravel(), r_z.ravel())]
-        done = max(primal) / scale < tol
-        if balancing:
-            primal_met = done
-            done = done and measure_dual and max(dual) / scale < tol
-        if done:
+        primal_met = max(primal) / scale < tol
+        if primal_met and measure_dual and max(dual) / scale < tol:
             iters, converged = t + 1, True
             break
         if balance:
@@ -347,13 +346,14 @@ def admm_solve(
                 penalty_scale *= change
                 beta1 *= change
                 beta2 *= change
-                y_threshold /= change
+                y_threshold = w / (beta1 + prox_weight)
+                mix = prox_weight / (beta1 + prox_weight)
                 z_threshold = 1.0 / beta2
                 rhs_fixed *= change
 
     pinned = np.isinf(w)
     v[pinned] = f_free[pinned]
-    return v, iters, converged, (eta, mu), penalty_scale
+    return v, iters, converged, (eta, mu, penalty_scale)
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,6 +13,11 @@ import numbers
 from dataclasses import dataclass
 
 
+class _LamDefault(float):
+    """A penalty at its default, 10 * lam.  ``dataclasses.replace`` passes
+    it back to the new config, which derives it again from its own lam."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the Lp-TV solver.
@@ -24,12 +29,14 @@ class SolverConfig:
     the residual threshold below which a value counts as exactly fitted.
     ``beta1``/``beta2`` are the ADMM penalties for the fidelity and gradient
     splittings; they default to 10 * lam and reach the ADMM loop only through
-    the normal-equation system built from them.  Lp-TV keeps them fixed;
-    L1-TV starts from them and scales both by a common power of two that
-    balances its residuals (see ``admm.admm_solve``).  ADMM reads no config:
-    ``lptv.plm_solve`` passes it lam inside the weights, each solve's
-    tolerance and inner_max_iter.  A config is frozen and validated when
-    built, also by ``dataclasses.replace``.
+    the normal-equation system built from them.  Every solve starts from
+    them, or from the factor the previous Lp-TV step ended with, and scales
+    both by a common power of two that balances its residuals (see
+    ``admm.admm_solve``).  ADMM reads no config: ``lptv.plm_solve`` passes
+    it lam inside the weights, the proximal weight, each solve's tolerance
+    and inner_max_iter.  A config is frozen and validated when built, also
+    by ``dataclasses.replace``; there a penalty left at its default follows
+    a new lam, and one given explicitly is kept.
     """
 
     lam: float = 1.0
@@ -44,10 +51,10 @@ class SolverConfig:
     inner_max_iter: int = 2000
 
     def __post_init__(self):
-        if self.beta1 is None:
-            object.__setattr__(self, "beta1", 10.0 * self.lam)
-        if self.beta2 is None:
-            object.__setattr__(self, "beta2", 10.0 * self.lam)
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if value is None or type(value) is _LamDefault:
+                object.__setattr__(self, name, _LamDefault(10.0 * self.lam))
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         for name in ("lam", "prox_weight", "eps_support", "outer_tol",

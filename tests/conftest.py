@@ -32,41 +32,45 @@ def smallest_nonzero_residual(u, f):
 
 def prox_system(op, config, f, support):
     """The subproblem system of ``support``'s free vertices for the image
-    ``f``, with ``config``'s penalties and proximal weight; None when the
-    support is empty."""
+    ``f``, with ``config``'s penalties; None when the support is empty."""
     free = np.flatnonzero(support.any(axis=1))
     if not free.size:
         return None
     part = restrict(op, free, f.values)
     return NormalEquationSystem(assemble_gram(part.op), config.beta1,
-                                config.beta2, config.prox_weight, part)
+                                config.beta2, part)
 
 
-def admm_full_size(f, u_k, support, w, op, config, system, duals=None):
-    """``admm_solve`` on full-size images, masks and duals: ``w`` holds one
-    weight per True entry of ``support`` in C order, and is spread into a
-    weight array that is +inf off the support and multiplied by
-    ``config.lam``; the solve runs to ``config.inner_tol`` within
+def admm_full_size(f, u_k, support, w, op, config, system, state=None,
+                   prox_weight=None):
+    """``admm_solve`` on full-size images, masks and multipliers: ``w`` holds
+    one weight per True entry of ``support`` in C order, and is spread into
+    a weight array that is +inf off the support and multiplied by
+    ``config.lam``; the solve runs with ``config.prox_weight`` (or
+    ``prox_weight`` when given) to ``config.inner_tol`` within
     ``config.inner_max_iter`` steps.  ``u_k``, the weights and the
-    duals are sliced to the rows of ``system.part``, and the solve's values
-    and duals are scattered back into copies of ``f`` and of the duals
-    (zeros when None).  Returns what ``admm_solve`` returns but the penalty
-    scale: (image, iterations, converged, duals)."""
+    multipliers of ``state`` (eta, mu, s) are sliced to the rows of
+    ``system.part``, and the solve's values and multipliers are scattered
+    back into copies of ``f`` and of the multipliers (zeros when None).
+    Returns what ``admm_solve`` returns: (image, iterations, converged,
+    state)."""
     rows, triangles = system.part.vertices, system.part.triangles
     weights = np.full(support.shape, np.inf)
     weights[support] = w
-    if duals is None:
+    if prox_weight is None:
+        prox_weight = config.prox_weight
+    if state is None:
         full = (np.zeros(f.values.shape),
                 np.zeros((op.n_triangles, 3, f.channel_count)))
-        part_duals = None
+        part_state = None
     else:
-        full, part_duals = duals, (duals[0][rows], duals[1][triangles])
-    v, iters, converged, (eta, mu), _ = admm_solve(
-        u_k.values[rows], config.lam * weights[rows], system, config.inner_tol,
-        config.inner_max_iter, part_duals)
+        full, part_state = state, (state[0][rows], state[1][triangles], state[2])
+    v, iters, converged, (eta, mu, scale) = admm_solve(
+        u_k.values[rows], config.lam * weights[rows], prox_weight, system,
+        config.inner_tol, config.inner_max_iter, part_state)
     out, eta_out, mu_out = f.values.copy(), full[0].copy(), full[1].copy()
     out[rows], eta_out[rows], mu_out[triangles] = v, eta, mu
-    return MeshImage(out), iters, converged, (eta_out, mu_out)
+    return MeshImage(out), iters, converged, (eta_out, mu_out, scale)
 
 
 @pytest.fixture

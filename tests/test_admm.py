@@ -57,11 +57,11 @@ def test_weights_must_match_image_shape(rng):
     f = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
     system = prox_system(op, TINY_CONFIG, f, np.ones(f.values.shape, dtype=bool))
     with pytest.raises(DimensionMismatch):
-        admm_solve(f.values, np.ones(f.values.size), system,
+        admm_solve(f.values, np.ones(f.values.size), 1.0, system,
                    TINY_CONFIG.inner_tol, TINY_CONFIG.inner_max_iter)
     # so is a center of the wrong shape
     with pytest.raises(DimensionMismatch):
-        admm_solve(f.values[:, :1], np.ones(f.values.shape), system,
+        admm_solve(f.values[:, :1], np.ones(f.values.shape), 1.0, system,
                    TINY_CONFIG.inner_tol, TINY_CONFIG.inner_max_iter)
 
 
@@ -106,8 +106,12 @@ def test_penalties_come_from_the_system(rng):
 
 
 def test_restart_from_returned_duals_is_shorter(rng):
-    # the duals a converged solve returns are the subproblem's multipliers:
-    # starting from them again reaches the same point in fewer steps
+    # plm_solve starts each subproblem from the state that the previous one
+    # returned: the multipliers and the penalty factor.  The next
+    # subproblem, centered at the previous result, reaches the same point
+    # from that state in fewer steps than from zeros.  (The same subproblem
+    # restarted at the same center gains nothing: its first v is the
+    # center, as far from the solution as before.)
     mesh = icosphere(2)
     op = build_gradient_operator(mesh)
     f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
@@ -116,15 +120,17 @@ def test_restart_from_returned_duals_is_shorter(rng):
     config = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=2.0,
                           beta2=2.0, inner_tol=1e-8, inner_max_iter=5000)
     system = prox_system(op, config, f, support)
-    cold, it_cold, ok_cold, duals = admm_full_size(f, f, support, w, op, config,
-                                                   system)
-    kept = [d.copy() for d in duals]
-    warm, it_warm, ok_warm, _ = admm_full_size(f, f, support, w, op, config,
-                                               system, duals)
-    assert ok_cold and ok_warm
+    first, _, ok_first, state = admm_full_size(f, f, support, w, op, config,
+                                               system)
+    kept = [d.copy() for d in state[:2]]
+    cold, it_cold, ok_cold, _ = admm_full_size(f, first, support, w, op, config,
+                                               system)
+    warm, it_warm, ok_warm, _ = admm_full_size(f, first, support, w, op, config,
+                                               system, state)
+    assert ok_first and ok_cold and ok_warm
     assert it_warm < it_cold
     # the inputs are left as they were, so a caller can start from them twice
-    assert all(np.array_equal(a, b) for a, b in zip(duals, kept))
+    assert all(np.array_equal(a, b) for a, b in zip(state[:2], kept))
     # the stopping rule bounds residual norms over sqrt(size); so does this
     rms = np.linalg.norm(warm.values - cold.values) / np.sqrt(f.values.size)
     assert rms < config.inner_tol
@@ -209,7 +215,7 @@ def test_duals_must_match_the_image(rng):
     op = build_gradient_operator(mesh)
     rgb = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
     gray_duals = (np.zeros((mesh.n_vertices, 1)),
-                  np.zeros((mesh.n_triangles, 3, 1)))
+                  np.zeros((mesh.n_triangles, 3, 1)), 1.0)
     support = np.ones(rgb.values.shape, dtype=bool)
     with pytest.raises(DimensionMismatch):
         admm_full_size(rgb, rgb, support, np.ones(rgb.values.size), op,
@@ -285,7 +291,7 @@ def test_all_free_part_applies_no_gradient(monkeypatch, rng):
 
 
 def test_full_support_prox_free_subproblem_is_l1tv(rng):
-    # the proximal weight comes from the system, not from config.prox_weight
+    # the proximal weight is the solve's argument, not config.prox_weight
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
     f = MeshImage(rng.uniform(0, 1, size=mesh.n_vertices))
@@ -294,9 +300,9 @@ def test_full_support_prox_free_subproblem_is_l1tv(rng):
     support = np.ones((mesh.n_vertices, 1), dtype=bool)
     whole = restrict(op, np.arange(mesh.n_vertices), f.values)
     system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
-                                  0.0, whole)
+                                  whole)
     out, _, converged, _ = admm_full_size(f, f, support, np.ones(mesh.n_vertices),
-                                          op, config, system=system)
+                                          op, config, system, prox_weight=0.0)
     assert converged
     l1tv, _ = plm_solve(f, mesh, op, config, f)
     assert np.array_equal(out.values, l1tv.values)
@@ -341,41 +347,55 @@ def test_l1tv_small_lambda_flattens(rng):
     assert spread < 1e-2
 
 
-@pytest.mark.parametrize("beta", [200.0, 2000.0, 0.01])
-def test_l1tv_stops_at_the_minimum_from_any_starting_penalty(beta, monkeypatch):
-    # from beta 200 a stop on the primal residual alone ended after 39 steps
-    # at objective 14.30, against a minimum of 6.107, and reported converged;
-    # from beta 2000 it still did so after 24 steps with the balancing on
+@pytest.mark.parametrize("p, lam, beta", [
+    (1.0, 0.1, 200.0), (1.0, 0.1, 2000.0), (1.0, 0.1, 0.01),
+    (0.5, 0.15, 30.0), (0.5, 0.15, 300.0),
+], ids=["200.0", "2000.0", "0.01", "lptv-200lam", "lptv-2000lam"])
+def test_l1tv_stops_at_the_minimum_from_any_starting_penalty(p, lam, beta,
+                                                             monkeypatch):
+    # L1-TV from beta 200: a stop on the primal residual alone ended after 39
+    # steps at objective 14.30, against a minimum of 6.107, and reported
+    # converged; from beta 2000 it still did so after 24 steps with the
+    # balancing on.  Lp-TV (p 0.5) from the L1-TV result, with fixed
+    # penalties and that stop, ran 500 outer steps without converging from
+    # 200 * lam and 2000 * lam, and ended 1e-5 and 4e-3 above the tight
+    # solve's objective.
     mesh = icosphere(3)
     op = build_gradient_operator(mesh)
     noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    start = noisy
+    if p < 1.0:
+        start, _ = plm_solve(noisy, mesh, op,
+                             SolverConfig(lam=lam, p=1.0, beta1=2.0, beta2=2.0),
+                             u0=noisy)
     factorizations = []
     splu = admm.spla.splu
     monkeypatch.setattr(admm.spla, "splu",
                         lambda a: factorizations.append(a) or splu(a))
-    config = SolverConfig(lam=0.1, p=1.0, beta1=beta, beta2=beta)
-    out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
+    config = SolverConfig(lam=lam, p=p, beta1=beta, beta2=beta)
+    out, trace = plm_solve(noisy, mesh, op, config, u0=start)
     assert trace.converged
     # the penalties moved towards the balance by powers of two, and the one
-    # factorization of the solve served every factor
-    scale = trace.records[0].penalty_scale
-    assert np.log2(scale) == round(np.log2(scale))
-    assert (scale < 1.0) == (beta > 1.0) and scale != 1.0
-    assert len(factorizations) == 1
+    # factorization of each free-vertex set served every factor
+    scales = trace.column("penalty_scale")
+    assert (np.log2(scales) == np.round(np.log2(scales))).all()
+    assert ((scales[-1] < 1.0) == (beta > 1.0)) and scales[-1] != 1.0
+    assert len(factorizations) == len(set(trace.column("free_vertices")))
     tight = dataclasses.replace(config, beta1=2.0, beta2=2.0, inner_tol=1e-10,
                                 inner_max_iter=20_000)
-    reference, tight_trace = plm_solve(noisy, mesh, op, tight, u0=noisy)
+    reference, tight_trace = plm_solve(noisy, mesh, op, tight, u0=start)
     assert tight_trace.converged
     assert objective(out, noisy, op, config) == pytest.approx(
         objective(reference, noisy, op, config), rel=1e-6)
 
 
-def _step_case(name, rng):
-    """(u_k, w, config, system, duals) of one subproblem in the coordinates
+def _step_case(name, rng, scale=1.0):
+    """(u_k, w, config, system, state) of one subproblem in the coordinates
     of its part, on icosphere(2): "gray" has full support, "rgb-pin" a pinned
     channel (weight +inf) at most free vertices.  The weights carry
-    ``config.lam``, the duals are nonzero and the center is extrapolated, as
-    ``plm_solve`` passes them on."""
+    ``config.lam``, the multipliers are nonzero, the penalty factor is
+    ``scale`` and the center is extrapolated, as ``plm_solve`` passes them
+    on."""
     mesh = icosphere(2)
     op = build_gradient_operator(mesh)
     if name == "gray":
@@ -394,64 +414,90 @@ def _step_case(name, rng):
     u_k[~fitted] = part.f_free[~fitted]
     w = np.full(fitted.shape, np.inf)
     w[fitted] = config.lam * rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
-    duals = (rng.normal(scale=0.1, size=part.f_free.shape),
-             rng.normal(scale=0.1, size=part.offset.shape))
-    return u_k, w, config, system, duals
+    state = (rng.normal(scale=0.1, size=part.f_free.shape),
+             rng.normal(scale=0.1, size=part.offset.shape), scale)
+    return u_k, w, config, system, state
 
 
-def _out_of_place_admm(u_k, w, system, tol, max_iter, duals):
+def _out_of_place_admm(u_k, w, prox_weight, system, tol, max_iter, state):
     """The ADMM loop written out of place, one new array per operation, with
-    the y thresholds set only at the finite weights, the group shrink's
-    row norms from ``np.add.reduce`` and one primal residual r_y over every
-    value: the reference that ``admm_solve`` must equal bit for bit."""
+    the y thresholds set only at the finite weights, the penalties, the
+    threshold, the mixing weight and the fixed right-hand side computed
+    again from the factor s at every step, the group shrink's row norms from
+    ``np.add.reduce``, one primal residual r_y over every value, and the
+    dual residual measured at every step: the reference that ``admm_solve``
+    must equal bit for bit."""
     part = system.part
     f_free, offset, sub_op = part.f_free, part.offset, part.op
     fitted = np.isfinite(w)
-    eta, mu = duals
-    beta1, beta2 = system.beta1, system.beta2
-    y_threshold = np.full(f_free.shape, np.inf)
-    y_threshold[fitted] = w[fitted] / beta1
-    z_threshold = 1.0 / beta2
-    rhs_fixed = (beta1 * f_free + system.prox_weight * u_k
-                 - beta2 * gradient.apply_adjoint(sub_op, offset))
+    eta, mu, s = state
     v = u_k
     grad_v = gradient.apply(sub_op, v) + offset
+    primal_met = False
     iters, converged = max_iter, False
     for t in range(max_iter):
-        y = shrink_1d(v - f_free + eta / beta1, y_threshold)
+        beta1, beta2 = s * system.beta1, s * system.beta2
+        y_threshold = np.full(f_free.shape, np.inf)
+        y_threshold[fitted] = w[fitted] / (beta1 + prox_weight)
+        mix = prox_weight / (beta1 + prox_weight)
+        z_threshold = 1.0 / beta2
+        rhs_fixed = beta1 * f_free - beta2 * gradient.apply_adjoint(sub_op, offset)
+        x = v - f_free + eta / beta1
+        y = shrink_1d(x + mix * ((u_k - f_free) - x), y_threshold)
         a = grad_v + mu / beta2
         flat = a.reshape(a.shape[0], -1)
         norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
         z = a * (1.0 - z_threshold / np.maximum(norms, z_threshold))[:, None, None]
         rhs = (gradient.apply_adjoint(sub_op, beta2 * z - mu) + beta1 * y - eta
                + rhs_fixed)
-        v = solve_normal_equation(system, rhs)
-        grad_v = gradient.apply(sub_op, v) + offset
+        v_new = solve_normal_equation(system, rhs) / s
+        grad_new = gradient.apply(sub_op, v_new) + offset
+        dual = [np.linalg.norm(v_new - v), np.linalg.norm(grad_new - grad_v)]
+        v, grad_v = v_new, grad_new
         r_y = v - f_free - y
         r_z = grad_v - z
         eta = eta + beta1 * r_y
         mu = mu + beta2 * r_z
-        largest = max(np.linalg.norm(r) for r in (r_y, r_z))
-        if largest / np.sqrt(part.size) < tol:
+        primal = [np.linalg.norm(r) for r in (r_y, r_z)]
+        balance = (t + 1) % admm.BALANCE_EVERY == 0
+        # the dual rule is read at a balancing step and after a step that
+        # met the primal rule
+        dual_read = balance or primal_met
+        primal_met = max(primal) / np.sqrt(part.size) < tol
+        if primal_met and dual_read and max(dual) / np.sqrt(part.size) < tol:
             iters, converged = t + 1, True
             break
+        if balance:
+            # normalized residuals; s moves by the factor towards their balance
+            primal_size = max(_norm(v, grad_v), _norm(y, z), _norm(f_free))
+            r = np.hypot(*primal) / primal_size
+            d = np.hypot(beta1 * dual[0], beta2 * dual[1]) / _norm(eta, mu)
+            if r > admm.BALANCE_RATIO * d:
+                s = s * admm.BALANCE_FACTOR
+            elif d > admm.BALANCE_RATIO * r:
+                s = s / admm.BALANCE_FACTOR
     v[~fitted] = f_free[~fitted]
-    return v, iters, converged, (eta, mu)
+    return v, iters, converged, (eta, mu, s)
+
+
+def _norm(*arrays):
+    """The Euclidean norm of the arrays as one vector."""
+    return np.linalg.norm(np.concatenate([a.ravel() for a in arrays]))
 
 
 @pytest.mark.parametrize("name", ["gray", "rgb-pin"])
 def test_admm_solve_leaves_its_inputs_alone(name, rng):
-    # plm_solve solves a rejected or redone step again from the same duals
-    u_k, w, config, system, duals = _step_case(name, rng)
-    inputs = (u_k, w) + duals
+    # plm_solve solves a rejected or redone step again from the same state
+    u_k, w, config, system, state = _step_case(name, rng)
+    inputs = (u_k, w) + state[:2]
     kept = [a.copy() for a in inputs]
-    first = admm_solve(u_k, w, system, config.inner_tol, config.inner_max_iter,
-                       duals)
+    first = admm_solve(u_k, w, config.prox_weight, system, config.inner_tol,
+                       config.inner_max_iter, state)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-    second = admm_solve(u_k, w, system, config.inner_tol, config.inner_max_iter,
-                        duals)
-    assert first[1:3] == second[1:3]
-    for a, b in zip((first[0],) + first[3], (second[0],) + second[3]):
+    second = admm_solve(u_k, w, config.prox_weight, system, config.inner_tol,
+                        config.inner_max_iter, state)
+    assert first[1:3] == second[1:3] and first[3][2] == second[3][2]
+    for a, b in zip((first[0],) + first[3][:2], (second[0],) + second[3][:2]):
         assert np.array_equal(a, b)
 
 
@@ -461,15 +507,20 @@ def test_admm_solve_equals_the_out_of_place_loop_bit_for_bit(name, path,
                                                              monkeypatch, rng):
     if path == "cg":
         monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
-    u_k, w, config, system, duals = _step_case(name, rng)
+    # the pinned case starts from a factor that an earlier solve left
+    start = 1.0 if name == "gray" else 4.0
+    u_k, w, config, system, state = _step_case(name, rng, start)
     assert (system._lu is None) == (path == "cg")
     assert np.isinf(w).any() == (name == "rgb-pin")
-    v, iters, converged, (eta, mu), penalty_scale = admm_solve(
-        u_k, w, system, config.inner_tol, config.inner_max_iter, duals)
-    ref_v, ref_iters, ref_converged, (ref_eta, ref_mu) = _out_of_place_admm(
-        u_k, w, system, config.inner_tol, config.inner_max_iter, duals)
-    assert (iters, converged) == (ref_iters, ref_converged)
-    assert iters > 1 and penalty_scale == 1.0
+    v, iters, converged, (eta, mu, scale) = admm_solve(
+        u_k, w, config.prox_weight, system, config.inner_tol,
+        config.inner_max_iter, state)
+    ref_v, ref_iters, ref_converged, (ref_eta, ref_mu, ref_scale) = (
+        _out_of_place_admm(u_k, w, config.prox_weight, system, config.inner_tol,
+                           config.inner_max_iter, state))
+    assert (iters, converged, scale) == (ref_iters, ref_converged, ref_scale)
+    # the solve balanced at least once, and moved its factor
+    assert iters > admm.BALANCE_EVERY and scale != start
     assert np.array_equal(v, ref_v)
     assert np.array_equal(eta, ref_eta) and np.array_equal(mu, ref_mu)
 
@@ -483,7 +534,7 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
                           inner_tol=1e-8, inner_max_iter=2000)
     whole = restrict(op, np.arange(mesh.n_vertices), f)
     system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
-                                  0.0, whole)
+                                  whole)
     calls = dict.fromkeys(["shrink_1d", "_shrink_groups", "solve_normal_equation",
                            "apply", "apply_adjoint"], 0)
 
@@ -499,8 +550,8 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
         counting(admm, attr)
     for attr in ("apply", "apply_adjoint"):
         counting(gradient, attr)
-    _, n, converged, _, _ = admm_solve(f, np.full(f.shape, config.lam), system,
-                                       config.inner_tol, config.inner_max_iter)
+    _, n, converged, _ = admm_solve(f, np.full(f.shape, config.lam), 0.0, system,
+                                    config.inner_tol, config.inner_max_iter)
     assert converged and n > 1
     assert calls == {"shrink_1d": n, "_shrink_groups": n,
                      "solve_normal_equation": n, "apply": n + 1,

@@ -125,9 +125,8 @@ def _identity_system(scale, op, n):
     import scipy.sparse as sp
 
     gram = sp.csr_matrix((n, n))
-    # beta2 * 0 + (prox + beta1) * I = scale * I
-    return NormalEquationSystem(gram, beta1=scale / 2.0, beta2=1.0,
-                                prox_weight=scale / 2.0, part=_whole(op, n))
+    # beta2 * 0 + beta1 * I = scale * I
+    return NormalEquationSystem(gram, beta1=scale, beta2=1.0, part=_whole(op, n))
 
 
 def test_solve_scaled_identity(two_triangle_mesh):
@@ -143,11 +142,10 @@ def test_solve_scaled_identity(two_triangle_mesh):
 def test_solve_matches_dense_lu(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, beta1=0.7, beta2=1.3, prox_weight=0.5,
-                                  part=_whole(op))
+    system = NormalEquationSystem(gram, beta1=0.7, beta2=1.3, part=_whole(op))
     # the LU path keeps only its factor
     assert not hasattr(system, "matrix")
-    dense = 1.3 * gram.toarray() + (0.5 + 0.7) * np.eye(4)
+    dense = 1.3 * gram.toarray() + 0.7 * np.eye(4)
     for _ in range(20):
         rhs = rng.normal(size=(4, 1))
         x = solve_normal_equation(system, rhs)
@@ -158,7 +156,7 @@ def test_solve_matches_dense_lu(two_triangle_mesh, rng):
 def test_solve_consistency_constant(two_triangle_mesh):
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
+    system = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
     rhs = (gram.toarray() + 2.0 * np.eye(4)) @ np.ones((4, 1))
     out = solve_normal_equation(system, rhs)
     assert np.abs(out - 1.0).max() < 1e-10
@@ -167,7 +165,7 @@ def test_solve_consistency_constant(two_triangle_mesh):
 def test_solve_multiple_channels(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
+    system = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
     rhs = rng.normal(size=(4, 3))
     out = solve_normal_equation(system, rhs)
     assert np.abs((gram.toarray() + 2.0 * np.eye(4)) @ out - rhs).max() < 1e-10
@@ -178,9 +176,9 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
 
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    direct = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
+    direct = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
     monkeypatch.setattr(admm_mod, "DIRECT_SOLVE_MAX_VERTICES", 0)
-    iterative = NormalEquationSystem(gram, 1.0, 1.0, 1.0, _whole(op))
+    iterative = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
     # only the CG path stores the matrix it multiplies by
     assert not hasattr(direct, "matrix") and iterative._lu is None
     assert iterative.matrix.format == "csr"
@@ -191,11 +189,11 @@ def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
     assert np.abs(a - b).max() < 1e-8
 
 
-@pytest.mark.parametrize("name", ["beta1", "beta2", "prox_weight"])
+@pytest.mark.parametrize("name", ["beta1", "beta2"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_system_rejects_non_finite_penalties(two_triangle_mesh, name, bad):
     op = build_gradient_operator(two_triangle_mesh)
-    kwargs = {"beta1": 1.0, "beta2": 1.0, "prox_weight": 1.0, name: bad}
+    kwargs = {"beta1": 1.0, "beta2": 1.0, name: bad}
     with pytest.raises(ValueError, match="finite"):
         NormalEquationSystem(assemble_gram(op), part=_whole(op), **kwargs)
 
