@@ -7,8 +7,9 @@ for the free vertices (those with a supported value) and keeps only the
 triangles that touch them; the pinned neighbours enter as a fixed gradient
 offset.  Splitting the fidelity residuals (y) and the per-triangle gradients
 (z) out of the vertex variable (v) makes every step closed-form: scalar and
-group soft-thresholding for (y, z), a sparse SPD normal equation for v, then
-gradient-ascent multiplier updates.  The proximal term is written on y, as
+group soft-thresholding for (y, z), a sparse SPD normal equation for v, solved
+with the sparse LU factor that its system keeps, then gradient-ascent
+multiplier updates.  The proximal term is written on y, as
 prox/2 * ||y + f - c||^2 with c the center, so it enters the scalar shrink
 and not the matrix.
 
@@ -35,20 +36,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import gradient
-from .errors import (
-    DimensionMismatch,
-    IterationLimitExceeded,
-    NonFiniteIterate,
-    SingularSystem,
-)
+from .errors import DimensionMismatch, NonFiniteIterate, SingularSystem
 from .gradient import GradientOperator
-
-# Above this many unknowns (free vertices) the normal equation switches from
-# a direct factorization to Jacobi-preconditioned CG, run to this relative
-# tolerance and step limit.
-DIRECT_SOLVE_MAX_VERTICES = 50_000
-CG_TOL = 1e-10
-CG_MAX_ITER = 2000
 
 # Residual balancing of every solve: every BALANCE_EVERY steps, when one
 # normalized residual exceeds BALANCE_RATIO times the other, the common
@@ -151,15 +140,15 @@ class NormalEquationSystem:
     starting state, solved to a tolerance within a step limit.  The system
     therefore depends on the support through its free-vertex set; the set
     only shrinks during an Lp-TV solve, so ``plm_solve`` builds a new system
-    only when it does, and one factorization (or preconditioner) serves
-    every inner iteration in between.  Up to DIRECT_SOLVE_MAX_VERTICES free
-    vertices (``n``) the system keeps only its LU factor; above, only the
-    CSR ``matrix`` and the Jacobi preconditioner that CG reads.  The
-    penalties are kept because the ADMM steps must use multiples of the ones
-    the matrix was built with; this system is their only source.  The matrix
-    holds no proximal term, so a common power-of-two multiple s of both
-    penalties scales it by s and leaves its factorization valid (see
-    ``admm_solve``).
+    only when it does, and one factorization serves every inner iteration
+    in between.  The system keeps only the sparse LU factor of its ``n``
+    unknowns (SuperLU, with a fill-reducing column ordering), not the
+    matrix; a factorization that fails, or runs out of memory, raises
+    SingularSystem.  The penalties are kept because the ADMM steps must use
+    multiples of the ones the matrix was built with; this system is their
+    only source.  The matrix holds no proximal term, so a common power-of-two
+    multiple s of both penalties scales it by s and leaves its factorization
+    valid (see ``admm_solve``).
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
@@ -172,16 +161,14 @@ class NormalEquationSystem:
         self.beta1, self.beta2 = beta1, beta2
         self.part = part
         matrix = beta2 * gram + beta1 * sp.identity(self.n)
-        if self.n <= DIRECT_SOLVE_MAX_VERTICES:
-            try:
-                self._lu = spla.splu(matrix.tocsc())
-            except RuntimeError as exc:
-                raise SingularSystem(str(exc)) from exc
-        else:
-            self._lu = None
-            self.matrix = matrix.tocsr()
-            # the Gram diagonal is nonnegative, so this one is at least beta1 > 0
-            self._precond = sp.diags(1.0 / self.matrix.diagonal())
+        try:
+            self._lu = spla.splu(matrix.tocsc())
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from exc
+        except MemoryError as exc:
+            raise SingularSystem(
+                f"out of memory factorizing the system of {self.n} unknowns"
+            ) from exc
 
 
 def solve_normal_equation(system: NormalEquationSystem,
@@ -189,19 +176,7 @@ def solve_normal_equation(system: NormalEquationSystem,
     """Solve the vertex system for an (n, channels) right-hand side."""
     if rhs.ndim != 2 or rhs.shape[0] != system.n:
         raise DimensionMismatch(f"rhs is {rhs.shape}, not (n={system.n}, channels)")
-    if system._lu is not None:
-        return system._lu.solve(rhs)
-    out = np.empty_like(rhs)
-    for j in range(rhs.shape[1]):
-        out[:, j], info = spla.cg(
-            system.matrix, rhs[:, j], rtol=CG_TOL, atol=0.0,
-            maxiter=CG_MAX_ITER, M=system._precond,
-        )
-        if info > 0:
-            raise IterationLimitExceeded(f"CG stopped after {CG_MAX_ITER} iterations")
-        if info < 0:
-            raise SingularSystem("CG reported an invalid system")
-    return out
+    return system._lu.solve(rhs)
 
 
 def admm_solve(

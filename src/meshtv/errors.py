@@ -42,12 +42,9 @@ class NonFiniteIterate(MeshTVError):
     """Solver produced NaN or infinite values."""
 
 
-class IterationLimitExceeded(MeshTVError):
-    """Iterative linear solver hit its iteration cap before converging."""
-
-
 class SingularSystem(MeshTVError):
-    """Normal-equation matrix could not be factorized or solved."""
+    """Normal-equation matrix could not be factorized, for instance because
+    the factor did not fit in memory."""
 
 
 class InvalidParams(MeshTVError):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from meshtv import cli
+from meshtv import admm, cli
 from meshtv.config import SolverConfig
 from meshtv.errors import InvalidParams
 from meshtv.experiment import ExperimentSpec, run_experiment
@@ -310,3 +310,19 @@ def test_cli_trace_records_unconverged_inner_solves(tmp_path):
             rows = list(csv.DictReader(fh))
         assert rows
         assert all(row["inner_converged"] == "False" for row in rows)
+
+
+def test_cli_reports_an_out_of_memory_factorization(tmp_path, monkeypatch, capsys):
+    def out_of_memory(matrix):
+        raise MemoryError
+
+    monkeypatch.setattr(admm.spla, "splu", out_of_memory)
+    argv = ["--synthetic", "icosphere_k=1,pattern=two_patch",
+            "--out", str(tmp_path / "out"), "--noise-levels", "0.1",
+            "--p-values", "0.5", "--trials", "1", "--no-time"]
+    assert cli.main(argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    # the L1-TV warm start factors the system of all 42 vertices first
+    assert errors == ["error: out of memory factorizing the system of 42 "
+                      "unknowns"]

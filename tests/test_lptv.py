@@ -12,7 +12,6 @@ from meshtv import admm, lptv
 from meshtv.config import SolverConfig
 from meshtv.errors import (
     DimensionMismatch,
-    IterationLimitExceeded,
     NaNInput,
     SupportGrew,
     ZeroResidualInSupport,
@@ -451,11 +450,8 @@ def test_plm_redoes_a_forced_step_below_the_floor_once(monkeypatch):
     assert trace.converged
 
 
-@pytest.mark.parametrize("instance", ["denoise", "denoise-cg", "redo"])
+@pytest.mark.parametrize("instance", ["denoise", "redo"])
 def test_plm_inner_tolerance_follows_the_last_step(instance, monkeypatch):
-    if instance == "denoise-cg":
-        # every system above 0 vertices takes the preconditioned-CG path
-        monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
     if instance == "redo":
         mesh, op, noisy, warm, config = _redo_instance()
     else:
@@ -715,28 +711,6 @@ def _assert_run_time_guarantees(noisy, warm, restored, trace, op, config):
     floor = -1e-6 * max(1.0, objective(warm, noisy, op, config))  # criterion 4
     assert trace.column("decrease_slack").min() >= floor
     assert smallest_nonzero_residual(restored, noisy) > config.eps_support
-
-
-@pytest.mark.parametrize("make_image", [two_patch_image, _rgb_image],
-                         ids=["gray", "rgb"])
-def test_plm_cg_path_keeps_the_guarantees_and_matches_lu(make_image, monkeypatch):
-    mesh = icosphere(2)
-    noisy = add_salt_pepper(make_image(mesh), NoiseSpec(0.1, 0))
-    _, lu_restored, _, _, _ = _warm_then_lptv(mesh, noisy)
-    # every system above 0 vertices takes the preconditioned-CG path
-    monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
-    run = _warm_then_lptv(mesh, noisy)
-    _assert_run_time_guarantees(noisy, *run)
-    assert np.abs(run[1].values - lu_restored.values).max() <= 1e-8
-
-
-def test_plm_cg_step_limit_raises_typed_error(monkeypatch):
-    mesh = icosphere(2)
-    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
-    monkeypatch.setattr(admm, "DIRECT_SOLVE_MAX_VERTICES", 0)
-    monkeypatch.setattr(admm, "CG_MAX_ITER", 1)
-    with pytest.raises(IterationLimitExceeded):
-        _warm_then_lptv(mesh, noisy)
 
 
 def test_plm_raises_typed_error_when_support_grows(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from meshtv.admm import (
 )
 from meshtv.errors import DimensionMismatch
 from meshtv.gradient import assemble_gram, build_gradient_operator
+from meshtv.synthetic import planar_grid
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 thresholds = st.floats(0.0, 3.0, allow_nan=False)
@@ -122,8 +125,6 @@ def _whole(op, n=None):
 
 
 def _identity_system(scale, op, n):
-    import scipy.sparse as sp
-
     gram = sp.csr_matrix((n, n))
     # beta2 * 0 + beta1 * I = scale * I
     return NormalEquationSystem(gram, beta1=scale, beta2=1.0, part=_whole(op, n))
@@ -171,22 +172,18 @@ def test_solve_multiple_channels(two_triangle_mesh, rng):
     assert np.abs((gram.toarray() + 2.0 * np.eye(4)) @ out - rhs).max() < 1e-10
 
 
-def test_cg_path_matches_direct(two_triangle_mesh, rng, monkeypatch):
-    import meshtv.admm as admm_mod
-
-    op = build_gradient_operator(two_triangle_mesh)
+def test_lu_solves_a_grid_of_53824_vertices(rng):
+    # one LU factor serves every size; this grid has more unknowns than the
+    # largest benchmarked icosphere (k = 6, 40,962 vertices)
+    op = build_gradient_operator(planar_grid(232))
     gram = assemble_gram(op)
-    direct = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
-    monkeypatch.setattr(admm_mod, "DIRECT_SOLVE_MAX_VERTICES", 0)
-    iterative = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
-    # only the CG path stores the matrix it multiplies by
-    assert not hasattr(direct, "matrix") and iterative._lu is None
-    assert iterative.matrix.format == "csr"
+    system = NormalEquationSystem(gram, 2.0, 2.0, _whole(op))
+    assert system.n == 53_824 and isinstance(system._lu, spla.SuperLU)
     # three columns, as an RGB image gives
-    rhs = rng.normal(size=(4, 3))
-    a = solve_normal_equation(direct, rhs)
-    b = solve_normal_equation(iterative, rhs)
-    assert np.abs(a - b).max() < 1e-8
+    rhs = rng.normal(size=(system.n, 3))
+    out = solve_normal_equation(system, rhs)
+    matrix = 2.0 * gram + 2.0 * sp.identity(system.n)
+    assert np.abs(matrix @ out - rhs).max() <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["beta1", "beta2"])
