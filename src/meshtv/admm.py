@@ -149,6 +149,14 @@ class NormalEquationSystem:
     only source.  The matrix holds no proximal term, so a common power-of-two
     multiple s of both penalties scales it by s and leaves its factorization
     valid (see ``admm_solve``).
+
+    The matrix depends on the mesh, the penalties and the free-vertex set,
+    never on the image, so the operator of a whole-mesh part keeps the
+    factorization of its last whole-mesh system in ``op.memo``.  A new
+    whole-mesh system with the same Gram object and penalties shares that
+    factor and carries its own part; any other one drops the kept factor
+    before it factors, and keeps its own only once the factorization has
+    succeeded.  A narrowed part's system always factors.
     """
 
     def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
@@ -160,15 +168,24 @@ class NormalEquationSystem:
         self.n = gram.shape[0]
         self.beta1, self.beta2 = beta1, beta2
         self.part = part
-        matrix = beta2 * gram + beta1 * sp.identity(self.n)
-        try:
-            self._lu = spla.splu(matrix.tocsc())
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
-        except MemoryError as exc:
-            raise SingularSystem(
-                f"out of memory factorizing the system of {self.n} unknowns"
-            ) from exc
+        # a whole-mesh part holds every value of the image
+        whole = part.f_free.size == part.size
+        kept = part.op.memo.pop("factor", None) if whole else None
+        if kept is not None and kept[0] is gram and kept[1:3] == (beta1, beta2):
+            self._lu = kept[3]
+        else:
+            kept = None  # frees the old factor before the new one is built
+            matrix = beta2 * gram + beta1 * sp.identity(self.n)
+            try:
+                self._lu = spla.splu(matrix.tocsc())
+            except RuntimeError as exc:
+                raise SingularSystem(str(exc)) from exc
+            except MemoryError as exc:
+                raise SingularSystem(
+                    f"out of memory factorizing the system of {self.n} unknowns"
+                ) from exc
+        if whole:
+            part.op.memo["factor"] = (gram, beta1, beta2, self._lu)
 
 
 def solve_normal_equation(system: NormalEquationSystem,

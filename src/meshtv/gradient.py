@@ -35,11 +35,19 @@ class GradientOperator:
     vertices and the triangles that touch them (``admm.restrict``) keeps
     only those columns and rows, and ``tri_areas`` is then the subset of
     areas of those triangles.
+
+    ``memo`` keeps what the solvers derive from the operator alone, for as
+    long as the operator lives, and is filled lazily on the first solve:
+    ``lptv.plm_solve`` stores the Gram matrix under "gram", and
+    ``admm.NormalEquationSystem`` the factorization of its last whole-mesh
+    system under "factor".  Dropping the operator frees both.
     """
 
     tri_areas: np.ndarray        # (n_tri,)
     matrix: sp.csr_matrix = field(repr=False)
     adjoint: sp.csr_matrix = field(init=False, repr=False)
+    memo: dict = field(init=False, repr=False, compare=False,
+                       default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "adjoint", self.matrix.T.tocsr())
@@ -126,8 +134,9 @@ def assemble_gram(op: GradientOperator) -> sp.csr_matrix:
 
     Constant vectors on each connected component lie in its kernel.  For a
     restricted operator this is the free-vertex block of the whole mesh's
-    Gram matrix.  ``plm_solve`` assembles it once per call for L1-TV and once per
-    free-vertex set for Lp-TV; nothing caches it across calls.
+    Gram matrix, bit for bit.  ``plm_solve`` assembles it once per operator,
+    on its first solve, keeps it in ``op.memo`` and slices each free-vertex
+    set's block from it.
     """
     warea = np.repeat(op.tri_areas, 3)
     weighted = sp.diags(warea) @ op.matrix

@@ -195,6 +195,14 @@ def plm_solve(
     pins; f(u0), for L1-TV as for Lp-TV, is the objective of the all-free
     part.
 
+    A system's Gram matrix is the block of F in the whole mesh's Gram,
+    which the operator keeps from its first solve.  A system on every
+    vertex, L1-TV's or a step's whose F is every vertex, shares the
+    operator's kept factorization when its penalties are the last ones
+    factored there (see ``NormalEquationSystem``), so a sweep of solves on
+    one operator factors the whole mesh once.  Neither changes a bit of
+    the result.
+
     Each inner ADMM solve starts from the state, the multipliers and the
     penalty factor, that the previous outer step ended with.  Its proximal
     center is extrapolated to c^k = u^k + EXTRAPOLATION * (u^k - u^{k-1}),
@@ -254,7 +262,7 @@ def plm_solve(
     f_prev = _objective_raw(u0.values, part, config.lam, config.p)
 
     if config.p == 1.0:
-        system = NormalEquationSystem(assemble_gram(op), config.beta1,
+        system = NormalEquationSystem(_gram(op, part), config.beta1,
                                       config.beta2, part)
         result, inner_iters, inner_ok, penalty_scale = _l1tv_solve_full(
             u0.values, config, system)
@@ -307,7 +315,7 @@ def plm_solve(
                 kept_triangles = np.searchsorted(part.triangles, narrowed.triangles)
                 state = state[0][keep], state[1][kept_triangles], state[2]
             part = narrowed
-            system = NormalEquationSystem(assemble_gram(part.op), config.beta1,
+            system = NormalEquationSystem(_gram(op, part), config.beta1,
                                           config.beta2, part)
 
         if system is None:
@@ -368,6 +376,18 @@ def plm_solve(
     restored = f2.copy()
     restored[part.vertices] = u
     return MeshImage(restored), trace
+
+
+def _gram(op: GradientOperator, part: FreePart):
+    """The Gram matrix of ``part.op``, for a part of ``op``: the whole Gram,
+    assembled on the operator's first solve and kept in ``op.memo``, or its
+    block on ``part.vertices``, which equals ``assemble_gram(part.op)``."""
+    gram = op.memo.get("gram")
+    if gram is None:
+        gram = op.memo["gram"] = assemble_gram(op)
+    if part.op is op:
+        return gram
+    return gram[part.vertices][:, part.vertices]
 
 
 def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig,

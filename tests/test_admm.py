@@ -290,6 +290,42 @@ def test_all_free_part_applies_no_gradient(monkeypatch, rng):
     assert len(calls) == 1
 
 
+def test_a_whole_mesh_system_shares_the_operators_last_factor(monkeypatch, rng):
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    every = np.arange(mesh.n_vertices)
+    gray, rgb = (restrict(op, every, rng.uniform(0, 1, size=(mesh.n_vertices, c)))
+                 for c in (1, 3))
+    factorizations = []
+    splu = admm.spla.splu
+    monkeypatch.setattr(admm.spla, "splu",
+                        lambda a: factorizations.append(a) or splu(a))
+    gram = assemble_gram(op)
+    first = NormalEquationSystem(gram, 2.0, 3.0, gray)
+    again = NormalEquationSystem(gram, 2.0, 3.0, rgb)
+    assert len(factorizations) == 1
+    assert again._lu is first._lu and again.part is rgb
+    # a freshly assembled Gram, or other penalties, factor again
+    NormalEquationSystem(assemble_gram(op), 2.0, 3.0, gray)
+    assert len(factorizations) == 2
+    NormalEquationSystem(gram, 2.0, 3.0, gray)
+    assert len(factorizations) == 3
+    for beta1, beta2 in [(3.0, 2.0), (2.0, 2.0), (2.0, 3.0)]:
+        NormalEquationSystem(gram, beta1, beta2, gray)
+    assert len(factorizations) == 6
+    kept = op.memo["factor"]
+    # a narrowed part always factors, and leaves the kept factor alone
+    part = restrict(op, every[::2], gray.f_free)
+    for _ in range(2):
+        NormalEquationSystem(assemble_gram(part.op), 2.0, 3.0, part)
+    assert len(factorizations) == 8
+    assert op.memo["factor"] is kept and not part.op.memo
+    # the shared factor solves as a new one does
+    rhs = rng.normal(size=(mesh.n_vertices, 3))
+    assert np.array_equal(solve_normal_equation(again, rhs),
+                          splu(factorizations[0]).solve(rhs))
+
+
 def test_full_support_prox_free_subproblem_is_l1tv(rng):
     # the proximal weight is the solve's argument, not config.prox_weight
     mesh = icosphere(1)

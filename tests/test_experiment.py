@@ -312,6 +312,24 @@ def test_cli_trace_records_unconverged_inner_solves(tmp_path):
         assert all(row["inner_converged"] == "False" for row in rows)
 
 
+def test_a_sweep_factors_the_whole_mesh_once(tmp_path, monkeypatch):
+    factored = []
+    splu = admm.spla.splu
+
+    def counting(matrix):
+        factored.append(matrix.shape[0])
+        return splu(matrix)
+
+    monkeypatch.setattr(admm.spla, "splu", counting)
+    # 2 noise levels x 2 trials x (L1-TV + one p) on the 42 vertices of
+    # icosphere(1): each solve on every vertex shares the first one's factor
+    spec = _tiny_spec(tmp_path / "out")
+    assert (len(spec.noise_levels), spec.trials, spec.p_values) == (2, 2, (0.5,))
+    run_experiment(spec)
+    assert factored.count(42) == 1
+    assert factored.count(42) < len(factored)
+
+
 def test_cli_reports_an_out_of_memory_factorization(tmp_path, monkeypatch, capsys):
     def out_of_memory(matrix):
         raise MemoryError

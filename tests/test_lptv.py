@@ -13,6 +13,7 @@ from meshtv.config import SolverConfig
 from meshtv.errors import (
     DimensionMismatch,
     NaNInput,
+    SingularSystem,
     SupportGrew,
     ZeroResidualInSupport,
 )
@@ -627,6 +628,113 @@ def _rgb_image(mesh):
     base = two_patch_image(mesh).values[:, 0]
     return MeshImage(np.column_stack([base, 1.0 - base,
                                       np.full(mesh.n_vertices, 0.5)]))
+
+
+def _same_bits(a, b):
+    """Whether two sparse matrices have the same shape, and the same index
+    arrays and value bits once their column indices are sorted."""
+    a, b = a.tocsr(copy=True), b.tocsr(copy=True)
+    a.sort_indices()
+    b.sort_indices()
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and a.data.tobytes() == b.data.tobytes())
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), _two_spheres, _bowtie],
+                         ids=["sphere", "two-spheres", "bowtie"])
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+@pytest.mark.parametrize("free", ["one", "all-but-one", "random"])
+def test_a_parts_gram_is_its_block_of_the_whole_gram(make_mesh, channels, free,
+                                                     rng):
+    mesh = make_mesh()
+    op = build_gradient_operator(mesh)
+    data = rng.uniform(0, 1, size=(mesh.n_vertices, channels))
+    # vertex 0 is the bowtie's shared vertex
+    vertices = {"one": np.array([0]),
+                "all-but-one": np.delete(np.arange(mesh.n_vertices),
+                                         rng.integers(mesh.n_vertices)),
+                "random": np.flatnonzero(rng.random(mesh.n_vertices) < 0.3)}[free]
+    part = admm.restrict(op, vertices, data)
+    block = lptv._gram(op, part)
+    assert _same_bits(block, lptv.assemble_gram(part.op))
+    # the whole Gram is assembled once and kept by the operator
+    assert lptv._gram(op, admm.restrict(op, np.arange(mesh.n_vertices), data)) \
+        is op.memo["gram"]
+
+
+def _count_whole_factorizations(monkeypatch, n):
+    """The matrices of ``n`` unknowns that ``admm`` hands to ``splu`` from
+    now on."""
+    factored = []
+    splu = admm.spla.splu
+
+    def counting(matrix):
+        if matrix.shape[0] == n:
+            factored.append(matrix)
+        return splu(matrix)
+
+    monkeypatch.setattr(admm.spla, "splu", counting)
+    return factored
+
+
+def test_solves_on_one_operator_factor_the_whole_mesh_once_per_penalties(
+        monkeypatch):
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    clean = two_patch_image(mesh)
+    noisy = [add_salt_pepper(clean, NoiseSpec(level, seed))
+             for level, seed in ((0.1, 0), (0.3, 1))]
+    config = SolverConfig(lam=0.15, p=1.0, beta1=2.0, beta2=2.0)
+    factored = _count_whole_factorizations(monkeypatch, mesh.n_vertices)
+    grams = []
+    assemble = lptv.assemble_gram
+    monkeypatch.setattr(lptv, "assemble_gram",
+                        lambda o: grams.append(o) or assemble(o))
+
+    warm = [plm_solve(f, mesh, op, config, u0=f)[0] for f in noisy]
+    assert len(factored) == 1
+    # an Lp-TV solve slices each narrowed part's Gram from the kept one
+    sparse, _ = plm_solve(noisy[0], mesh, op, dataclasses.replace(config, p=0.5),
+                          u0=warm[0])
+    assert len(factored) == 1 and len(grams) == 1
+    # other penalties factor again, and the operator keeps only the last
+    other = dataclasses.replace(config, beta1=3.0, beta2=3.0)
+    plm_solve(noisy[0], mesh, op, other, u0=noisy[0])
+    assert len(factored) == 2
+    again, _ = plm_solve(noisy[1], mesh, op, config, u0=noisy[1])
+    assert len(factored) == 3 and len(grams) == 1
+
+    # every solve gives the bits of the same solve on a new operator
+    for f, u0, p, kept in [(noisy[0], noisy[0], 1.0, warm[0]),
+                           (noisy[1], noisy[1], 1.0, warm[1]),
+                           (noisy[1], noisy[1], 1.0, again),
+                           (noisy[0], warm[0], 0.5, sparse)]:
+        cold, _ = plm_solve(f, mesh, build_gradient_operator(mesh),
+                            dataclasses.replace(config, p=p), u0=u0)
+        assert cold.values.tobytes() == kept.values.tobytes()
+
+
+def test_a_failed_factorization_leaves_no_factor_behind(monkeypatch):
+    mesh = icosphere(1)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    config = SolverConfig(lam=0.15, p=1.0, beta1=2.0, beta2=2.0)
+    plm_solve(noisy, mesh, op, config, u0=noisy)
+    assert op.memo["factor"][1:3] == (2.0, 2.0)
+
+    def out_of_memory(matrix):
+        raise MemoryError
+
+    monkeypatch.setattr(admm.spla, "splu", out_of_memory)
+    other = dataclasses.replace(config, beta1=3.0, beta2=3.0)
+    for _ in range(2):
+        with pytest.raises(SingularSystem, match="out of memory"):
+            plm_solve(noisy, mesh, op, other, u0=noisy)
+        assert "factor" not in op.memo
+    # the factor of the first penalties went too: their solve factors again
+    with pytest.raises(SingularSystem, match="out of memory"):
+        plm_solve(noisy, mesh, op, config, u0=noisy)
 
 
 @pytest.mark.parametrize("make_mesh, make_image, level, lam", [
