@@ -16,13 +16,17 @@ and not the matrix.
 This module reads no solver configuration: the outer loop passes the center,
 the weights with lam in them, the proximal weight, the system, the tolerance
 and the step limit.  The same loop with full support, every weight lam, and
-zero proximal weight is the plain L1-TV warm start.  Every subproblem's
-matrix beta2 * Gram + beta1 * I is homogeneous in the penalties, so scaling
-both by one factor s scales the matrix by s, and the one factorization still
-solves the scaled system as v = M^-1 rhs / s.  Every BALANCE_EVERY steps a
-solve compares the normalized primal and dual residuals (residual
-balancing, Wohlberg 2017, arXiv:1704.06209) and moves s by BALANCE_FACTOR
-towards their balance; it stops only when both residuals are small, so its
+zero proximal weight is the plain L1-TV warm start.  The loop runs ADMM in
+its scaled form (Boyd et al., FnT ML 3(1), 2011, section 3.1.1): it keeps
+the multipliers divided by their penalties, so a step neither divides nor
+multiplies by a penalty, and the right-hand side divided by beta2 depends on
+the penalties only through their ratio, which every factor s leaves alone.
+Every subproblem's matrix beta2 * Gram + beta1 * I is homogeneous in the
+penalties, so the one factorization solves the system at every s.  Every
+BALANCE_EVERY steps a solve compares the normalized primal and dual
+residuals (residual balancing, Wohlberg 2017, arXiv:1704.06209) and moves s
+by BALANCE_FACTOR towards their balance, dividing the scaled multipliers by
+the same factor; it stops only when both residuals are small, so its
 stopping point does not depend on the penalty.
 """
 
@@ -42,7 +46,7 @@ from .gradient import GradientOperator
 # Residual balancing of every solve: every BALANCE_EVERY steps, when one
 # normalized residual exceeds BALANCE_RATIO times the other, the common
 # penalty factor is multiplied or divided by BALANCE_FACTOR.  A power of two
-# scales the penalties and the fixed right-hand side exactly.
+# scales the penalties and the scaled multipliers exactly.
 BALANCE_EVERY = 10
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
@@ -53,7 +57,10 @@ def shrink_1d(x: np.ndarray, threshold) -> np.ndarray:
 
     Applied entry by entry; ``threshold`` broadcasts against ``x``.
     """
-    return x - np.clip(x, -threshold, threshold)
+    # x minus x clipped to [-threshold, threshold], which np.clip computes
+    # the same way at a higher fixed cost per call
+    out = np.minimum(np.maximum(x, -threshold), threshold)
+    return np.subtract(x, out, out=out) if out.ndim else x - out
 
 
 def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
@@ -65,10 +72,12 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
     at most ``threshold`` becomes zero; in particular a zero row stays zero,
     following the 0 * (0/0) = 0 convention.
     """
-    norms = gradient.triangle_norms(a)
+    scale = gradient.triangle_norms(a)
     # t / max(norm, t) is exactly 1 for a row with norm <= t; under a zero
     # threshold the divisor is 1 instead of 0, so a zero row gives 0
-    scale = 1.0 - threshold / np.maximum(norms, threshold or 1.0)
+    np.maximum(scale, threshold or 1.0, out=scale)
+    np.divide(threshold, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
     return a * scale.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
@@ -84,8 +93,9 @@ class FreePart:
     free-vertex block of the full Gram matrix.  ``f_free`` holds the image
     values at ``vertices`` and ``offset`` the gradient g0 = D_P f_P that the
     pinned vertices contribute on ``triangles``; ``admm_solve`` splits the
-    true gradient D_F v + g0 there as z and puts -beta2 * D_F^T A g0 in the
-    right-hand side it fixes once per solve.  The rest is constant:
+    true gradient D_F v + g0 there as z, and ``NormalEquationSystem`` puts
+    -D_F^T A g0 in the constant part of its right-hand side.  The rest is
+    constant:
     ``pinned_tv`` is the TV of the other triangles, ``pinned_sq`` the squared
     norm of the pinned values, and ``size`` the value count of the image, so
     the objective and the norm of an image that is the data outside the part
@@ -101,6 +111,11 @@ class FreePart:
     pinned_tv: float
     pinned_sq: float
     size: int
+
+    @property
+    def whole(self) -> bool:
+        """Whether every vertex is free, so that the offset is zero."""
+        return self.f_free.size == self.size
 
 
 def restrict(op: GradientOperator, vertices: np.ndarray,
@@ -144,11 +159,20 @@ class NormalEquationSystem:
     in between.  The system keeps only the sparse LU factor of its ``n``
     unknowns (SuperLU, with a fill-reducing column ordering), not the
     matrix; a factorization that fails, or runs out of memory, raises
-    SingularSystem.  The penalties are kept because the ADMM steps must use
-    multiples of the ones the matrix was built with; this system is their
-    only source.  The matrix holds no proximal term, so a common power-of-two
-    multiple s of both penalties scales it by s and leaves its factorization
-    valid (see ``admm_solve``).
+    SingularSystem.  The matrix is built from the arrays of ``gram``, a
+    canonical CSR matrix that must store its whole diagonal (the Gram of a
+    validated mesh does: no vertex is isolated) and be exactly symmetric
+    (``assemble_gram`` makes it so), so that its CSR arrays, scaled by beta2
+    and with beta1 added on the diagonal, are the CSC arrays the
+    factorization reads.  The penalties are
+    kept because the ADMM steps must use multiples of the ones the matrix
+    was built with; this system is their only source.  The matrix holds no
+    proximal term, so a common power-of-two multiple s of both penalties
+    scales it by s and leaves its factorization valid (see ``admm_solve``).
+    ``rhs_constant`` is the part of the right-hand side, divided by beta2,
+    that depends on neither the iterate nor s: rho * f_F - D_F^T A g0, with
+    rho = beta1 / beta2 and the part's values f_F and offset g0 (zero for a
+    whole-mesh part).
 
     The matrix depends on the mesh, the penalties and the free-vertex set,
     never on the image, so the operator of a whole-mesh part keeps the
@@ -168,32 +192,48 @@ class NormalEquationSystem:
         self.n = gram.shape[0]
         self.beta1, self.beta2 = beta1, beta2
         self.part = part
-        # a whole-mesh part holds every value of the image
-        whole = part.f_free.size == part.size
-        kept = part.op.memo.pop("factor", None) if whole else None
+        self.rhs_constant = (beta1 / beta2) * part.f_free
+        if not part.whole:
+            self.rhs_constant -= gradient.apply_adjoint(part.op, part.offset)
+        kept = part.op.memo.pop("factor", None) if part.whole else None
         if kept is not None and kept[0] is gram and kept[1:3] == (beta1, beta2):
             self._lu = kept[3]
         else:
             kept = None  # frees the old factor before the new one is built
-            matrix = beta2 * gram + beta1 * sp.identity(self.n)
+            rows = np.repeat(np.arange(self.n), np.diff(gram.indptr))
+            diagonal = np.flatnonzero(gram.indices == rows)
+            # splu would sort a non-canonical matrix in place, and so the
+            # Gram's own index array
+            if diagonal.size != self.n or not gram.has_canonical_format:
+                raise ValueError("the Gram matrix must be canonical and store "
+                                 "its whole diagonal")
+            data = beta2 * gram.data
+            data[diagonal] += beta1
+            matrix = sp.csc_matrix((data, gram.indices, gram.indptr),
+                                   shape=gram.shape)
             try:
-                self._lu = spla.splu(matrix.tocsc())
+                self._lu = spla.splu(matrix)
             except RuntimeError as exc:
                 raise SingularSystem(str(exc)) from exc
             except MemoryError as exc:
                 raise SingularSystem(
                     f"out of memory factorizing the system of {self.n} unknowns"
                 ) from exc
-        if whole:
+        if part.whole:
             part.op.memo["factor"] = (gram, beta1, beta2, self._lu)
 
 
 def solve_normal_equation(system: NormalEquationSystem,
                           rhs: np.ndarray) -> np.ndarray:
-    """Solve the vertex system for an (n, channels) right-hand side."""
+    """Solve the vertex system for an (n, channels) right-hand side.
+
+    SuperLU returns several columns in Fortran order; the solution is
+    returned in C order, like the other arrays of the ADMM step, so that
+    the step's arithmetic and sparse products read it contiguously.
+    """
     if rhs.ndim != 2 or rhs.shape[0] != system.n:
         raise DimensionMismatch(f"rhs is {rhs.shape}, not (n={system.n}, channels)")
-    return system._lu.solve(rhs)
+    return np.ascontiguousarray(system._lu.solve(rhs))
 
 
 def admm_solve(
@@ -211,26 +251,33 @@ def admm_solve(
     (those with a supported value) and the triangles T that touch them.  The
     other vertices are the constant f, so TV is kept only on T, where the
     gradient is D_F v_F + g0, with the pinned vertices' offset g0 and f_F
-    carried by the part.  z splits that true gradient, and the right-hand
-    side's fixed terms beta1 * f_F - beta2 * D_F^T A g0 (A the areas) are
-    built once per solve.  ``u_k`` (|F|, channels) is both the proximal
-    center and the starting iterate; ``plm_solve`` passes either its current
-    iterate or an extrapolated one.  ``w`` holds one fidelity weight per
-    value, shaped like ``u_k``, with lam in it: finite where the value is
-    fitted, +inf where it is pinned.  L1-TV is ``w`` all lam and a zero
-    ``prox_weight``.
+    carried by the part.  z splits that true gradient.  ``u_k`` (|F|,
+    channels) is both the proximal center and the starting iterate;
+    ``plm_solve`` passes either its current iterate or an extrapolated one.
+    ``w`` holds one fidelity weight per value, shaped like ``u_k``, with lam
+    in it: finite where the value is fitted, +inf where it is pinned.
+    L1-TV is ``w`` all lam and a zero ``prox_weight``.
 
     Minimizes sum_j w_j |v_j - f_j| over the fitted entries, plus the
     area-weighted TV on T and prox_weight/2 * ||v - u_k||^2, subject to
     v_j = f_j at the pinned entries.  y splits v - f, and the proximal term
-    is taken on it: with x = v - f + eta / beta1 the y-update is
-    shrink(x + m (u_k - f - x), w / (beta1 + prox_weight)) with
-    m = prox_weight / (beta1 + prox_weight), which is x itself, bit for bit,
-    at zero proximal weight.  For a color image a channel pinned at a free
-    vertex stays among the unknowns: its y threshold is +inf, so its y
-    stays 0, its part of r_y measures v_j - f_j, and it is reset to f_j
-    after the loop.  Residual norms are scaled by sqrt(``part.size``), the
-    whole image's value count.  ``max_iter`` is at least 1.
+    is taken on it.  The loop keeps the scaled multipliers e = eta / beta1
+    and m = mu / beta2.  With x = v - f + e, the y-update is
+    shrink(x + mix (u_k - f - x), w / (beta1 + prox_weight)) with
+    mix = prox_weight / (beta1 + prox_weight); at zero proximal weight that
+    is the shrink of x, and the mixing pass is skipped.  The z-update
+    shrinks D v + g0 + m by 1 / beta2.  The v-update solves
+    (beta2 G + beta1 I) v = beta2 (D^T A (z - m) + rho (y - e) + c), with
+    rho = beta1 / beta2 and c the system's ``rhs_constant``.  The bracket
+    does not change with s, and the matrix is s times the factored one M,
+    so v solves M v = system.beta2 times the bracket.  Then e += r_y and
+    m += r_z, with the primal residuals r_y = v - f - y and
+    r_z = D v + g0 - z.  For a color image a channel
+    pinned at a free vertex stays among the unknowns: its y threshold is
+    +inf, so its y stays 0, its part of r_y measures v_j - f_j, and it is
+    reset to f_j after the loop.  Residual norms are scaled by
+    sqrt(``part.size``), the whole image's value count.  ``max_iter`` is at
+    least 1.
 
     The penalties are those of ``system`` times a common factor s, a power
     of BALANCE_FACTOR: every BALANCE_EVERY steps s is raised when the
@@ -238,92 +285,96 @@ def admm_solve(
     dual one, and lowered in the opposite case.  The primal residual is
     normalized by the largest of ||(v, D v + g0)||, ||(y, z)|| and ||f||,
     and the dual residual (s beta1 dv, s beta2 D dv), with dv the step's
-    change of v, by ||(eta, mu)||.  The scaled system is s times the
-    factored one, so v is its solution divided by s, and the multipliers,
-    which are unscaled, carry over unchanged.  The solve stops when the
-    primal residuals r_y (every value) and r_z, and the dual residual rule
-    max(||dv||, ||D dv||), all fall below tol per value, so where it stops
-    does not depend on the penalty.  The dual rule is checked at the
-    balancing steps and at every step after one that met the primal rule.
+    change of v, by ||(eta, mu)||.  When s changes by a factor, e and m are
+    divided by it, so the unscaled multipliers carry over unchanged.  The
+    solve stops when the primal residuals r_y (every value) and r_z, and the
+    dual residual rule max(||dv||, ||D dv||), all fall below tol per value,
+    so where it stops does not depend on the penalty.  The dual rule is
+    checked at the balancing steps and at every step after one that met the
+    primal rule.
 
-    ``state`` is (eta, mu, s): the multipliers, shaped (|F|, channels) and
-    (|T|, 3, channels), and the penalty factor, or None for zeros and 1.
-    The splitting variables (y, z) are computed from ``u_k`` and the
-    multipliers, so the state is all a warm start needs.  The inputs are not
-    modified: ``plm_solve`` solves a rejected or redone step again from the
-    same starting state, so the loop copies the multipliers once and
-    updates its copies in place.
+    ``state`` is (eta, mu, s): the unscaled multipliers, shaped (|F|,
+    channels) and (|T|, 3, channels), and the penalty factor, or None for
+    zeros and 1.  The splitting variables (y, z) are computed from ``u_k``
+    and the multipliers, so the state is all a warm start needs.  The
+    inputs are not modified: ``plm_solve`` solves a rejected or redone step
+    again from the same starting state, so the loop scales the multipliers
+    into new arrays once and updates those in place.
 
     Returns (v, inner_iterations, converged, state): the values on F, with
     pinned channels equal to the data bit for bit, and the final
     (eta, mu, s); a False flag means the residual rules were not met within
     max_iter.
     """
-    f_free, offset, sub_op = system.part.f_free, system.part.offset, system.part.op
+    part = system.part
+    f_free, sub_op = part.f_free, part.op
+    # a whole-mesh part has no pinned neighbours, so no offset to add
+    offset = None if part.whole else part.offset
     if not u_k.shape == w.shape == f_free.shape:
         raise DimensionMismatch(f"center and weights must be {f_free.shape}")
     if state is None:
-        state = np.zeros(f_free.shape), np.zeros(offset.shape), 1.0
-    elif state[0].shape != f_free.shape or state[1].shape != offset.shape:
+        state = np.zeros(f_free.shape), np.zeros(part.offset.shape), 1.0
+    elif state[0].shape != f_free.shape or state[1].shape != part.offset.shape:
         raise DimensionMismatch("duals must be shaped like the part and its gradient")
-    eta, mu, penalty_scale = state[0].copy(), state[1].copy(), state[2]
-
+    penalty_scale = state[2]
     beta1 = penalty_scale * system.beta1
     beta2 = penalty_scale * system.beta2
+    e, m = state[0] / beta1, state[1] / beta2
+
+    rho = system.beta1 / system.beta2
     y_threshold = w / (beta1 + prox_weight)
     mix = prox_weight / (beta1 + prox_weight)
     z_threshold = 1.0 / beta2
-    rhs_fixed = beta1 * f_free - beta2 * gradient.apply_adjoint(sub_op, offset)
     center_residual = u_k - f_free
     # whether the last step met the primal rule
     primal_met = False
 
     v = u_k
     grad_v = gradient.apply(sub_op, v)
-    grad_v += offset
-    scale = np.sqrt(system.part.size)
+    if offset is not None:
+        grad_v += offset
+    # v - f, for this step's x and the last step's r_y
+    v_minus_f = center_residual
+    scale = np.sqrt(part.size)
     iters, converged = max_iter, False
 
     for t in range(max_iter):
-        # each in-place chain adds in the order of the written-out sum
-        x = v - f_free
-        x += eta / beta1
-        x += mix * (center_residual - x)
+        x = v_minus_f + e
+        if prox_weight:
+            x += mix * (center_residual - x)
         y = shrink_1d(x, y_threshold)
-        g = mu / beta2
-        g += grad_v
-        z = _shrink_groups(g, z_threshold)
+        z = _shrink_groups(grad_v + m, z_threshold)
 
-        zw = beta2 * z
-        zw -= mu
-        rhs = gradient.apply_adjoint(sub_op, zw)
-        rhs += beta1 * y
-        rhs -= eta
-        rhs += rhs_fixed
+        # each in-place chain adds in the order of the written-out sum
+        rhs = gradient.apply_adjoint(sub_op, z - m)
+        y_term = y - e
+        y_term *= rho
+        rhs += y_term
+        rhs += system.rhs_constant
+        rhs *= system.beta2
         balance = (t + 1) % BALANCE_EVERY == 0
         # the dual residual is measured where the balance or the stop reads
         # it, as each new iterate replaces the old: keeping the old arrays
         # alive for longer fragments the heap
         measure_dual = balance or primal_met
         v_new = solve_normal_equation(system, rhs)
-        if penalty_scale != 1.0:
-            v_new /= penalty_scale
         if not np.isfinite(v_new).all():
             raise NonFiniteIterate("ADMM produced non-finite vertex values")
         if measure_dual:
             dual_v = _distance(v_new, v)
         v = v_new
         grad_new = gradient.apply(sub_op, v)
-        grad_new += offset
+        if offset is not None:
+            grad_new += offset
         if measure_dual:
             dual = dual_v, _distance(grad_new, grad_v)
         grad_v = grad_new
 
-        r_y = v - f_free
-        r_y -= y
+        v_minus_f = v - f_free
+        r_y = v_minus_f - y
         r_z = grad_v - z
-        eta += beta1 * r_y
-        mu += beta2 * r_z
+        e += r_y
+        m += r_z
 
         # Euclidean norms as np.linalg.norm computes them, minus its wrapper
         primal = [math.sqrt(r.dot(r)) for r in (r_y.ravel(), r_z.ravel())]
@@ -333,19 +384,22 @@ def admm_solve(
             break
         if balance:
             change = _balance(primal, dual, beta1, beta2, v, grad_v, y, z,
-                              f_free, eta, mu)
+                              f_free, e, m)
             if change != 1.0:
                 penalty_scale *= change
                 beta1 *= change
                 beta2 *= change
+                e /= change
+                m /= change
                 y_threshold = w / (beta1 + prox_weight)
                 mix = prox_weight / (beta1 + prox_weight)
                 z_threshold = 1.0 / beta2
-                rhs_fixed *= change
 
     pinned = np.isinf(w)
     v[pinned] = f_free[pinned]
-    return v, iters, converged, (eta, mu, penalty_scale)
+    e *= beta1
+    m *= beta2
+    return v, iters, converged, (e, m, penalty_scale)
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -354,15 +408,17 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
-def _balance(primal, dual, beta1, beta2, v, grad_v, y, z, f_free, eta, mu):
+def _balance(primal, dual, beta1, beta2, v, grad_v, y, z, f_free, e, m):
     """The factor, BALANCE_FACTOR, its inverse or 1, that moves the penalties
     towards balanced normalized residuals; ``primal`` holds the norms of the
-    primal residual blocks and ``dual`` those of dv and D dv."""
+    primal residual blocks, ``dual`` those of dv and D dv, and (e, m) the
+    scaled multipliers."""
     def norm(*arrays):
         return math.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
 
     primal_size = max(norm(v, grad_v), norm(y, z), norm(f_free))
-    dual_size = norm(eta, mu)
+    # ||(eta, mu)||
+    dual_size = math.hypot(beta1 * norm(e), beta2 * norm(m))
     if primal_size == 0.0 or dual_size == 0.0:
         return 1.0
     r = math.hypot(*primal) / primal_size

@@ -24,17 +24,18 @@ from .mesh import TriangleMesh
 class GradientOperator:
     """Per-triangle gradient blocks of a mesh, stored as one sparse matrix.
 
-    ``matrix`` is the (3 * n_triangles, n_vertices) CSR operator: rows
-    3i..3i+2 hold the gradient on triangle i, so applying the operator and
-    its adjoint are single sparse products.  Its only nonzero columns in
-    those rows are the three vertices of triangle i.  ``adjoint`` is its
-    transpose, built once as a CSR matrix when the operator is made, so that
-    ``apply_adjoint`` builds no matrix object per call.  ``tri_areas`` holds
-    the weights of the TV term: for the operator of a whole mesh it is the
-    mesh's own read-only ``areas`` array.  An operator restricted to some
-    vertices and the triangles that touch them (``admm.restrict``) keeps
-    only those columns and rows, and ``tri_areas`` is then the subset of
-    areas of those triangles.
+    ``matrix`` is the (3 * n_triangles, n_vertices) CSR operator D: rows
+    3i..3i+2 hold the gradient on triangle i, so applying the operator is a
+    single sparse product.  Its only nonzero columns in those rows are the
+    three vertices of triangle i.  ``tri_areas`` holds the weights A of the
+    TV term: for the operator of a whole mesh it is the mesh's own
+    read-only ``areas`` array.  ``adjoint`` is the area-weighted transpose
+    D^T A as a CSR matrix, built once when the operator is made: each entry
+    of D is multiplied by its triangle's area as the one transpose is
+    taken, so that ``apply_adjoint`` is a single sparse product too.  An
+    operator restricted to some vertices and the triangles that touch them
+    (``admm.restrict``) keeps only those columns and rows, and
+    ``tri_areas`` is then the subset of areas of those triangles.
 
     ``memo`` keeps what the solvers derive from the operator alone, for as
     long as the operator lives, and is filled lazily on the first solve:
@@ -50,7 +51,13 @@ class GradientOperator:
                        default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "adjoint", self.matrix.T.tocsr())
+        # the CSR arrays of A D, read as CSC, are those of (A D)^T = D^T A;
+        # the entries of triangle i's three rows are contiguous
+        d = self.matrix
+        areas = np.repeat(self.tri_areas, np.diff(d.indptr[::3]))
+        weighted = sp.csc_matrix((d.data * areas, d.indices, d.indptr),
+                                 shape=d.shape[::-1])
+        object.__setattr__(self, "adjoint", weighted.tocsr())
 
     @property
     def n_vertices(self) -> int:
@@ -96,18 +103,14 @@ def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
     """Area-weighted adjoint: sum_i |tau_i| D_i^T z[i].
 
     ``z`` has shape (n_tri, 3) or (n_tri, 3, c).  Returns per-vertex data
-    matching the trailing shape of z.  The areas weight z first; the product
-    is then taken with the transpose ``op.adjoint`` stored in the operator,
-    which gives the same bits as ``op.matrix.T @ (areas * z)``.
+    matching the trailing shape of z.  The areas are in the stored
+    ``op.adjoint`` = D^T A, so this is one sparse product with z as it is,
+    and gives the same bits as ``(A @ op.matrix).T @ z``.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[0] != op.n_triangles or z.shape[1] != 3:
         raise DimensionMismatch(f"bad gradient-data shape {z.shape}")
-    if z.ndim == 2:
-        zw = (z * op.tri_areas[:, None]).reshape(-1)
-    else:
-        zw = (z * op.tri_areas[:, None, None]).reshape(-1, z.shape[2])
-    return op.adjoint @ zw
+    return op.adjoint @ z.reshape((3 * op.n_triangles,) + z.shape[2:])
 
 
 def triangle_norms(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from meshtv import admm
 from meshtv.admm import NormalEquationSystem, admm_solve, restrict
 from meshtv.gradient import assemble_gram
 from meshtv.imaging import MeshImage
@@ -71,6 +72,23 @@ def admm_full_size(f, u_k, support, w, op, config, system, state=None,
     out, eta_out, mu_out = f.values.copy(), full[0].copy(), full[1].copy()
     out[rows], eta_out[rows], mu_out[triangles] = v, eta, mu
     return MeshImage(out), iters, converged, (eta_out, mu_out, scale)
+
+
+def nan_at_step(monkeypatch, step):
+    """Make ``admm.solve_normal_equation`` put a NaN in its ``step``-th
+    solution; returns the list that counts its calls."""
+    calls = []
+    solve = admm.solve_normal_equation
+
+    def solve_then_spoil(system, rhs):
+        calls.append(rhs.shape)
+        out = solve(system, rhs)
+        if len(calls) == step:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(admm, "solve_normal_equation", solve_then_spoil)
+    return calls
 
 
 @pytest.fixture

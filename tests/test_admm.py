@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import admm_full_size, prox_system
+from conftest import admm_full_size, nan_at_step, prox_system
 from grid_oracles import (
     grid2_argmin,
     make_constrained_objective,
@@ -22,7 +22,7 @@ from meshtv.admm import (
     solve_normal_equation,
 )
 from meshtv.config import SolverConfig
-from meshtv.errors import DimensionMismatch
+from meshtv.errors import DimensionMismatch, NonFiniteIterate
 from meshtv.gradient import assemble_gram, build_gradient_operator
 from meshtv.imaging import MeshImage, NoiseSpec, add_salt_pepper
 from meshtv.lptv import objective, plm_solve
@@ -134,6 +134,37 @@ def test_restart_from_returned_duals_is_shorter(rng):
     # the stopping rule bounds residual norms over sqrt(size); so does this
     rms = np.linalg.norm(warm.values - cold.values) / np.sqrt(f.values.size)
     assert rms < config.inner_tol
+
+
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+def test_a_non_finite_step_raises(channels, monkeypatch, rng):
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    f = rng.uniform(0, 1, size=(mesh.n_vertices, channels))
+    system = NormalEquationSystem(assemble_gram(op), 2.0, 2.0,
+                                  restrict(op, np.arange(mesh.n_vertices), f))
+    calls = nan_at_step(monkeypatch, 3)
+    with pytest.raises(NonFiniteIterate):
+        admm_solve(f, np.full(f.shape, 0.3), 0.0, system, 1e-9, 1000)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+def test_the_returned_multipliers_are_unscaled(channels, rng):
+    # at the minimum eta_j = lam sign(v_j - f_j) where v_j != f_j, and
+    # mu_i = z_i / ||z_i|| where z_i != 0: whatever s the solve ends at
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    f = rng.uniform(0, 1, size=(mesh.n_vertices, channels))
+    lam = 0.3
+    system = NormalEquationSystem(assemble_gram(op), 6.0, 6.0,
+                                  restrict(op, np.arange(mesh.n_vertices), f))
+    v, _, converged, (eta, mu, s) = admm_solve(
+        f, np.full(f.shape, lam), 0.0, system, 1e-9, 20_000)
+    assert converged and s != 1.0
+    assert np.abs(v - f).max() > 0.0 and np.abs(gradient.apply(op, v)).max() > 0.0
+    assert abs(np.abs(eta).max() / lam - 1.0) < 1e-6
+    assert abs(gradient.triangle_norms(mu).max() - 1.0) < 1e-6
 
 
 def _reference_case(name, mesh, rng):
@@ -456,17 +487,22 @@ def _step_case(name, rng, scale=1.0):
 
 
 def _out_of_place_admm(u_k, w, prox_weight, system, tol, max_iter, state):
-    """The ADMM loop written out of place, one new array per operation, with
-    the y thresholds set only at the finite weights, the penalties, the
-    threshold, the mixing weight and the fixed right-hand side computed
-    again from the factor s at every step, the group shrink's row norms from
-    ``np.add.reduce``, one primal residual r_y over every value, and the
-    dual residual measured at every step: the reference that ``admm_solve``
-    must equal bit for bit."""
+    """The scaled ADMM loop written out of place, one new array per
+    operation, with the y thresholds set only at the finite weights, the
+    penalties, the threshold and the mixing weight computed again from the
+    factor s at every step, the fixed part of the right-hand side computed
+    here from the part, the group shrink's row norms from ``np.add.reduce``,
+    one primal residual r_y over every value, and the dual residual measured
+    at every step: the reference that ``admm_solve`` must equal bit for
+    bit."""
     part = system.part
     f_free, offset, sub_op = part.f_free, part.offset, part.op
     fitted = np.isfinite(w)
     eta, mu, s = state
+    # the scaled multipliers
+    e, m = eta / (s * system.beta1), mu / (s * system.beta2)
+    rho = system.beta1 / system.beta2
+    fixed = rho * f_free - gradient.apply_adjoint(sub_op, offset)
     v = u_k
     grad_v = gradient.apply(sub_op, v) + offset
     primal_met = False
@@ -477,23 +513,21 @@ def _out_of_place_admm(u_k, w, prox_weight, system, tol, max_iter, state):
         y_threshold[fitted] = w[fitted] / (beta1 + prox_weight)
         mix = prox_weight / (beta1 + prox_weight)
         z_threshold = 1.0 / beta2
-        rhs_fixed = beta1 * f_free - beta2 * gradient.apply_adjoint(sub_op, offset)
-        x = v - f_free + eta / beta1
+        x = v - f_free + e
         y = shrink_1d(x + mix * ((u_k - f_free) - x), y_threshold)
-        a = grad_v + mu / beta2
+        a = grad_v + m
         flat = a.reshape(a.shape[0], -1)
         norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
         z = a * (1.0 - z_threshold / np.maximum(norms, z_threshold))[:, None, None]
-        rhs = (gradient.apply_adjoint(sub_op, beta2 * z - mu) + beta1 * y - eta
-               + rhs_fixed)
-        v_new = solve_normal_equation(system, rhs) / s
+        rhs = (gradient.apply_adjoint(sub_op, z - m) + rho * (y - e) + fixed)
+        v_new = solve_normal_equation(system, system.beta2 * rhs)
         grad_new = gradient.apply(sub_op, v_new) + offset
         dual = [np.linalg.norm(v_new - v), np.linalg.norm(grad_new - grad_v)]
         v, grad_v = v_new, grad_new
         r_y = v - f_free - y
         r_z = grad_v - z
-        eta = eta + beta1 * r_y
-        mu = mu + beta2 * r_z
+        e = e + r_y
+        m = m + r_z
         primal = [np.linalg.norm(r) for r in (r_y, r_z)]
         balance = (t + 1) % admm.BALANCE_EVERY == 0
         # the dual rule is read at a balancing step and after a step that
@@ -504,16 +538,20 @@ def _out_of_place_admm(u_k, w, prox_weight, system, tol, max_iter, state):
             iters, converged = t + 1, True
             break
         if balance:
-            # normalized residuals; s moves by the factor towards their balance
+            # normalized residuals; s moves by the factor towards their
+            # balance, and the scaled multipliers by its inverse
             primal_size = max(_norm(v, grad_v), _norm(y, z), _norm(f_free))
             r = np.hypot(*primal) / primal_size
-            d = np.hypot(beta1 * dual[0], beta2 * dual[1]) / _norm(eta, mu)
+            d = (np.hypot(beta1 * dual[0], beta2 * dual[1])
+                 / _norm(beta1 * e, beta2 * m))
             if r > admm.BALANCE_RATIO * d:
-                s = s * admm.BALANCE_FACTOR
+                s, e, m = (s * admm.BALANCE_FACTOR, e / admm.BALANCE_FACTOR,
+                           m / admm.BALANCE_FACTOR)
             elif d > admm.BALANCE_RATIO * r:
-                s = s / admm.BALANCE_FACTOR
+                s, e, m = (s / admm.BALANCE_FACTOR, e * admm.BALANCE_FACTOR,
+                           m * admm.BALANCE_FACTOR)
     v[~fitted] = f_free[~fitted]
-    return v, iters, converged, (eta, mu, s)
+    return v, iters, converged, (s * system.beta1 * e, s * system.beta2 * m, s)
 
 
 def _norm(*arrays):
@@ -586,4 +624,4 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
     assert converged and n > 1
     assert calls == {"shrink_1d": n, "_shrink_groups": n,
                      "solve_normal_equation": n, "apply": n + 1,
-                     "apply_adjoint": n + 1}
+                     "apply_adjoint": n}

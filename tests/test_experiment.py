@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import nan_at_step
 from meshtv import admm, cli
 from meshtv.config import SolverConfig
 from meshtv.errors import InvalidParams
@@ -344,3 +345,14 @@ def test_cli_reports_an_out_of_memory_factorization(tmp_path, monkeypatch, capsy
     # the L1-TV warm start factors the system of all 42 vertices first
     assert errors == ["error: out of memory factorizing the system of 42 "
                       "unknowns"]
+
+
+def test_cli_reports_a_non_finite_iterate(tmp_path, monkeypatch, capsys):
+    nan_at_step(monkeypatch, 3)
+    argv = ["--synthetic", "icosphere_k=1,pattern=two_patch",
+            "--out", str(tmp_path / "out"), "--noise-levels", "0.1",
+            "--p-values", "0.5", "--trials", "1", "--no-time"]
+    assert cli.main(argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: ADMM produced non-finite vertex values"]

@@ -159,16 +159,17 @@ def _full_and_restricted(op, channels, rng):
 
 @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
 def test_stored_adjoint_matches_the_transpose_product_bit_for_bit(channels, rng):
+    # the stored adjoint is D^T A: the transpose of the area-weighted rows
     op = build_gradient_operator(_relabeled_icosphere(3, rng))
     for o in _full_and_restricted(op, channels, rng):
-        areas = o.tri_areas[:, None]
+        weighted = (sp.diags(np.repeat(o.tri_areas, 3)) @ o.matrix).T
         if channels == 1:
             z = rng.normal(size=(o.n_triangles, 3))
-            weighted = (z * areas).reshape(-1)
+            flat = z.reshape(-1)
         else:
             z = rng.normal(size=(o.n_triangles, 3, channels))
-            weighted = (z * areas[:, :, None]).reshape(-1, channels)
-        assert np.array_equal(apply_adjoint(o, z), o.matrix.T @ weighted)
+            flat = z.reshape(-1, channels)
+        assert np.array_equal(apply_adjoint(o, z), weighted @ flat)
 
 
 @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])

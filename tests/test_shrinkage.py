@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grid_oracles import shrink_1d_oracle, shrink_vec_oracle
+from meshtv import admm
 from meshtv.admm import (
     NormalEquationSystem,
     _shrink_groups,
@@ -125,7 +126,9 @@ def _whole(op, n=None):
 
 
 def _identity_system(scale, op, n):
-    gram = sp.csr_matrix((n, n))
+    # a zero Gram that stores its diagonal, as every mesh's Gram does
+    gram = sp.csr_matrix((np.zeros(n), np.arange(n), np.arange(n + 1)),
+                         shape=(n, n))
     # beta2 * 0 + beta1 * I = scale * I
     return NormalEquationSystem(gram, beta1=scale, beta2=1.0, part=_whole(op, n))
 
@@ -138,6 +141,35 @@ def test_solve_scaled_identity(two_triangle_mesh):
     # the right-hand side is (n, channels), as the ADMM loop builds it
     with pytest.raises(DimensionMismatch):
         solve_normal_equation(system, np.array([2.0, 4.0]))
+
+
+def test_the_system_hands_splu_the_arrays_of_the_summed_matrix(monkeypatch, rng):
+    # the matrix is built from the Gram's arrays, not as a sparse sum and a
+    # conversion; splu must see the same arrays as from the sum
+    op = build_gradient_operator(planar_grid(12))
+    received = []
+    splu = spla.splu
+    monkeypatch.setattr(admm.spla, "splu",
+                        lambda a: received.append(a) or splu(a))
+    gram = assemble_gram(op)
+    free = np.flatnonzero(rng.uniform(size=op.n_vertices) < 0.4)
+    for part_gram, part in [(gram, _whole(op)),
+                            (gram[free][:, free], restrict(op, free, np.zeros(
+                                (op.n_vertices, 1))))]:
+        NormalEquationSystem(part_gram, 0.7, 1.3, part)
+        expected = (1.3 * part_gram + 0.7 * sp.identity(part_gram.shape[0])).tocsc()
+        got = received[-1]
+        assert got.format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+    # a Gram that leaves a diagonal entry out, or whose rows are not
+    # sorted, is refused
+    small = _whole(build_gradient_operator(planar_grid(2)))
+    unsorted = sp.csr_matrix((np.ones(5), [1, 0, 1, 2, 3], [0, 2, 3, 4, 5]),
+                             shape=(4, 4))
+    for bad in (sp.csr_matrix((4, 4)), unsorted):
+        with pytest.raises(ValueError, match="canonical"):
+            NormalEquationSystem(bad, 1.0, 1.0, small)
 
 
 def test_solve_matches_dense_lu(two_triangle_mesh, rng):
