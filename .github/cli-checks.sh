@@ -49,8 +49,8 @@ for method, count in (('L1TV', 2), ('LpTV_p*', 4)):
         assert len(scales) == 1 if method == 'L1TV' else scales, (path, scales)
         assert all(s > 0 and math.log2(s).is_integer() for s in scales), (path, scales)
 " "$RUNNER_TEMP/meshtv-k3"
-# the 0.3 solves above reuse the whole-mesh factor that the 0.1 solves left on
-# the operator; a sweep of 0.3 alone factors afresh and gives the same bytes
+# the 0.3 solves above reuse the whole-mesh system that the 0.1 solves left in
+# the operator's cache; a sweep of 0.3 alone factors afresh and gives the same bytes
 meshtv --synthetic icosphere_k=3,pattern=two_patch --noise-levels 0.3 --p-values 0.5,0.9 --trials 2 \
   --lambda 0.1 --beta1 2 --beta2 2 --no-time --out "$RUNNER_TEMP/meshtv-k3-cold"
 diff -r "$RUNNER_TEMP/meshtv-k3/icosphere3_two_patch/noise_0.3" \

@@ -8,16 +8,20 @@ triangles that touch them; the pinned neighbours enter as a fixed gradient
 offset.  Splitting the fidelity residuals (y) and the per-triangle gradients
 (z) out of the vertex variable (v) makes every step closed-form: scalar and
 group soft-thresholding for (y, z), a sparse SPD normal equation for v, solved
-with the sparse LU factor that its system keeps, then gradient-ascent
-multiplier updates.  The proximal term is written on y, as
+with the sparse LU factor of its system, then gradient-ascent multiplier
+updates.  The proximal term is written on y, as
 prox/2 * ||y + f - c||^2 with c the center, so it enters the scalar shrink
 and not the matrix.
 
-This module reads no solver configuration: the outer loop passes the center,
-the weights with lam in them, the proximal weight, the system, the tolerance
-and the step limit.  The same loop with full support, every weight lam, and
-zero proximal weight is the plain L1-TV warm start.  The loop runs ADMM in
-its scaled form (Boyd et al., FnT ML 3(1), 2011, section 3.1.1): it keeps
+A subproblem is split by lifetime: its ``FreePart`` holds every constant the
+image data fix on one free-vertex set, and its ``NormalEquationSystem`` is
+the factor of a matrix that depends on the mesh, the free-vertex set and the
+penalties alone, never on the image.  This module keeps neither: the outer
+loop builds both and passes them, with the center, the weights with lam in
+them, the proximal weight, the tolerance and the step limit; it reads no
+solver configuration.  The same loop with full support, every weight lam,
+and zero proximal weight is the plain L1-TV warm start.  The loop runs ADMM
+in its scaled form (Boyd et al., FnT ML 3(1), 2011, section 3.1.1): it keeps
 the multipliers divided by their penalties, so a step neither divides nor
 multiplies by a penalty, and the right-hand side divided by beta2 depends on
 the penalties only through their ratio, which every factor s leaves alone.
@@ -84,7 +88,8 @@ def _shrink_groups(a: np.ndarray, threshold: float) -> np.ndarray:
 @dataclass(frozen=True)
 class FreePart:
     """The free vertices of a subproblem, the triangles that touch them, and
-    the constants the image data fix there: all that a subproblem reads.
+    every constant the image data fix there: all that a subproblem reads
+    besides its system.
 
     ``vertices`` and ``triangles`` are sorted index arrays; ``op`` is the
     gradient restricted to them: the rows of those triangles, the columns of
@@ -93,14 +98,15 @@ class FreePart:
     free-vertex block of the full Gram matrix.  ``f_free`` holds the image
     values at ``vertices`` and ``offset`` the gradient g0 = D_P f_P that the
     pinned vertices contribute on ``triangles``; ``admm_solve`` splits the
-    true gradient D_F v + g0 there as z, and ``NormalEquationSystem`` puts
-    -D_F^T A g0 in the constant part of its right-hand side.  The rest is
+    true gradient D_F v + g0 there as z, and subtracts ``offset_adjoint``,
+    D_F^T A g0, in the constant part of its right-hand side.  The rest is
     constant:
     ``pinned_tv`` is the TV of the other triangles, ``pinned_sq`` the squared
     norm of the pinned values, and ``size`` the value count of the image, so
     the objective and the norm of an image that is the data outside the part
     are a part term plus a constant.  When every vertex is free (L1-TV),
-    ``op`` is the whole operator, and the offset and constants are zero.
+    ``op`` is the whole operator, the offset and constants are zero, and
+    ``offset_adjoint`` is None.
     """
 
     vertices: np.ndarray
@@ -108,6 +114,7 @@ class FreePart:
     op: GradientOperator
     f_free: np.ndarray
     offset: np.ndarray
+    offset_adjoint: np.ndarray | None
     pinned_tv: float
     pinned_sq: float
     size: int
@@ -122,12 +129,12 @@ def restrict(op: GradientOperator, vertices: np.ndarray,
              data: np.ndarray) -> FreePart:
     """The part of ``op`` that acts on the sorted free ``vertices``, for the
     (n_vertices, channels) image values ``data``.  When every vertex is
-    free, the part shares ``op`` and ``data`` and its offset and constants
-    are zero."""
+    free, the part shares ``op`` and ``data``, its offset and constants are
+    zero, and it has no offset adjoint."""
     if vertices.size == op.n_vertices:
         return FreePart(vertices, np.arange(op.n_triangles), op, data,
-                        np.zeros((op.n_triangles, 3, data.shape[1])), 0.0, 0.0,
-                        data.size)
+                        np.zeros((op.n_triangles, 3, data.shape[1])), None,
+                        0.0, 0.0, data.size)
     columns = op.matrix[:, vertices]
     # each triangle owns three rows; it touches a free vertex when one of
     # them stores an entry in a free column
@@ -138,89 +145,64 @@ def restrict(op: GradientOperator, vertices: np.ndarray,
     pinned = data.copy()
     pinned[vertices] = 0.0
     grad = gradient.apply(op, pinned)
+    offset = grad[triangles]
     outside = np.ones(op.n_triangles, dtype=bool)
     outside[triangles] = False
     norms = gradient.triangle_norms(grad[outside])
-    return FreePart(vertices, triangles, sub, data[vertices], grad[triangles],
+    return FreePart(vertices, triangles, sub, data[vertices], offset,
+                    gradient.apply_adjoint(sub, offset),
                     float(op.tri_areas[outside] @ norms),
                     float(np.vdot(pinned, pinned)), data.size)
 
 
 class NormalEquationSystem:
-    """The SPD system beta2 * Gram + beta1 * I of the free vertices of ``part``.
+    """The sparse LU factor of the SPD matrix beta2 * Gram + beta1 * I.
 
-    ``gram`` is the Gram matrix of ``part.op``, the operator the ADMM loop
-    runs on, and the system carries ``part``, so that a subproblem is its
-    system plus its center, lam-weighted weights, proximal weight and
-    starting state, solved to a tolerance within a step limit.  The system
-    therefore depends on the support through its free-vertex set; the set
-    only shrinks during an Lp-TV solve, so ``plm_solve`` builds a new system
-    only when it does, and one factorization serves every inner iteration
-    in between.  The system keeps only the sparse LU factor of its ``n``
-    unknowns (SuperLU, with a fill-reducing column ordering), not the
-    matrix; a factorization that fails, or runs out of memory, raises
-    SingularSystem.  The matrix is built from the arrays of ``gram``, a
-    canonical CSR matrix that must store its whole diagonal (the Gram of a
-    validated mesh does: no vertex is isolated) and be exactly symmetric
-    (``assemble_gram`` makes it so), so that its CSR arrays, scaled by beta2
-    and with beta1 added on the diagonal, are the CSC arrays the
-    factorization reads.  The penalties are
-    kept because the ADMM steps must use multiples of the ones the matrix
-    was built with; this system is their only source.  The matrix holds no
-    proximal term, so a common power-of-two multiple s of both penalties
-    scales it by s and leaves its factorization valid (see ``admm_solve``).
-    ``rhs_constant`` is the part of the right-hand side, divided by beta2,
-    that depends on neither the iterate nor s: rho * f_F - D_F^T A g0, with
-    rho = beta1 / beta2 and the part's values f_F and offset g0 (zero for a
-    whole-mesh part).
-
-    The matrix depends on the mesh, the penalties and the free-vertex set,
-    never on the image, so the operator of a whole-mesh part keeps the
-    factorization of its last whole-mesh system in ``op.memo``.  A new
-    whole-mesh system with the same Gram object and penalties shares that
-    factor and carries its own part; any other one drops the kept factor
-    before it factors, and keeps its own only once the factorization has
-    succeeded.  A narrowed part's system always factors.
+    ``gram`` is the Gram matrix of the operator the ADMM loop runs on, that
+    of a ``FreePart``, so the matrix depends on the mesh, the free-vertex set
+    and the penalties, never on the image.  The system is that factor alone:
+    its ``n`` unknowns, the two penalties and the SuperLU factor (with a
+    fill-reducing column ordering), not the matrix; a factorization that
+    fails, or runs out of memory, raises SingularSystem.  The matrix is
+    built from the arrays of ``gram``, a canonical CSR matrix that must
+    store its whole diagonal (the Gram of a validated mesh does: no vertex
+    is isolated) and be exactly symmetric (``assemble_gram`` makes it so),
+    so that its CSR arrays, scaled by beta2 and with beta1 added on the
+    diagonal, are the CSC arrays the factorization reads.  The penalties
+    are kept because the ADMM steps must use multiples of the ones the
+    matrix was built with; this system is their only source.  The matrix
+    holds no proximal term, so a common power-of-two multiple s of both
+    penalties scales it by s and leaves its factorization valid (see
+    ``admm_solve``).  Which system serves which part, and how long a factor
+    is kept, is the outer loop's choice (``lptv.plm_solve``).
     """
 
-    def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float,
-                 part: FreePart):
+    def __init__(self, gram: sp.spmatrix, beta1: float, beta2: float):
         if not (math.isfinite(beta1) and math.isfinite(beta2)):
             raise ValueError("penalties must be finite")
         if beta1 <= 0.0 or beta2 <= 0.0:
             raise ValueError("penalties must be positive")
         self.n = gram.shape[0]
         self.beta1, self.beta2 = beta1, beta2
-        self.part = part
-        self.rhs_constant = (beta1 / beta2) * part.f_free
-        if not part.whole:
-            self.rhs_constant -= gradient.apply_adjoint(part.op, part.offset)
-        kept = part.op.memo.pop("factor", None) if part.whole else None
-        if kept is not None and kept[0] is gram and kept[1:3] == (beta1, beta2):
-            self._lu = kept[3]
-        else:
-            kept = None  # frees the old factor before the new one is built
-            rows = np.repeat(np.arange(self.n), np.diff(gram.indptr))
-            diagonal = np.flatnonzero(gram.indices == rows)
-            # splu would sort a non-canonical matrix in place, and so the
-            # Gram's own index array
-            if diagonal.size != self.n or not gram.has_canonical_format:
-                raise ValueError("the Gram matrix must be canonical and store "
-                                 "its whole diagonal")
-            data = beta2 * gram.data
-            data[diagonal] += beta1
-            matrix = sp.csc_matrix((data, gram.indices, gram.indptr),
-                                   shape=gram.shape)
-            try:
-                self._lu = spla.splu(matrix)
-            except RuntimeError as exc:
-                raise SingularSystem(str(exc)) from exc
-            except MemoryError as exc:
-                raise SingularSystem(
-                    f"out of memory factorizing the system of {self.n} unknowns"
-                ) from exc
-        if part.whole:
-            part.op.memo["factor"] = (gram, beta1, beta2, self._lu)
+        rows = np.repeat(np.arange(self.n), np.diff(gram.indptr))
+        diagonal = np.flatnonzero(gram.indices == rows)
+        # splu would sort a non-canonical matrix in place, and so the Gram's
+        # own index array
+        if diagonal.size != self.n or not gram.has_canonical_format:
+            raise ValueError("the Gram matrix must be canonical and store "
+                             "its whole diagonal")
+        data = beta2 * gram.data
+        data[diagonal] += beta1
+        matrix = sp.csc_matrix((data, gram.indices, gram.indptr),
+                               shape=gram.shape)
+        try:
+            self._lu = spla.splu(matrix)
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from exc
+        except MemoryError as exc:
+            raise SingularSystem(
+                f"out of memory factorizing the system of {self.n} unknowns"
+            ) from exc
 
 
 def solve_normal_equation(system: NormalEquationSystem,
@@ -240,6 +222,7 @@ def admm_solve(
     u_k: np.ndarray,
     w: np.ndarray,
     prox_weight: float,
+    part: FreePart,
     system: NormalEquationSystem,
     tol: float,
     max_iter: int,
@@ -247,11 +230,12 @@ def admm_solve(
 ):
     """Solve one proximal-linearized subproblem around ``u_k`` by ADMM.
 
-    Everything is in the coordinates of ``system.part``: the free vertices F
+    Everything is in the coordinates of ``part``: the free vertices F
     (those with a supported value) and the triangles T that touch them.  The
     other vertices are the constant f, so TV is kept only on T, where the
     gradient is D_F v_F + g0, with the pinned vertices' offset g0 and f_F
-    carried by the part.  z splits that true gradient.  ``u_k`` (|F|,
+    carried by the part.  z splits that true gradient.  ``system`` is the
+    factor of the part's matrix, with |F| unknowns.  ``u_k`` (|F|,
     channels) is both the proximal center and the starting iterate;
     ``plm_solve`` passes either its current iterate or an extrapolated one.
     ``w`` holds one fidelity weight per value, shaped like ``u_k``, with lam
@@ -267,9 +251,10 @@ def admm_solve(
     mix = prox_weight / (beta1 + prox_weight); at zero proximal weight that
     is the shrink of x, and the mixing pass is skipped.  The z-update
     shrinks D v + g0 + m by 1 / beta2.  The v-update solves
-    (beta2 G + beta1 I) v = beta2 (D^T A (z - m) + rho (y - e) + c), with
-    rho = beta1 / beta2 and c the system's ``rhs_constant``.  The bracket
-    does not change with s, and the matrix is s times the factored one M,
+    (beta2 G + beta1 I) v = beta2 (D^T A (z - m) + ratio (y - e) + c), with
+    ratio = beta1 / beta2 and c = ratio f_F - D_F^T A g0, formed once per
+    call from the part's ``offset_adjoint``.  The bracket does not change
+    with s, and the matrix is s times the factored one M,
     so v solves M v = system.beta2 times the bracket.  Then e += r_y and
     m += r_z, with the primal residuals r_y = v - f - y and
     r_z = D v + g0 - z.  For a color image a channel
@@ -306,10 +291,12 @@ def admm_solve(
     (eta, mu, s); a False flag means the residual rules were not met within
     max_iter.
     """
-    part = system.part
     f_free, sub_op = part.f_free, part.op
     # a whole-mesh part has no pinned neighbours, so no offset to add
     offset = None if part.whole else part.offset
+    if system.n != f_free.shape[0]:
+        raise DimensionMismatch(f"the system has {system.n} unknowns, "
+                                f"the part {f_free.shape[0]} vertices")
     if not u_k.shape == w.shape == f_free.shape:
         raise DimensionMismatch(f"center and weights must be {f_free.shape}")
     if state is None:
@@ -321,7 +308,12 @@ def admm_solve(
     beta2 = penalty_scale * system.beta2
     e, m = state[0] / beta1, state[1] / beta2
 
-    rho = system.beta1 / system.beta2
+    ratio = system.beta1 / system.beta2
+    # the part of the right-hand side, divided by beta2, that neither the
+    # iterate nor s moves
+    rhs_constant = ratio * f_free
+    if offset is not None:
+        rhs_constant -= part.offset_adjoint
     y_threshold = w / (beta1 + prox_weight)
     mix = prox_weight / (beta1 + prox_weight)
     z_threshold = 1.0 / beta2
@@ -348,9 +340,9 @@ def admm_solve(
         # each in-place chain adds in the order of the written-out sum
         rhs = gradient.apply_adjoint(sub_op, z - m)
         y_term = y - e
-        y_term *= rho
+        y_term *= ratio
         rhs += y_term
-        rhs += system.rhs_constant
+        rhs += rhs_constant
         rhs *= system.beta2
         balance = (t + 1) % BALANCE_EVERY == 0
         # the dual residual is measured where the balance or the stop reads

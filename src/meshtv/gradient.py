@@ -38,10 +38,11 @@ class GradientOperator:
     ``tri_areas`` is then the subset of areas of those triangles.
 
     ``memo`` keeps what the solvers derive from the operator alone, for as
-    long as the operator lives, and is filled lazily on the first solve:
-    ``lptv.plm_solve`` stores the Gram matrix under "gram", and
-    ``admm.NormalEquationSystem`` the factorization of its last whole-mesh
-    system under "factor".  Dropping the operator frees both.
+    long as the operator lives, and is filled lazily on the first solve.
+    It has one owner, ``lptv.plm_solve`` (through ``lptv._system``), and
+    two keys: the whole Gram matrix under "gram" and the last whole-mesh
+    ``admm.NormalEquationSystem``, the factor, under "system".  Dropping
+    the operator frees both.
     """
 
     tri_areas: np.ndarray        # (n_tri,)

@@ -195,13 +195,15 @@ def plm_solve(
     pins; f(u0), for L1-TV as for Lp-TV, is the objective of the all-free
     part.
 
-    A system's Gram matrix is the block of F in the whole mesh's Gram,
-    which the operator keeps from its first solve.  A system on every
-    vertex, L1-TV's or a step's whose F is every vertex, shares the
-    operator's kept factorization when its penalties are the last ones
-    factored there (see ``NormalEquationSystem``), so a sweep of solves on
-    one operator factors the whole mesh once.  Neither changes a bit of
-    the result.
+    Each step hands ``admm_solve`` its part, which holds the image's
+    constants, and its system, the factor alone.  This function is the only
+    keeper of the operator's cache (see ``_system``): a system's Gram
+    matrix is the block of F in the whole mesh's Gram, which the operator
+    keeps from its first solve, and a part on every vertex, L1-TV's or a
+    step's whose F is every vertex, gets the operator's last whole-mesh
+    system when its penalties are the same, so a sweep of solves on one
+    operator factors the whole mesh once.  Neither changes a bit of the
+    result.
 
     Each inner ADMM solve starts from the state, the multipliers and the
     penalty factor, that the previous outer step ended with.  Its proximal
@@ -262,10 +264,9 @@ def plm_solve(
     f_prev = _objective_raw(u0.values, part, config.lam, config.p)
 
     if config.p == 1.0:
-        system = NormalEquationSystem(_gram(op, part), config.beta1,
-                                      config.beta2, part)
+        system = _system(op, part, config)
         result, inner_iters, inner_ok, penalty_scale = _l1tv_solve_full(
-            u0.values, config, system)
+            u0.values, config, part, system)
         if not inner_ok:
             logger.warning("L1-TV ADMM stopped at inner_max_iter without converging")
         if not support_eps(result, f2, config.eps_support).any():
@@ -315,8 +316,7 @@ def plm_solve(
                 kept_triangles = np.searchsorted(part.triangles, narrowed.triangles)
                 state = state[0][keep], state[1][kept_triangles], state[2]
             part = narrowed
-            system = NormalEquationSystem(_gram(op, part), config.beta1,
-                                          config.beta2, part)
+            system = _system(op, part, config)
 
         if system is None:
             # nothing is free: the iterate is the data on the part's rows too
@@ -337,7 +337,7 @@ def plm_solve(
                 tries.insert(0, (c, tol, 0.0))
             for kept, (center, kept_tol, bar) in enumerate(tries):
                 u_next, iters, inner_ok, state_next = admm_solve(
-                    center, w, config.prox_weight, system, kept_tol,
+                    center, w, config.prox_weight, part, system, kept_tol,
                     config.inner_max_iter, state)
                 inner_iters += iters
                 f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
@@ -378,25 +378,43 @@ def plm_solve(
     return MeshImage(restored), trace
 
 
-def _gram(op: GradientOperator, part: FreePart):
-    """The Gram matrix of ``part.op``, for a part of ``op``: the whole Gram,
-    assembled on the operator's first solve and kept in ``op.memo``, or its
-    block on ``part.vertices``, which equals ``assemble_gram(part.op)``."""
+def _system(op: GradientOperator, part: FreePart,
+            config: SolverConfig) -> NormalEquationSystem:
+    """The system of ``part``, a part of ``op``, with ``config``'s penalties.
+
+    ``op.memo`` keeps two things for as long as the operator lives, and
+    nothing else reads or writes it: the whole Gram under "gram", assembled
+    on the operator's first solve, and the last whole-mesh system under
+    "system".  A narrowed part's system factors its block of the whole Gram
+    on ``part.vertices``, which equals ``assemble_gram(part.op)``.  A
+    whole-mesh part gets the kept system when its penalties are the
+    config's; otherwise the kept one is dropped before the new one factors,
+    and the new one is kept only once its factorization has succeeded, so
+    the operator holds at most one whole-mesh factor, and none after a
+    SingularSystem.
+    """
     gram = op.memo.get("gram")
     if gram is None:
         gram = op.memo["gram"] = assemble_gram(op)
-    if part.op is op:
-        return gram
-    return gram[part.vertices][:, part.vertices]
+    penalties = config.beta1, config.beta2
+    if part.op is not op:
+        return NormalEquationSystem(gram[part.vertices][:, part.vertices],
+                                    *penalties)
+    system = op.memo.pop("system", None)
+    if system is None or (system.beta1, system.beta2) != penalties:
+        system = None  # frees the old factor before the new one is built
+        system = NormalEquationSystem(gram, *penalties)
+    op.memo["system"] = system
+    return system
 
 
-def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig,
+def _l1tv_solve_full(u0: np.ndarray, config: SolverConfig, part: FreePart,
                      system: NormalEquationSystem):
-    """L1-TV from ``u0``: the subproblem of an all-vertex ``system`` with
-    every weight lam and zero duals.  Returns (values, inner_iterations,
-    converged, penalty_scale)."""
+    """L1-TV from ``u0``: the subproblem of the all-vertex ``part`` and its
+    ``system`` with every weight lam and zero duals.  Returns (values,
+    inner_iterations, converged, penalty_scale)."""
     v, iters, converged, state = admm_solve(
-        u0, np.full(u0.shape, config.lam), 0.0, system, config.inner_tol,
+        u0, np.full(u0.shape, config.lam), 0.0, part, system, config.inner_tol,
         config.inner_max_iter)
     return v, iters, converged, state[2]
 

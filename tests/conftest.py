@@ -32,17 +32,18 @@ def smallest_nonzero_residual(u, f):
 
 
 def prox_system(op, config, f, support):
-    """The subproblem system of ``support``'s free vertices for the image
-    ``f``, with ``config``'s penalties; None when the support is empty."""
+    """The subproblem (part, system) of ``support``'s free vertices for the
+    image ``f``, with ``config``'s penalties; None when the support is
+    empty."""
     free = np.flatnonzero(support.any(axis=1))
     if not free.size:
         return None
     part = restrict(op, free, f.values)
-    return NormalEquationSystem(assemble_gram(part.op), config.beta1,
-                                config.beta2, part)
+    return part, NormalEquationSystem(assemble_gram(part.op), config.beta1,
+                                      config.beta2)
 
 
-def admm_full_size(f, u_k, support, w, op, config, system, state=None,
+def admm_full_size(f, u_k, support, w, op, config, subproblem, state=None,
                    prox_weight=None):
     """``admm_solve`` on full-size images, masks and multipliers: ``w`` holds
     one weight per True entry of ``support`` in C order, and is spread into
@@ -50,12 +51,14 @@ def admm_full_size(f, u_k, support, w, op, config, system, state=None,
     ``config.lam``; the solve runs with ``config.prox_weight`` (or
     ``prox_weight`` when given) to ``config.inner_tol`` within
     ``config.inner_max_iter`` steps.  ``u_k``, the weights and the
-    multipliers of ``state`` (eta, mu, s) are sliced to the rows of
-    ``system.part``, and the solve's values and multipliers are scattered
-    back into copies of ``f`` and of the multipliers (zeros when None).
+    multipliers of ``state`` (eta, mu, s) are sliced to the rows of the
+    part of ``subproblem`` (part, system), and the solve's values and
+    multipliers are scattered back into copies of ``f`` and of the
+    multipliers (zeros when None).
     Returns what ``admm_solve`` returns: (image, iterations, converged,
     state)."""
-    rows, triangles = system.part.vertices, system.part.triangles
+    part, system = subproblem
+    rows, triangles = part.vertices, part.triangles
     weights = np.full(support.shape, np.inf)
     weights[support] = w
     if prox_weight is None:
@@ -67,8 +70,8 @@ def admm_full_size(f, u_k, support, w, op, config, system, state=None,
     else:
         full, part_state = state, (state[0][rows], state[1][triangles], state[2])
     v, iters, converged, (eta, mu, scale) = admm_solve(
-        u_k.values[rows], config.lam * weights[rows], prox_weight, system,
-        config.inner_tol, config.inner_max_iter, part_state)
+        u_k.values[rows], config.lam * weights[rows], prox_weight, part,
+        system, config.inner_tol, config.inner_max_iter, part_state)
     out, eta_out, mu_out = f.values.copy(), full[0].copy(), full[1].copy()
     out[rows], eta_out[rows], mu_out[triangles] = v, eta, mu
     return MeshImage(out), iters, converged, (eta_out, mu_out, scale)

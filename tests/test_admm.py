@@ -55,13 +55,21 @@ def test_weights_must_match_image_shape(rng):
     mesh = icosphere(1)
     op = build_gradient_operator(mesh)
     f = MeshImage(rng.uniform(0, 1, size=(mesh.n_vertices, 3)))
-    system = prox_system(op, TINY_CONFIG, f, np.ones(f.values.shape, dtype=bool))
+    part, system = prox_system(op, TINY_CONFIG, f,
+                               np.ones(f.values.shape, dtype=bool))
     with pytest.raises(DimensionMismatch):
-        admm_solve(f.values, np.ones(f.values.size), 1.0, system,
+        admm_solve(f.values, np.ones(f.values.size), 1.0, part, system,
                    TINY_CONFIG.inner_tol, TINY_CONFIG.inner_max_iter)
     # so is a center of the wrong shape
     with pytest.raises(DimensionMismatch):
-        admm_solve(f.values[:, :1], np.ones(f.values.shape), 1.0, system,
+        admm_solve(f.values[:, :1], np.ones(f.values.shape), 1.0, part, system,
+                   TINY_CONFIG.inner_tol, TINY_CONFIG.inner_max_iter)
+    # and a system of another vertex count than the part's
+    half = np.zeros(f.values.shape, dtype=bool)
+    half[::2] = True
+    _, other = prox_system(op, TINY_CONFIG, f, half)
+    with pytest.raises(DimensionMismatch, match="unknowns"):
+        admm_solve(f.values, np.ones(f.values.shape), 1.0, part, other,
                    TINY_CONFIG.inner_tol, TINY_CONFIG.inner_max_iter)
 
 
@@ -81,9 +89,11 @@ def test_admm_is_deterministic(two_triangle_mesh, rng):
     f = MeshImage(rng.uniform(0, 1, size=4))
     support = np.array([[True], [False], [False], [True]])
     u_k = MeshImage(f.values.copy())
-    system = prox_system(op, TINY_CONFIG, f, support)
-    a, it_a, _, _ = admm_full_size(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
-    b, it_b, _, _ = admm_full_size(f, u_k, support, np.ones(2), op, TINY_CONFIG, system)
+    subproblem = prox_system(op, TINY_CONFIG, f, support)
+    a, it_a, _, _ = admm_full_size(f, u_k, support, np.ones(2), op, TINY_CONFIG,
+                                   subproblem)
+    b, it_b, _, _ = admm_full_size(f, u_k, support, np.ones(2), op, TINY_CONFIG,
+                                   subproblem)
     assert it_a == it_b
     assert np.array_equal(a.values, b.values)
 
@@ -98,9 +108,9 @@ def test_penalties_come_from_the_system(rng):
     matching = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=4.0,
                             beta2=1.0, inner_tol=1e-8, inner_max_iter=5000)
     other = dataclasses.replace(matching, beta1=2.0, beta2=2.0)
-    system = prox_system(op, matching, f, support)
-    a, it_a, ok_a, _ = admm_full_size(f, f, support, w, op, matching, system)
-    b, it_b, ok_b, _ = admm_full_size(f, f, support, w, op, other, system)
+    subproblem = prox_system(op, matching, f, support)
+    a, it_a, ok_a, _ = admm_full_size(f, f, support, w, op, matching, subproblem)
+    b, it_b, ok_b, _ = admm_full_size(f, f, support, w, op, other, subproblem)
     assert (it_a, ok_a) == (it_b, ok_b)
     assert np.array_equal(a.values, b.values)
 
@@ -119,14 +129,14 @@ def test_restart_from_returned_duals_is_shorter(rng):
     w = rng.uniform(0.5, 2.0, size=np.count_nonzero(support))
     config = SolverConfig(lam=0.2, p=0.5, prox_weight=1.0, beta1=2.0,
                           beta2=2.0, inner_tol=1e-8, inner_max_iter=5000)
-    system = prox_system(op, config, f, support)
+    subproblem = prox_system(op, config, f, support)
     first, _, ok_first, state = admm_full_size(f, f, support, w, op, config,
-                                               system)
+                                               subproblem)
     kept = [d.copy() for d in state[:2]]
     cold, it_cold, ok_cold, _ = admm_full_size(f, first, support, w, op, config,
-                                               system)
+                                               subproblem)
     warm, it_warm, ok_warm, _ = admm_full_size(f, first, support, w, op, config,
-                                               system, state)
+                                               subproblem, state)
     assert ok_first and ok_cold and ok_warm
     assert it_warm < it_cold
     # the inputs are left as they were, so a caller can start from them twice
@@ -141,11 +151,11 @@ def test_a_non_finite_step_raises(channels, monkeypatch, rng):
     mesh = icosphere(2)
     op = build_gradient_operator(mesh)
     f = rng.uniform(0, 1, size=(mesh.n_vertices, channels))
-    system = NormalEquationSystem(assemble_gram(op), 2.0, 2.0,
-                                  restrict(op, np.arange(mesh.n_vertices), f))
+    whole = restrict(op, np.arange(mesh.n_vertices), f)
+    system = NormalEquationSystem(assemble_gram(op), 2.0, 2.0)
     calls = nan_at_step(monkeypatch, 3)
     with pytest.raises(NonFiniteIterate):
-        admm_solve(f, np.full(f.shape, 0.3), 0.0, system, 1e-9, 1000)
+        admm_solve(f, np.full(f.shape, 0.3), 0.0, whole, system, 1e-9, 1000)
     assert len(calls) == 3
 
 
@@ -157,10 +167,10 @@ def test_the_returned_multipliers_are_unscaled(channels, rng):
     op = build_gradient_operator(mesh)
     f = rng.uniform(0, 1, size=(mesh.n_vertices, channels))
     lam = 0.3
-    system = NormalEquationSystem(assemble_gram(op), 6.0, 6.0,
-                                  restrict(op, np.arange(mesh.n_vertices), f))
+    whole = restrict(op, np.arange(mesh.n_vertices), f)
+    system = NormalEquationSystem(assemble_gram(op), 6.0, 6.0)
     v, _, converged, (eta, mu, s) = admm_solve(
-        f, np.full(f.shape, lam), 0.0, system, 1e-9, 20_000)
+        f, np.full(f.shape, lam), 0.0, whole, system, 1e-9, 20_000)
     assert converged and s != 1.0
     assert np.abs(v - f).max() > 0.0 and np.abs(gradient.apply(op, v)).max() > 0.0
     assert abs(np.abs(eta).max() / lam - 1.0) < 1e-6
@@ -321,42 +331,6 @@ def test_all_free_part_applies_no_gradient(monkeypatch, rng):
     assert len(calls) == 1
 
 
-def test_a_whole_mesh_system_shares_the_operators_last_factor(monkeypatch, rng):
-    mesh = icosphere(2)
-    op = build_gradient_operator(mesh)
-    every = np.arange(mesh.n_vertices)
-    gray, rgb = (restrict(op, every, rng.uniform(0, 1, size=(mesh.n_vertices, c)))
-                 for c in (1, 3))
-    factorizations = []
-    splu = admm.spla.splu
-    monkeypatch.setattr(admm.spla, "splu",
-                        lambda a: factorizations.append(a) or splu(a))
-    gram = assemble_gram(op)
-    first = NormalEquationSystem(gram, 2.0, 3.0, gray)
-    again = NormalEquationSystem(gram, 2.0, 3.0, rgb)
-    assert len(factorizations) == 1
-    assert again._lu is first._lu and again.part is rgb
-    # a freshly assembled Gram, or other penalties, factor again
-    NormalEquationSystem(assemble_gram(op), 2.0, 3.0, gray)
-    assert len(factorizations) == 2
-    NormalEquationSystem(gram, 2.0, 3.0, gray)
-    assert len(factorizations) == 3
-    for beta1, beta2 in [(3.0, 2.0), (2.0, 2.0), (2.0, 3.0)]:
-        NormalEquationSystem(gram, beta1, beta2, gray)
-    assert len(factorizations) == 6
-    kept = op.memo["factor"]
-    # a narrowed part always factors, and leaves the kept factor alone
-    part = restrict(op, every[::2], gray.f_free)
-    for _ in range(2):
-        NormalEquationSystem(assemble_gram(part.op), 2.0, 3.0, part)
-    assert len(factorizations) == 8
-    assert op.memo["factor"] is kept and not part.op.memo
-    # the shared factor solves as a new one does
-    rhs = rng.normal(size=(mesh.n_vertices, 3))
-    assert np.array_equal(solve_normal_equation(again, rhs),
-                          splu(factorizations[0]).solve(rhs))
-
-
 def test_full_support_prox_free_subproblem_is_l1tv(rng):
     # the proximal weight is the solve's argument, not config.prox_weight
     mesh = icosphere(1)
@@ -366,10 +340,10 @@ def test_full_support_prox_free_subproblem_is_l1tv(rng):
                           inner_tol=1e-8, inner_max_iter=20_000)
     support = np.ones((mesh.n_vertices, 1), dtype=bool)
     whole = restrict(op, np.arange(mesh.n_vertices), f.values)
-    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
-                                  whole)
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2)
     out, _, converged, _ = admm_full_size(f, f, support, np.ones(mesh.n_vertices),
-                                          op, config, system, prox_weight=0.0)
+                                          op, config, (whole, system),
+                                          prox_weight=0.0)
     assert converged
     l1tv, _ = plm_solve(f, mesh, op, config, f)
     assert np.array_equal(out.values, l1tv.values)
@@ -457,7 +431,7 @@ def test_l1tv_stops_at_the_minimum_from_any_starting_penalty(p, lam, beta,
 
 
 def _step_case(name, rng, scale=1.0):
-    """(u_k, w, config, system, state) of one subproblem in the coordinates
+    """(u_k, w, config, part, system, state) of one subproblem in the coordinates
     of its part, on icosphere(2): "gray" has full support, "rgb-pin" a pinned
     channel (weight +inf) at most free vertices.  The weights carry
     ``config.lam``, the multipliers are nonzero, the penalty factor is
@@ -472,8 +446,7 @@ def _step_case(name, rng, scale=1.0):
         f, support = _reference_case("rgb-pinned-channel", mesh, rng)
     config = SolverConfig(lam=0.3, p=0.5, prox_weight=1.0, beta1=2.0,
                           beta2=2.0, inner_tol=1e-8, inner_max_iter=1000)
-    system = prox_system(op, config, MeshImage(f), support)
-    part = system.part
+    part, system = prox_system(op, config, MeshImage(f), support)
     fitted = support[part.vertices]
     previous = part.f_free + rng.normal(scale=0.1, size=part.f_free.shape)
     current = part.f_free + rng.normal(scale=0.1, size=part.f_free.shape)
@@ -483,10 +456,10 @@ def _step_case(name, rng, scale=1.0):
     w[fitted] = config.lam * rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
     state = (rng.normal(scale=0.1, size=part.f_free.shape),
              rng.normal(scale=0.1, size=part.offset.shape), scale)
-    return u_k, w, config, system, state
+    return u_k, w, config, part, system, state
 
 
-def _out_of_place_admm(u_k, w, prox_weight, system, tol, max_iter, state):
+def _out_of_place_admm(u_k, w, prox_weight, part, system, tol, max_iter, state):
     """The scaled ADMM loop written out of place, one new array per
     operation, with the y thresholds set only at the finite weights, the
     penalties, the threshold and the mixing weight computed again from the
@@ -495,14 +468,13 @@ def _out_of_place_admm(u_k, w, prox_weight, system, tol, max_iter, state):
     one primal residual r_y over every value, and the dual residual measured
     at every step: the reference that ``admm_solve`` must equal bit for
     bit."""
-    part = system.part
     f_free, offset, sub_op = part.f_free, part.offset, part.op
     fitted = np.isfinite(w)
     eta, mu, s = state
     # the scaled multipliers
     e, m = eta / (s * system.beta1), mu / (s * system.beta2)
-    rho = system.beta1 / system.beta2
-    fixed = rho * f_free - gradient.apply_adjoint(sub_op, offset)
+    ratio = system.beta1 / system.beta2
+    fixed = ratio * f_free - gradient.apply_adjoint(sub_op, offset)
     v = u_k
     grad_v = gradient.apply(sub_op, v) + offset
     primal_met = False
@@ -519,7 +491,7 @@ def _out_of_place_admm(u_k, w, prox_weight, system, tol, max_iter, state):
         flat = a.reshape(a.shape[0], -1)
         norms = np.sqrt(np.add.reduce(flat * flat, axis=1))
         z = a * (1.0 - z_threshold / np.maximum(norms, z_threshold))[:, None, None]
-        rhs = (gradient.apply_adjoint(sub_op, z - m) + rho * (y - e) + fixed)
+        rhs = (gradient.apply_adjoint(sub_op, z - m) + ratio * (y - e) + fixed)
         v_new = solve_normal_equation(system, system.beta2 * rhs)
         grad_new = gradient.apply(sub_op, v_new) + offset
         dual = [np.linalg.norm(v_new - v), np.linalg.norm(grad_new - grad_v)]
@@ -562,14 +534,14 @@ def _norm(*arrays):
 @pytest.mark.parametrize("name", ["gray", "rgb-pin"])
 def test_admm_solve_leaves_its_inputs_alone(name, rng):
     # plm_solve solves a rejected or redone step again from the same state
-    u_k, w, config, system, state = _step_case(name, rng)
+    u_k, w, config, part, system, state = _step_case(name, rng)
     inputs = (u_k, w) + state[:2]
     kept = [a.copy() for a in inputs]
-    first = admm_solve(u_k, w, config.prox_weight, system, config.inner_tol,
-                       config.inner_max_iter, state)
+    first = admm_solve(u_k, w, config.prox_weight, part, system,
+                       config.inner_tol, config.inner_max_iter, state)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-    second = admm_solve(u_k, w, config.prox_weight, system, config.inner_tol,
-                        config.inner_max_iter, state)
+    second = admm_solve(u_k, w, config.prox_weight, part, system,
+                        config.inner_tol, config.inner_max_iter, state)
     assert first[1:3] == second[1:3] and first[3][2] == second[3][2]
     for a, b in zip((first[0],) + first[3][:2], (second[0],) + second[3][:2]):
         assert np.array_equal(a, b)
@@ -579,14 +551,14 @@ def test_admm_solve_leaves_its_inputs_alone(name, rng):
 def test_admm_solve_equals_the_out_of_place_loop_bit_for_bit(name, rng):
     # the pinned case starts from a factor that an earlier solve left
     start = 1.0 if name == "gray" else 4.0
-    u_k, w, config, system, state = _step_case(name, rng, start)
+    u_k, w, config, part, system, state = _step_case(name, rng, start)
     assert np.isinf(w).any() == (name == "rgb-pin")
     v, iters, converged, (eta, mu, scale) = admm_solve(
-        u_k, w, config.prox_weight, system, config.inner_tol,
+        u_k, w, config.prox_weight, part, system, config.inner_tol,
         config.inner_max_iter, state)
     ref_v, ref_iters, ref_converged, (ref_eta, ref_mu, ref_scale) = (
-        _out_of_place_admm(u_k, w, config.prox_weight, system, config.inner_tol,
-                           config.inner_max_iter, state))
+        _out_of_place_admm(u_k, w, config.prox_weight, part, system,
+                           config.inner_tol, config.inner_max_iter, state))
     assert (iters, converged, scale) == (ref_iters, ref_converged, ref_scale)
     # the solve balanced at least once, and moved its factor
     assert iters > admm.BALANCE_EVERY and scale != start
@@ -602,8 +574,7 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
     config = SolverConfig(lam=0.5, p=1.0, beta1=2.0, beta2=2.0,
                           inner_tol=1e-8, inner_max_iter=2000)
     whole = restrict(op, np.arange(mesh.n_vertices), f)
-    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
-                                  whole)
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2)
     calls = dict.fromkeys(["shrink_1d", "_shrink_groups", "solve_normal_equation",
                            "apply", "apply_adjoint"], 0)
 
@@ -619,8 +590,9 @@ def test_each_traced_step_function_is_called_once_per_step(monkeypatch, rng):
         counting(admm, attr)
     for attr in ("apply", "apply_adjoint"):
         counting(gradient, attr)
-    _, n, converged, _ = admm_solve(f, np.full(f.shape, config.lam), 0.0, system,
-                                    config.inner_tol, config.inner_max_iter)
+    _, n, converged, _ = admm_solve(f, np.full(f.shape, config.lam), 0.0, whole,
+                                    system, config.inner_tol,
+                                    config.inner_max_iter)
     assert converged and n > 1
     assert calls == {"shrink_1d": n, "_shrink_groups": n,
                      "solve_normal_equation": n, "apply": n + 1,

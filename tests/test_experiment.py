@@ -314,21 +314,30 @@ def test_cli_trace_records_unconverged_inner_solves(tmp_path):
 
 
 def test_a_sweep_factors_the_whole_mesh_once(tmp_path, monkeypatch):
-    factored = []
+    factored, built = [], []
     splu = admm.spla.splu
+    init = admm.NormalEquationSystem.__init__
 
     def counting(matrix):
         factored.append(matrix.shape[0])
         return splu(matrix)
 
+    def counting_init(self, gram, *args):
+        built.append(gram.shape[0])
+        init(self, gram, *args)
+
     monkeypatch.setattr(admm.spla, "splu", counting)
+    # the benchmark's admm.factorize span wraps this method: it counts the
+    # systems built, not the solves that get one
+    monkeypatch.setattr(admm.NormalEquationSystem, "__init__", counting_init)
     # 2 noise levels x 2 trials x (L1-TV + one p) on the 42 vertices of
-    # icosphere(1): each solve on every vertex shares the first one's factor
+    # icosphere(1): each solve on every vertex gets the first one's system
     spec = _tiny_spec(tmp_path / "out")
     assert (len(spec.noise_levels), spec.trials, spec.p_values) == (2, 2, (0.5,))
     run_experiment(spec)
-    assert factored.count(42) == 1
+    assert factored.count(42) == 1 and built.count(42) == 1
     assert factored.count(42) < len(factored)
+    assert built == factored
 
 
 def test_cli_reports_an_out_of_memory_factorization(tmp_path, monkeypatch, capsys):

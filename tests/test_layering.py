@@ -43,3 +43,19 @@ def test_admm_reads_no_solver_config():
     assert not [m for m in modules
                 if m in (".config", "meshtv.config")
                 or m.startswith((".config.", "meshtv.config."))]
+
+
+def _memo_readers(path):
+    """The lines of ``path`` that read or write an attribute named memo."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "memo"]
+
+
+def test_only_the_outer_loop_touches_the_operators_cache():
+    # the operator's cache has one owner: lptv keeps the whole Gram and the
+    # last whole-mesh system there, and hands the inner solver its system
+    assert _memo_readers(PACKAGE / "lptv.py"), "the check would be vacuous"
+    touched = {path.name: lines for path in MODULES
+               if path.name != "lptv.py" and (lines := _memo_readers(path))}
+    assert touched == {}, f"op.memo is read or written outside lptv.py: {touched}"

@@ -229,9 +229,8 @@ def test_plm_p_one_is_single_l1tv_solve():
     from meshtv.lptv import _l1tv_solve_full
 
     whole = restrict(op, np.arange(mesh.n_vertices), noisy.values)
-    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2,
-                                  whole)
-    direct = _l1tv_solve_full(noisy.values, config, system)[0]
+    system = NormalEquationSystem(assemble_gram(op), config.beta1, config.beta2)
+    direct = _l1tv_solve_full(noisy.values, config, whole, system)[0]
     assert np.array_equal(out.values, direct)
 
 
@@ -239,15 +238,16 @@ def _spy_on_admm(monkeypatch, f):
     """Record (inner_tol, state in, state out, center, result, part) of every
     inner solve.  The center is in the coordinates of the solve's part; the
     result is the whole image, scattered into the data ``f`` through
-    ``system.part.vertices``."""
+    ``part.vertices``."""
     calls = []
     original = lptv.admm_solve
 
-    def spy(u_k, w, prox_weight, system, tol, max_iter, state=None):
-        result = original(u_k, w, prox_weight, system, tol, max_iter, state)
+    def spy(u_k, w, prox_weight, part, system, tol, max_iter, state=None):
+        result = original(u_k, w, prox_weight, part, system, tol, max_iter,
+                          state)
         whole = f.values.copy()
-        whole[system.part.vertices] = result[0]
-        calls.append((tol, state, result[3], u_k.copy(), whole, system.part))
+        whole[part.vertices] = result[0]
+        calls.append((tol, state, result[3], u_k.copy(), whole, part))
         return result
 
     monkeypatch.setattr(lptv, "admm_solve", spy)
@@ -545,30 +545,31 @@ def test_plm_builds_one_system_per_free_vertex_set(monkeypatch):
     warm, _ = plm_solve(noisy, mesh, op, config, u0=noisy)
     config = dataclasses.replace(config, p=0.5)
 
-    # systems built and supports taken, in the order they happen
+    # systems handed out, with their parts, and supports taken, in the order
+    # they happen
     events = []
-    original_init = admm.NormalEquationSystem.__init__
+    original_system = lptv._system
     original_support = lptv.support_eps
 
-    def spy_init(self, gram, *args, **kwargs):
-        original_init(self, gram, *args, **kwargs)
-        events.append(self)
+    def spy_system(op, part, config):
+        events.append((part, original_system(op, part, config)))
+        return events[-1][1]
 
     def spy_support(u, f, eps):
         events.append(original_support(u, f, eps))
         return events[-1]
 
-    monkeypatch.setattr(admm.NormalEquationSystem, "__init__", spy_init)
+    monkeypatch.setattr(lptv, "_system", spy_system)
     monkeypatch.setattr(lptv, "support_eps", spy_support)
     _, trace = plm_solve(noisy, mesh, op, config, u0=warm)
     assert trace.converged
     # a support is taken on the rows of the last system built before it,
     # the first one on every vertex
-    built = [e for e in events if isinstance(e, admm.NormalEquationSystem)]
+    built = [e for e in events if isinstance(e, tuple)]
     rows, supports = np.arange(mesh.n_vertices), []
     for event in events:
-        if isinstance(event, admm.NormalEquationSystem):
-            rows = event.part.vertices
+        if isinstance(event, tuple):
+            rows = event[0].vertices
         else:
             whole = np.zeros(noisy.values.shape, dtype=bool)
             whole[rows] = event
@@ -580,16 +581,16 @@ def test_plm_builds_one_system_per_free_vertex_set(monkeypatch):
             free_sets.append(free)
     assert 1 < len(free_sets) < len(trace)
     assert len(built) == len(free_sets)
-    for system, free in zip(built, free_sets):
+    for (part, system), free in zip(built, free_sets):
         assert system.n == free.size
-        assert np.array_equal(system.part.vertices, free)
+        assert np.array_equal(part.vertices, free)
     assert np.array_equal(trace.column("free_vertices"),
                           [np.count_nonzero(s.any(axis=1)) for s in supports])
 
     # a start that fits the data leaves nothing free and builds nothing
     events.clear()
     out, trace = plm_solve(noisy, mesh, op, config, u0=noisy)
-    assert not any(isinstance(e, admm.NormalEquationSystem) for e in events)
+    assert not any(isinstance(e, tuple) for e in events)
     assert np.array_equal(out.values, noisy.values)
     assert trace.column("free_vertices").tolist() == [0]
 
@@ -646,7 +647,7 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
 @pytest.mark.parametrize("free", ["one", "all-but-one", "random"])
 def test_a_parts_gram_is_its_block_of_the_whole_gram(make_mesh, channels, free,
-                                                     rng):
+                                                     monkeypatch, rng):
     mesh = make_mesh()
     op = build_gradient_operator(mesh)
     data = rng.uniform(0, 1, size=(mesh.n_vertices, channels))
@@ -655,12 +656,19 @@ def test_a_parts_gram_is_its_block_of_the_whole_gram(make_mesh, channels, free,
                 "all-but-one": np.delete(np.arange(mesh.n_vertices),
                                          rng.integers(mesh.n_vertices)),
                 "random": np.flatnonzero(rng.random(mesh.n_vertices) < 0.3)}[free]
+    # the Gram that _system hands to each system it builds
+    grams = []
+    original_init = admm.NormalEquationSystem.__init__
+    monkeypatch.setattr(admm.NormalEquationSystem, "__init__",
+                        lambda self, gram, *args: grams.append(gram)
+                        or original_init(self, gram, *args))
+    config = SolverConfig(beta1=2.0, beta2=2.0)
     part = admm.restrict(op, vertices, data)
-    block = lptv._gram(op, part)
-    assert _same_bits(block, lptv.assemble_gram(part.op))
+    lptv._system(op, part, config)
+    assert _same_bits(grams[-1], lptv.assemble_gram(part.op))
     # the whole Gram is assembled once and kept by the operator
-    assert lptv._gram(op, admm.restrict(op, np.arange(mesh.n_vertices), data)) \
-        is op.memo["gram"]
+    lptv._system(op, admm.restrict(op, np.arange(mesh.n_vertices), data), config)
+    assert len(grams) == 2 and grams[-1] is op.memo["gram"]
 
 
 def _count_whole_factorizations(monkeypatch, n):
@@ -721,7 +729,8 @@ def test_a_failed_factorization_leaves_no_factor_behind(monkeypatch):
     noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
     config = SolverConfig(lam=0.15, p=1.0, beta1=2.0, beta2=2.0)
     plm_solve(noisy, mesh, op, config, u0=noisy)
-    assert op.memo["factor"][1:3] == (2.0, 2.0)
+    kept = op.memo["system"]
+    assert (kept.n, kept.beta1, kept.beta2) == (mesh.n_vertices, 2.0, 2.0)
 
     def out_of_memory(matrix):
         raise MemoryError
@@ -731,7 +740,7 @@ def test_a_failed_factorization_leaves_no_factor_behind(monkeypatch):
     for _ in range(2):
         with pytest.raises(SingularSystem, match="out of memory"):
             plm_solve(noisy, mesh, op, other, u0=noisy)
-        assert "factor" not in op.memo
+        assert "system" not in op.memo
     # the factor of the first penalties went too: their solve factors again
     with pytest.raises(SingularSystem, match="out of memory"):
         plm_solve(noisy, mesh, op, config, u0=noisy)

@@ -10,7 +10,6 @@ from meshtv import admm
 from meshtv.admm import (
     NormalEquationSystem,
     _shrink_groups,
-    restrict,
     shrink_1d,
     solve_normal_equation,
 )
@@ -119,23 +118,16 @@ def test_shrink_groups_is_nonexpansive(a, b, thr):
     assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-def _whole(op, n=None):
-    """The part of the first ``n`` vertices of ``op`` (all by default) for a
-    zero image."""
-    return restrict(op, np.arange(op.n_vertices)[:n], np.zeros((op.n_vertices, 1)))
-
-
-def _identity_system(scale, op, n):
+def _identity_system(scale, n):
     # a zero Gram that stores its diagonal, as every mesh's Gram does
     gram = sp.csr_matrix((np.zeros(n), np.arange(n), np.arange(n + 1)),
                          shape=(n, n))
     # beta2 * 0 + beta1 * I = scale * I
-    return NormalEquationSystem(gram, beta1=scale, beta2=1.0, part=_whole(op, n))
+    return NormalEquationSystem(gram, beta1=scale, beta2=1.0)
 
 
-def test_solve_scaled_identity(two_triangle_mesh):
-    op = build_gradient_operator(two_triangle_mesh)
-    system = _identity_system(2.0, op, 2)
+def test_solve_scaled_identity():
+    system = _identity_system(2.0, 2)
     out = solve_normal_equation(system, np.array([[2.0], [4.0]]))
     assert np.allclose(out, [[1.0], [2.0]], atol=1e-12)
     # the right-hand side is (n, channels), as the ADMM loop builds it
@@ -153,10 +145,8 @@ def test_the_system_hands_splu_the_arrays_of_the_summed_matrix(monkeypatch, rng)
                         lambda a: received.append(a) or splu(a))
     gram = assemble_gram(op)
     free = np.flatnonzero(rng.uniform(size=op.n_vertices) < 0.4)
-    for part_gram, part in [(gram, _whole(op)),
-                            (gram[free][:, free], restrict(op, free, np.zeros(
-                                (op.n_vertices, 1))))]:
-        NormalEquationSystem(part_gram, 0.7, 1.3, part)
+    for part_gram in (gram, gram[free][:, free]):
+        NormalEquationSystem(part_gram, 0.7, 1.3)
         expected = (1.3 * part_gram + 0.7 * sp.identity(part_gram.shape[0])).tocsc()
         got = received[-1]
         assert got.format == "csc"
@@ -164,20 +154,19 @@ def test_the_system_hands_splu_the_arrays_of_the_summed_matrix(monkeypatch, rng)
             assert np.array_equal(getattr(got, name), getattr(expected, name))
     # a Gram that leaves a diagonal entry out, or whose rows are not
     # sorted, is refused
-    small = _whole(build_gradient_operator(planar_grid(2)))
     unsorted = sp.csr_matrix((np.ones(5), [1, 0, 1, 2, 3], [0, 2, 3, 4, 5]),
                              shape=(4, 4))
     for bad in (sp.csr_matrix((4, 4)), unsorted):
         with pytest.raises(ValueError, match="canonical"):
-            NormalEquationSystem(bad, 1.0, 1.0, small)
+            NormalEquationSystem(bad, 1.0, 1.0)
 
 
 def test_solve_matches_dense_lu(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, beta1=0.7, beta2=1.3, part=_whole(op))
-    # the LU path keeps only its factor
-    assert not hasattr(system, "matrix")
+    system = NormalEquationSystem(gram, beta1=0.7, beta2=1.3)
+    # the system keeps only its factor: no matrix, part, image data or cache
+    assert sorted(vars(system)) == ["_lu", "beta1", "beta2", "n"]
     dense = 1.3 * gram.toarray() + 0.7 * np.eye(4)
     for _ in range(20):
         rhs = rng.normal(size=(4, 1))
@@ -189,7 +178,7 @@ def test_solve_matches_dense_lu(two_triangle_mesh, rng):
 def test_solve_consistency_constant(two_triangle_mesh):
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
+    system = NormalEquationSystem(gram, 2.0, 1.0)
     rhs = (gram.toarray() + 2.0 * np.eye(4)) @ np.ones((4, 1))
     out = solve_normal_equation(system, rhs)
     assert np.abs(out - 1.0).max() < 1e-10
@@ -198,7 +187,7 @@ def test_solve_consistency_constant(two_triangle_mesh):
 def test_solve_multiple_channels(two_triangle_mesh, rng):
     op = build_gradient_operator(two_triangle_mesh)
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, 2.0, 1.0, _whole(op))
+    system = NormalEquationSystem(gram, 2.0, 1.0)
     rhs = rng.normal(size=(4, 3))
     out = solve_normal_equation(system, rhs)
     assert np.abs((gram.toarray() + 2.0 * np.eye(4)) @ out - rhs).max() < 1e-10
@@ -209,7 +198,7 @@ def test_lu_solves_a_grid_of_53824_vertices(rng):
     # largest benchmarked icosphere (k = 6, 40,962 vertices)
     op = build_gradient_operator(planar_grid(232))
     gram = assemble_gram(op)
-    system = NormalEquationSystem(gram, 2.0, 2.0, _whole(op))
+    system = NormalEquationSystem(gram, 2.0, 2.0)
     assert system.n == 53_824 and isinstance(system._lu, spla.SuperLU)
     # three columns, as an RGB image gives
     rhs = rng.normal(size=(system.n, 3))
@@ -224,5 +213,5 @@ def test_system_rejects_non_finite_penalties(two_triangle_mesh, name, bad):
     op = build_gradient_operator(two_triangle_mesh)
     kwargs = {"beta1": 1.0, "beta2": 1.0, name: bad}
     with pytest.raises(ValueError, match="finite"):
-        NormalEquationSystem(assemble_gram(op), part=_whole(op), **kwargs)
+        NormalEquationSystem(assemble_gram(op), **kwargs)
 
