@@ -289,7 +289,8 @@ def admm_solve(
     Returns (v, inner_iterations, converged, state): the values on F, with
     pinned channels equal to the data bit for bit, and the final
     (eta, mu, s); a False flag means the residual rules were not met within
-    max_iter.
+    max_iter.  A step whose v holds a NaN or an infinity, or is so large
+    that ||r_y||^2 overflows, raises NonFiniteIterate.
     """
     f_free, sub_op = part.f_free, part.op
     # a whole-mesh part has no pinned neighbours, so no offset to add
@@ -350,8 +351,6 @@ def admm_solve(
         # alive for longer fragments the heap
         measure_dual = balance or primal_met
         v_new = solve_normal_equation(system, rhs)
-        if not np.isfinite(v_new).all():
-            raise NonFiniteIterate("ADMM produced non-finite vertex values")
         if measure_dual:
             dual_v = _distance(v_new, v)
         v = v_new
@@ -370,6 +369,10 @@ def admm_solve(
 
         # Euclidean norms as np.linalg.norm computes them, minus its wrapper
         primal = [math.sqrt(r.dot(r)) for r in (r_y.ravel(), r_z.ravel())]
+        # a NaN or an infinity in v reaches r_y = v - f - y, as y is finite:
+        # the norm tests v before the stop or the balance reads the step
+        if not math.isfinite(primal[0]):
+            raise NonFiniteIterate("ADMM produced non-finite vertex values")
         primal_met = max(primal) / scale < tol
         if primal_met and measure_dual and max(dual) / scale < tol:
             iters, converged = t + 1, True

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import DimensionMismatch
 from .mesh import TriangleMesh
@@ -87,17 +88,38 @@ def build_gradient_operator(mesh: TriangleMesh) -> GradientOperator:
     return GradientOperator(tri_areas=mesh.areas, matrix=matrix)
 
 
+def _product(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a float64 CSR ``matrix`` and a 1-D or 2-D ``x``
+    with one row per column of ``matrix``, by the kernel that scipy's ``@``
+    ends in: ``csr_matvec`` for one column, ``csr_matvecs`` for several,
+    each summing a row's products in stored order into a zeroed output, so
+    the bits are those of ``@`` without its per-call dispatch.
+
+    The kernels are private to scipy and check no size: an output shorter
+    than the matrix's rows is written past its end.  So the input is read
+    as a C-contiguous float64 array, its rows and dimensions are checked
+    here, and the output is allocated here, before any kernel runs.
+    """
+    rows, cols = matrix.shape
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != cols:
+        raise DimensionMismatch(f"expected {cols} rows of one or more "
+                                f"columns, got shape {x.shape}")
+    # the kernels read only the data of these C-contiguous arrays
+    out = np.zeros((rows,) + x.shape[1:])
+    if x.ndim == 1 or x.shape[1] == 1:
+        _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices,
+                                matrix.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(rows, cols, x.shape[1], matrix.indptr,
+                                 matrix.indices, matrix.data, x, out)
+    return out
+
+
 def apply(op: GradientOperator, u: np.ndarray) -> np.ndarray:
     """Gradient of vertex data: (n_tri, 3) for 1-D input, (n_tri, 3, c) for 2-D."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] != op.n_vertices:
-        raise DimensionMismatch(
-            f"expected {op.n_vertices} vertex values, got {u.shape[0]}"
-        )
-    flat = op.matrix @ u
-    if u.ndim == 1:
-        return flat.reshape(-1, 3)
-    return flat.reshape(-1, 3, u.shape[1])
+    flat = _product(op.matrix, u)
+    return flat.reshape((op.n_triangles, 3) + flat.shape[1:])
 
 
 def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
@@ -108,10 +130,10 @@ def apply_adjoint(op: GradientOperator, z: np.ndarray) -> np.ndarray:
     ``op.adjoint`` = D^T A, so this is one sparse product with z as it is,
     and gives the same bits as ``(A @ op.matrix).T @ z``.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] != op.n_triangles or z.shape[1] != 3:
+    z = np.asarray(z)
+    if z.ndim not in (2, 3) or z.shape[:2] != (op.n_triangles, 3):
         raise DimensionMismatch(f"bad gradient-data shape {z.shape}")
-    return op.adjoint @ z.reshape((3 * op.n_triangles,) + z.shape[2:])
+    return _product(op.adjoint, z.reshape((3 * op.n_triangles,) + z.shape[2:]))
 
 
 def triangle_norms(x: np.ndarray) -> np.ndarray:

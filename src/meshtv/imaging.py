@@ -162,4 +162,4 @@ def write_ply_with_image(
     values = image.values
     if image.channel_count == 3:
         values = np.rint(values * 255.0).astype(np.int64)
-    meshmod.write_ply(path, mesh.vertices, mesh.triangles, values)
+    meshmod.write_ply(path, mesh, values)

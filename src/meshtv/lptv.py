@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import gradient
 from .admm import FreePart, NormalEquationSystem, admm_solve, restrict
 from .config import SolverConfig
 from .errors import (
@@ -107,9 +108,8 @@ class SolverTrace:
 def _objective_raw(u: np.ndarray, part: FreePart, lam: float, p: float) -> float:
     """Objective of the values ``u`` on ``part``: the part's fidelity and TV,
     its offset added to the gradient, plus its pinned TV."""
-    op = part.op
-    grad = (op.matrix @ u).reshape(op.n_triangles, 3, -1) + part.offset
-    tv = float(op.tri_areas @ triangle_norms(grad)) + part.pinned_tv
+    grad = gradient.apply(part.op, u) + part.offset
+    tv = float(part.op.tri_areas @ triangle_norms(grad)) + part.pinned_tv
     data = float(np.sum(np.abs(u - part.f_free) ** p))
     return lam * data + tv
 

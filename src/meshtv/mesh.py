@@ -9,6 +9,7 @@ stars and the per-triangle normals and areas, computed here once.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -48,7 +49,9 @@ class TriangleMesh:
         (n_triangles,) float64 triangle areas |n| / 2, all positive, read-only.
 
     Instances are immutable after construction and safe to share across
-    threads.
+    threads.  The one state added later is the text of the geometry, made
+    on the first PLY write (``write_ply``) and kept: it is derived from the
+    read-only arrays alone, so formatting it twice gives the same text.
     """
 
     def __init__(self, vertices, triangles):
@@ -115,6 +118,15 @@ class TriangleMesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @functools.cached_property
+    def _ply_geometry(self) -> tuple[list[str], str]:
+        """The "x y z" text of each PLY vertex row, without its image values
+        and newline, and the whole face block."""
+        rows = ["{:.17g} {:.17g} {:.17g}".format(*xyz)
+                for xyz in self.vertices.tolist()]
+        faces = "".join(f"3 {a} {b} {c}\n" for a, b, c in self.triangles.tolist())
+        return rows, faces
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +340,32 @@ def _parse_ply_mesh(text: str):
 
 def write_ply(
     path: str,
-    vertices: np.ndarray,
-    triangles: np.ndarray,
+    mesh: TriangleMesh,
     values: np.ndarray | None = None,
 ) -> None:
     """Write a mesh as ASCII PLY, with an image's ``values`` on its vertices:
     (n, 1) floats as a float64 ``quality``, or (n, 3) 0-255 integers as uchar
-    ``red``, ``green`` and ``blue``."""
+    ``red``, ``green`` and ``blue``.  The mesh's coordinates and faces are
+    formatted on its first write and kept on it, so a later write of the
+    same mesh formats only its values."""
     if values is None:
-        values = np.empty((len(vertices), 0))
+        values = np.empty((mesh.n_vertices, 0))
     image_props, value_fmt = {
         0: ("", ""),
         1: ("property float64 quality\n", " {:.17g}"),
         3: ("property uchar red\nproperty uchar green\nproperty uchar blue\n",
             " {} {} {}"),
     }[values.shape[1]]
-    row_fmt = "{:.17g} {:.17g} {:.17g}" + value_fmt + "\n"
+    end_row = (value_fmt + "\n").format
+    rows, faces = mesh._ply_geometry
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(vertices)}\n")
+        fh.write(f"element vertex {mesh.n_vertices}\n")
         fh.write("property float64 x\nproperty float64 y\nproperty float64 z\n")
         fh.write(image_props)
-        fh.write(f"element face {len(triangles)}\n")
+        fh.write(f"element face {mesh.n_triangles}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
-        for xyz, vals in zip(vertices.tolist(), values.tolist()):
-            fh.write(row_fmt.format(*xyz, *vals))
-        for a, b, c in triangles.tolist():
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write("".join([xyz + end_row(*vals)
+                          for xyz, vals in zip(rows, values.tolist())]))
+        fh.write(faces)

@@ -6,6 +6,7 @@ from meshtv.admm import NormalEquationSystem, admm_solve, restrict
 from meshtv.gradient import assemble_gram
 from meshtv.imaging import MeshImage
 from meshtv.mesh import TriangleMesh
+from meshtv.synthetic import icosphere
 
 
 def count_opens(monkeypatch, *modules):
@@ -77,9 +78,10 @@ def admm_full_size(f, u_k, support, w, op, config, subproblem, state=None,
     return MeshImage(out), iters, converged, (eta_out, mu_out, scale)
 
 
-def nan_at_step(monkeypatch, step):
-    """Make ``admm.solve_normal_equation`` put a NaN in its ``step``-th
-    solution; returns the list that counts its calls."""
+def nan_at_step(monkeypatch, step, value=np.nan):
+    """Make ``admm.solve_normal_equation`` put ``value``, a NaN unless
+    given, in its ``step``-th solution; returns the list that counts its
+    calls."""
     calls = []
     solve = admm.solve_normal_equation
 
@@ -87,11 +89,34 @@ def nan_at_step(monkeypatch, step):
         calls.append(rhs.shape)
         out = solve(system, rhs)
         if len(calls) == step:
-            out[0, 0] = np.nan
+            out[0, 0] = value
         return out
 
     monkeypatch.setattr(admm, "solve_normal_equation", solve_then_spoil)
     return calls
+
+
+def two_spheres():
+    """Two disjoint copies of icosphere(2)."""
+    sphere = icosphere(2)
+    return TriangleMesh(
+        np.vstack([sphere.vertices, sphere.vertices + [3.0, 0.0, 0.0]]),
+        np.vstack([sphere.triangles, sphere.triangles + sphere.n_vertices]))
+
+
+def bowtie():
+    """Two copies of icosphere(2) that share one vertex."""
+    # sphere vertex 3 is the antipode of vertex 0, so the copy moved by
+    # 2 * v0 meets the first sphere only at v0, and its vertex 3 becomes
+    # vertex 0
+    sphere = icosphere(2)
+    n = sphere.n_vertices
+    rest = np.delete(np.arange(n), 3)
+    index = np.empty(n, dtype=np.int64)
+    index[3], index[rest] = 0, n + np.arange(n - 1)
+    return TriangleMesh(
+        np.vstack([sphere.vertices, sphere.vertices[rest] + 2.0 * sphere.vertices[0]]),
+        np.vstack([sphere.triangles, index[sphere.triangles]]))
 
 
 @pytest.fixture

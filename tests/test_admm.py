@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -153,10 +154,17 @@ def test_a_non_finite_step_raises(channels, monkeypatch, rng):
     f = rng.uniform(0, 1, size=(mesh.n_vertices, channels))
     whole = restrict(op, np.arange(mesh.n_vertices), f)
     system = NormalEquationSystem(assemble_gram(op), 2.0, 2.0)
-    calls = nan_at_step(monkeypatch, 3)
-    with pytest.raises(NonFiniteIterate):
-        admm_solve(f, np.full(f.shape, 0.3), 0.0, whole, system, 1e-9, 1000)
-    assert len(calls) == 3
+    # the check reads the primal residual norm, which any of them makes
+    # non-finite in the step it appears, before numpy warns of anything
+    for value in (np.nan, np.inf, -np.inf):
+        calls = nan_at_step(monkeypatch, 3, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteIterate):
+                admm_solve(f, np.full(f.shape, 0.3), 0.0, whole, system,
+                           1e-9, 1000)
+        assert len(calls) == 3
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])

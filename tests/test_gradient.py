@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import bowtie, two_spheres
 from grid_oracles import dense_blocks, dense_gram, hat_columns, interp_gradient
+from meshtv import gradient
 from meshtv.admm import restrict
 from meshtv.errors import DimensionMismatch
 from meshtv.gradient import (
@@ -197,6 +199,55 @@ def test_triangle_norms_match_the_linalg_norm_across_magnitudes(channels, rng):
     x[::11] = 0.0
     expected = np.linalg.norm(x.reshape(len(x), -1), axis=1)
     assert np.array_equal(triangle_norms(x), expected)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), two_spheres, bowtie],
+                         ids=["sphere", "two-spheres", "bowtie"])
+def test_products_equal_those_of_the_sparse_matmul_bit_for_bit(make_mesh, rng):
+    # the products call scipy's kernels directly: the bits must stay those
+    # of the @ they replace, for every shape an operator is applied to
+    op = build_gradient_operator(make_mesh())
+    for o in _full_and_restricted(op, 3, rng):
+        n, m = o.n_vertices, 3 * o.n_triangles
+        for u in (rng.normal(size=n), rng.normal(size=(n, 1)),
+                  rng.normal(size=(n, 3)), rng.normal(size=(3, n)).T,
+                  rng.normal(size=(n, 6))[:, ::2]):
+            assert np.array_equal(apply(o, u).reshape(m, *u.shape[1:]),
+                                  o.matrix @ u)
+        for z in (rng.normal(size=(m // 3, 3)), rng.normal(size=(m // 3, 3, 1)),
+                  rng.normal(size=(m // 3, 3, 3)),
+                  rng.normal(size=(3, m // 3, 3)).transpose(1, 2, 0)):
+            flat = z.reshape(m, *z.shape[2:])
+            assert np.array_equal(apply_adjoint(o, z), o.adjoint @ flat)
+
+
+def test_a_mis_shaped_product_raises_before_any_kernel_runs(monkeypatch):
+    # the kernels check no size: they would write past a short output
+    op = build_gradient_operator(icosphere(1))
+    n, t = op.n_vertices, op.n_triangles
+    calls = []
+
+    class Kernels:
+        def csr_matvec(self, *args):
+            calls.append("csr_matvec")
+
+        def csr_matvecs(self, *args):
+            calls.append("csr_matvecs")
+
+    monkeypatch.setattr(gradient, "_sparsetools", Kernels())
+    for u in (np.zeros(n + 1), np.zeros((n - 1, 3)), np.zeros((n, 3, 1)),
+              np.zeros(())):
+        with pytest.raises(DimensionMismatch):
+            apply(op, u)
+    for z in (np.zeros((t + 1, 3)), np.zeros((t, 2)), np.zeros(3 * t),
+              np.zeros((t, 3, 3, 1))):
+        with pytest.raises(DimensionMismatch):
+            apply_adjoint(op, z)
+    assert calls == []
+    # the stub is reached by a well-shaped product
+    apply(op, np.zeros((n, 3)))
+    apply_adjoint(op, np.zeros((t, 3)))
+    assert calls == ["csr_matvecs", "csr_matvec"]
 
 
 def test_apply_adjoint_builds_no_transpose(monkeypatch, rng):

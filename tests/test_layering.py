@@ -59,3 +59,14 @@ def test_only_the_outer_loop_touches_the_operators_cache():
     touched = {path.name: lines for path in MODULES
                if path.name != "lptv.py" and (lines := _memo_readers(path))}
     assert touched == {}, f"op.memo is read or written outside lptv.py: {touched}"
+
+
+def test_only_gradient_calls_scipys_private_kernels():
+    # the kernels check no size, so one module owns the checks made
+    # before every call
+    importers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if any(module == "scipy.sparse._sparsetools"
+               or module.startswith("scipy.sparse._sparsetools.")
+               for _, module in _imports(ast.parse(path.read_text(encoding="utf-8")))))
+    assert importers == ["gradient.py"]

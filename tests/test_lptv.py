@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import smallest_nonzero_residual
+from conftest import bowtie, smallest_nonzero_residual, two_spheres
 from meshtv import admm, lptv
 from meshtv.config import SolverConfig
 from meshtv.errors import (
@@ -595,27 +595,6 @@ def test_plm_builds_one_system_per_free_vertex_set(monkeypatch):
     assert trace.column("free_vertices").tolist() == [0]
 
 
-def _two_spheres():
-    sphere = icosphere(2)
-    return TriangleMesh(
-        np.vstack([sphere.vertices, sphere.vertices + [3.0, 0.0, 0.0]]),
-        np.vstack([sphere.triangles, sphere.triangles + sphere.n_vertices]))
-
-
-def _bowtie():
-    # two spheres touching at one shared vertex: sphere vertex 3 is the
-    # antipode of vertex 0, so the copy moved by 2 * v0 meets the first
-    # sphere only at v0, and its vertex 3 becomes vertex 0
-    sphere = icosphere(2)
-    n = sphere.n_vertices
-    rest = np.delete(np.arange(n), 3)
-    index = np.empty(n, dtype=np.int64)
-    index[3], index[rest] = 0, n + np.arange(n - 1)
-    return TriangleMesh(
-        np.vstack([sphere.vertices, sphere.vertices[rest] + 2.0 * sphere.vertices[0]]),
-        np.vstack([sphere.triangles, index[sphere.triangles]]))
-
-
 def _fin():
     # one more triangle on an existing edge, which then has three triangles
     sphere = icosphere(2)
@@ -642,7 +621,7 @@ def _same_bits(a, b):
             and a.data.tobytes() == b.data.tobytes())
 
 
-@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), _two_spheres, _bowtie],
+@pytest.mark.parametrize("make_mesh", [lambda: icosphere(2), two_spheres, bowtie],
                          ids=["sphere", "two-spheres", "bowtie"])
 @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
 @pytest.mark.parametrize("free", ["one", "all-but-one", "random"])
@@ -751,8 +730,8 @@ def test_a_failed_factorization_leaves_no_factor_behind(monkeypatch):
     (lambda: icosphere(2), two_patch_image, 1.0, 0.15),
     (lambda: icosphere(2), _rgb_image, 0.3, 0.15),
     (lambda: icosphere(2), _rgb_image, 1.0, 0.15),
-    (_two_spheres, two_patch_image, 0.1, 0.15),
-    (_bowtie, two_patch_image, 0.1, 0.15),
+    (two_spheres, two_patch_image, 0.1, 0.15),
+    (bowtie, two_patch_image, 0.1, 0.15),
     (_fin, two_patch_image, 0.1, 0.15),
     (lambda: icosphere(2), two_patch_image, 0.1, 1e4),
 ], ids=["gray-0%", "gray-100%", "rgb-30%", "rgb-100%", "two-spheres-10%",

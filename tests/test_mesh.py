@@ -66,7 +66,7 @@ def test_load_mesh_drops_a_utf8_byte_order_mark(tmp_path, ext):
     if ext == "off":
         plain.write_text(off_text(mesh))
     else:
-        write_ply(str(plain), mesh.vertices, mesh.triangles)
+        write_ply(str(plain), mesh)
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     expected, got = load_mesh(str(plain)), load_mesh(str(marked))
     assert np.array_equal(got.vertices, expected.vertices)
@@ -177,7 +177,7 @@ def test_icosahedron_areas_match_closed_form():
 def test_round_trip(tmp_path, ext):
     mesh = icosphere(1)
     path = tmp_path / f"mesh.{ext}"
-    write_ply(str(path), mesh.vertices, mesh.triangles)
+    write_ply(str(path), mesh)
     back = load_mesh(str(path))
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.abs(back.vertices - mesh.vertices).max() < 1e-9
@@ -281,8 +281,49 @@ def test_unknown_extension_rejected(tmp_path):
 def test_ply_mesh_file_is_read_once(tmp_path, monkeypatch):
     mesh = icosphere(1)
     path = tmp_path / "mesh.ply"
-    write_ply(str(path), mesh.vertices, mesh.triangles)
+    write_ply(str(path), mesh)
     opened = count_opens(monkeypatch, meshmod, imaging)
     back = load_mesh(str(path))
     assert opened == [str(path)]
     assert np.array_equal(back.triangles, mesh.triangles)
+
+
+def _ply_bytes(mesh, values):
+    """The PLY file of ``mesh`` and ``values``, formatted row by row."""
+    props, value_fmt = {
+        0: ("", ""),
+        1: ("property float64 quality\n", " {:.17g}"),
+        3: ("property uchar red\nproperty uchar green\nproperty uchar blue\n",
+            " {} {} {}"),
+    }[values.shape[1]]
+    row = "{:.17g} {:.17g} {:.17g}" + value_fmt + "\n"
+    text = ("ply\nformat ascii 1.0\n"
+            f"element vertex {mesh.n_vertices}\n"
+            "property float64 x\nproperty float64 y\nproperty float64 z\n"
+            + props + f"element face {mesh.n_triangles}\n"
+            "property list uchar int vertex_indices\nend_header\n")
+    text += "".join(row.format(*xyz, *vals)
+                    for xyz, vals in zip(mesh.vertices.tolist(), values.tolist()))
+    text += "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist())
+    return text.encode("utf-8")
+
+
+def test_ply_geometry_is_formatted_once_per_mesh(tmp_path, monkeypatch, rng):
+    formatted = []
+    original = TriangleMesh._ply_geometry.func
+
+    def counting(mesh):
+        formatted.append(mesh)
+        return original(mesh)
+
+    monkeypatch.setattr(TriangleMesh._ply_geometry, "func", counting)
+    meshes = icosphere(2), icosphere(1)
+    for mesh in meshes:
+        n = mesh.n_vertices
+        images = (np.empty((n, 0)), rng.uniform(size=(n, 1)),
+                  rng.integers(0, 256, size=(n, 3)), rng.uniform(size=(n, 1)))
+        for i, values in enumerate(images):
+            path = tmp_path / f"{n}-{i}.ply"
+            write_ply(str(path), mesh, values if values.size else None)
+            assert path.read_bytes() == _ply_bytes(mesh, values)
+    assert formatted == list(meshes)
