@@ -109,6 +109,16 @@ cat "$RUNNER_TEMP/huge.err"
 test "$status" -eq 1
 test "$(wc -l < "$RUNNER_TEMP/huge.err")" -eq 1
 grep -q "^error: triangle 0 has coordinates too large to measure$" "$RUNNER_TEMP/huge.err"
+# a text image whose rows disagree on the channel count is refused the same
+# way, naming the line, before any output directory is made
+printf '0.5\n0.5 0.5 0.5\n' > "$RUNNER_TEMP/ragged.txt"
+status=0
+meshtv --mesh "$RUNNER_TEMP/gray.off" --image "$RUNNER_TEMP/ragged.txt" --trials 1 --out "$RUNNER_TEMP/meshtv-ragged" 2> "$RUNNER_TEMP/ragged.err" || status=$?
+cat "$RUNNER_TEMP/ragged.err"
+test "$status" -eq 1
+test "$(wc -l < "$RUNNER_TEMP/ragged.err")" -eq 1
+grep -q "^error: line 2: inconsistent channel count$" "$RUNNER_TEMP/ragged.err"
+test ! -e "$RUNNER_TEMP/meshtv-ragged"
 # a text image that starts with a UTF-8 byte-order mark reads as without one
 printf '\xef\xbb\xbf' | cat - "$RUNNER_TEMP/gray.txt" > "$RUNNER_TEMP/gray-bom.txt"
 meshtv --mesh "$RUNNER_TEMP/gray.off" --image "$RUNNER_TEMP/gray-bom.txt" --trials 1 --no-time --out "$RUNNER_TEMP/meshtv-bom"

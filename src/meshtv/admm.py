@@ -5,20 +5,20 @@ proximal objective over the vertex values, with the off-support values pinned
 to the observed data.  A pinned value is a constant, so the loop solves only
 for the free vertices (those with a supported value) and keeps only the
 triangles that touch them; the pinned neighbours enter as a fixed gradient
-offset.  Splitting the fidelity residuals (y) and the per-triangle gradients
-(z) out of the vertex variable (v) makes every step closed-form: scalar and
-group soft-thresholding for (y, z), a sparse SPD normal equation for v, solved
-with the sparse LU factor of its system, then gradient-ascent multiplier
-updates.  The proximal term is written on y, as
-prox/2 * ||y + f - c||^2 with c the center, so it enters the scalar shrink
-and not the matrix.
+offset, and a part with nothing pinned has no offset at all.  Splitting the
+fidelity residuals (y) and the per-triangle gradients (z) out of the vertex
+variable (v) makes every step closed-form: scalar and group soft-thresholding
+for (y, z), a sparse SPD normal equation for v, solved with the sparse LU
+factor of its system, then gradient-ascent multiplier updates.  The proximal
+term is written on y, as prox/2 * ||y + f - c||^2 with c the center, so it
+enters the scalar shrink and not the matrix.
 
 A subproblem is split by lifetime: its ``FreePart`` holds every constant the
 image data fix on one free-vertex set, and its ``NormalEquationSystem`` is
 the factor of a matrix that depends on the mesh, the free-vertex set and the
 penalties alone, never on the image.  This module keeps neither: the outer
-loop builds both and passes them, with the center, the weights with lam in
-them, the proximal weight, the tolerance and the step limit; it reads no
+loop builds both and passes them, with the center, the lam-weighted weights,
+the proximal weight, the tolerance and the step limit; it reads no
 solver configuration.  The same loop with full support, every weight lam,
 and zero proximal weight is the plain L1-TV warm start.  The loop runs ADMM
 in its scaled form (Boyd et al., FnT ML 3(1), 2011, section 3.1.1): it keeps
@@ -104,37 +104,32 @@ class FreePart:
     ``pinned_tv`` is the TV of the other triangles, ``pinned_sq`` the squared
     norm of the pinned values, and ``size`` the value count of the image, so
     the objective and the norm of an image that is the data outside the part
-    are a part term plus a constant.  When every vertex is free (L1-TV),
-    ``op`` is the whole operator, the offset and constants are zero, and
-    ``offset_adjoint`` is None.
+    are a part term plus a constant.  When nothing is pinned (L1-TV, or an
+    Lp-TV step with every vertex free), ``op`` is the whole operator, the
+    constants are zero, and ``offset`` and ``offset_adjoint`` are None.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     op: GradientOperator
     f_free: np.ndarray
-    offset: np.ndarray
+    offset: np.ndarray | None
     offset_adjoint: np.ndarray | None
     pinned_tv: float
     pinned_sq: float
     size: int
 
-    @property
-    def whole(self) -> bool:
-        """Whether every vertex is free, so that the offset is zero."""
-        return self.f_free.size == self.size
-
 
 def restrict(op: GradientOperator, vertices: np.ndarray,
              data: np.ndarray) -> FreePart:
     """The part of ``op`` that acts on the sorted free ``vertices``, for the
-    (n_vertices, channels) image values ``data``.  When every vertex is
-    free, the part shares ``op`` and ``data``, its offset and constants are
-    zero, and it has no offset adjoint."""
+    (n_vertices, channels) image values ``data``.  This is the one test of
+    whether anything is pinned: when every vertex is free, the part shares
+    ``op`` and ``data``, its constants are zero, and it has no offset and no
+    offset adjoint (both None), so no gradient of a zero image is formed."""
     if vertices.size == op.n_vertices:
-        return FreePart(vertices, np.arange(op.n_triangles), op, data,
-                        np.zeros((op.n_triangles, 3, data.shape[1])), None,
-                        0.0, 0.0, data.size)
+        return FreePart(vertices, np.arange(op.n_triangles), op, data, None,
+                        None, 0.0, 0.0, data.size)
     columns = op.matrix[:, vertices]
     # each triangle owns three rows; it touches a free vertex when one of
     # them stores an entry in a free column
@@ -234,12 +229,13 @@ def admm_solve(
     (those with a supported value) and the triangles T that touch them.  The
     other vertices are the constant f, so TV is kept only on T, where the
     gradient is D_F v_F + g0, with the pinned vertices' offset g0 and f_F
-    carried by the part.  z splits that true gradient.  ``system`` is the
-    factor of the part's matrix, with |F| unknowns.  ``u_k`` (|F|,
+    carried by the part (none, not a zero, when nothing is pinned: then
+    ``part.offset is None``).  z splits that true gradient.  ``system`` is
+    the factor of the part's matrix, with |F| unknowns.  ``u_k`` (|F|,
     channels) is both the proximal center and the starting iterate;
     ``plm_solve`` passes either its current iterate or an extrapolated one.
-    ``w`` holds one fidelity weight per value, shaped like ``u_k``, with lam
-    in it: finite where the value is fitted, +inf where it is pinned.
+    ``w`` holds the lam-weighted weights that ``lptv.weights`` returns, shaped
+    like ``u_k``: finite where the value is fitted, +inf where it is pinned.
     L1-TV is ``w`` all lam and a zero ``prox_weight``.
 
     Minimizes sum_j w_j |v_j - f_j| over the fitted entries, plus the
@@ -292,17 +288,16 @@ def admm_solve(
     max_iter.  A step whose v holds a NaN or an infinity, or is so large
     that ||r_y||^2 overflows, raises NonFiniteIterate.
     """
-    f_free, sub_op = part.f_free, part.op
-    # a whole-mesh part has no pinned neighbours, so no offset to add
-    offset = None if part.whole else part.offset
+    f_free, sub_op, offset = part.f_free, part.op, part.offset
     if system.n != f_free.shape[0]:
         raise DimensionMismatch(f"the system has {system.n} unknowns, "
                                 f"the part {f_free.shape[0]} vertices")
     if not u_k.shape == w.shape == f_free.shape:
         raise DimensionMismatch(f"center and weights must be {f_free.shape}")
+    mu_shape = (part.triangles.size, 3, f_free.shape[1])
     if state is None:
-        state = np.zeros(f_free.shape), np.zeros(part.offset.shape), 1.0
-    elif state[0].shape != f_free.shape or state[1].shape != part.offset.shape:
+        state = np.zeros(f_free.shape), np.zeros(mu_shape), 1.0
+    elif state[0].shape != f_free.shape or state[1].shape != mu_shape:
         raise DimensionMismatch("duals must be shaped like the part and its gradient")
     penalty_scale = state[2]
     beta1 = penalty_scale * system.beta1

@@ -128,21 +128,21 @@ def read_image(path: str) -> MeshImage:
         else:
             raise ParseError("PLY file has no vertex quality or red/green/blue")
     else:
-        lines = meshmod.significant_lines(text)
-        if not lines:
-            raise ParseError("empty image file")
-        width = len(lines[0][1].split())
-        if width not in (1, 3):
-            raise ParseError(f"line {lines[0][0]}: expected 1 or 3 values per line")
-        values = []
-        for lineno, line in lines:
+        values, width = [], None
+        for lineno, line in meshmod.significant_lines(text):
             toks = line.split()
-            if len(toks) != width:
+            if width is None:
+                width = len(toks)
+                if width not in (1, 3):
+                    raise ParseError(f"line {lineno}: expected 1 or 3 values per line")
+            elif len(toks) != width:
                 raise ParseError(f"line {lineno}: inconsistent channel count")
             try:
                 values.append([float(tok) for tok in toks])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad image line: {line!r}") from exc
+        if not values:
+            raise ParseError("empty image file")
     image = MeshImage(values)
     if not image.is_unit_range():
         raise ParseError("image values must lie in [0, 1]")

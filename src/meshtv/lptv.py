@@ -107,8 +107,10 @@ class SolverTrace:
 
 def _objective_raw(u: np.ndarray, part: FreePart, lam: float, p: float) -> float:
     """Objective of the values ``u`` on ``part``: the part's fidelity and TV,
-    its offset added to the gradient, plus its pinned TV."""
-    grad = gradient.apply(part.op, u) + part.offset
+    its offset, if it has one, added to the gradient, plus its pinned TV."""
+    grad = gradient.apply(part.op, u)
+    if part.offset is not None:
+        grad += part.offset
     tv = float(part.op.tri_areas @ triangle_norms(grad)) + part.pinned_tv
     data = float(np.sum(np.abs(u - part.f_free) ** p))
     return lam * data + tv
@@ -144,13 +146,15 @@ def support_eps(u: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
     return np.abs(u - f) > eps
 
 
-def weights(u: np.ndarray, f: np.ndarray, support: np.ndarray, p: float) -> np.ndarray:
-    """Fidelity weights of the value arrays ``u`` and ``f``, shaped like them:
-    p * |u_j - f_j|^(p-1) on the ``support`` mask and +inf, a pin, off it.
+def weights(u: np.ndarray, f: np.ndarray, support: np.ndarray, p: float,
+            lam: float) -> np.ndarray:
+    """The lam-weighted fidelity weights of ``u`` and ``f``, as ``admm_solve``
+    takes them: lam * (p * |u_j - f_j|^(p-1)) on the ``support`` mask and
+    +inf, a pin, off it, shaped like ``u``.
 
     A zero residual on the support means the support bookkeeping is broken.
-    A supported weight that overflows, as at a subnormal residual and a small
-    p (1e-310 at p = 0.001), is +inf without a warning: a pin too.
+    A supported weight that overflows, in the power (1e-310 at p = 0.001) or
+    times lam, is +inf without a warning: a pin too.
     """
     if u.shape != f.shape:
         raise DimensionMismatch("u and f must have identical shapes")
@@ -159,7 +163,7 @@ def weights(u: np.ndarray, f: np.ndarray, support: np.ndarray, p: float) -> np.n
         raise ZeroResidualInSupport("zero residual inside the support")
     w = np.full(u.shape, np.inf)
     with np.errstate(over="ignore"):
-        w[support] = p * residual ** (p - 1.0)
+        w[support] = lam * (p * residual ** (p - 1.0))
     return w
 
 
@@ -196,14 +200,14 @@ def plm_solve(
     part.
 
     Each step hands ``admm_solve`` its part, which holds the image's
-    constants, and its system, the factor alone.  This function is the only
-    keeper of the operator's cache (see ``_system``): a system's Gram
+    constants (no offset when nothing is pinned), its system, the factor
+    alone, and the lam-weighted weights of ``weights``.  This function is the
+    only keeper of the operator's cache (see ``_system``): a system's Gram
     matrix is the block of F in the whole mesh's Gram, which the operator
-    keeps from its first solve, and a part on every vertex, L1-TV's or a
-    step's whose F is every vertex, gets the operator's last whole-mesh
-    system when its penalties are the same, so a sweep of solves on one
-    operator factors the whole mesh once.  Neither changes a bit of the
-    result.
+    keeps from its first solve, and a part with nothing pinned, L1-TV's or a
+    step's, gets the operator's last whole-mesh system when its penalties
+    are the same, so a sweep of solves on one operator factors the whole
+    mesh once.  Neither changes a bit of the result.
 
     Each inner ADMM solve starts from the state, the multipliers and the
     penalty factor, that the previous outer step ended with.  Its proximal
@@ -324,9 +328,7 @@ def plm_solve(
             f_next, gap, slack = _step_decrease(u_next, u, part, f_prev, config,
                                                 config.prox_weight, jump_sq, k)
         else:
-            # a weight times lam that overflows is +inf too: a pin
-            with np.errstate(over="ignore"):
-                w = config.lam * weights(u, part.f_free, support, config.p)
+            w = weights(u, part.f_free, support, config.p, config.lam)
             # Each try is (center, tol, bar).  The first solve whose slack
             # reaches its bar is kept, and so is a solve around u^k that hit
             # inner_max_iter: a redo would repeat its iterates exactly.
@@ -385,19 +387,19 @@ def _system(op: GradientOperator, part: FreePart,
     ``op.memo`` keeps two things for as long as the operator lives, and
     nothing else reads or writes it: the whole Gram under "gram", assembled
     on the operator's first solve, and the last whole-mesh system under
-    "system".  A narrowed part's system factors its block of the whole Gram
-    on ``part.vertices``, which equals ``assemble_gram(part.op)``.  A
-    whole-mesh part gets the kept system when its penalties are the
-    config's; otherwise the kept one is dropped before the new one factors,
-    and the new one is kept only once its factorization has succeeded, so
-    the operator holds at most one whole-mesh factor, and none after a
-    SingularSystem.
+    "system".  A part with an offset gets a system that factors its block of
+    the whole Gram on ``part.vertices``, equal to ``assemble_gram(part.op)``.
+    A part with no offset, every vertex free, gets the kept system when its
+    penalties are the config's; otherwise the kept one is dropped before the
+    new one factors, and the new one is kept only once its factorization
+    has succeeded, so the operator holds at most one whole-mesh factor, and
+    none after a SingularSystem.
     """
     gram = op.memo.get("gram")
     if gram is None:
         gram = op.memo["gram"] = assemble_gram(op)
     penalties = config.beta1, config.beta2
-    if part.op is not op:
+    if part.offset is not None:
         return NormalEquationSystem(gram[part.vertices][:, part.vertices],
                                     *penalties)
     system = op.memo.pop("system", None)

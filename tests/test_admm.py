@@ -319,8 +319,8 @@ def test_admm_matches_grid_oracle_on_tiny_instance(two_triangle_mesh, rng):
 
 
 def test_all_free_part_applies_no_gradient(monkeypatch, rng):
-    # with every vertex free nothing is pinned: the offset and the constants
-    # are zero without applying the operator to an all-zero image
+    # with every vertex free nothing is pinned: the part has no offset and
+    # zero constants, without applying the operator to an all-zero image
     mesh = icosphere(2)
     op = build_gradient_operator(mesh)
     data = rng.uniform(0, 1, size=(mesh.n_vertices, 3))
@@ -332,7 +332,7 @@ def test_all_free_part_applies_no_gradient(monkeypatch, rng):
     assert calls == []
     assert whole.op is op and np.array_equal(whole.f_free, data)
     assert np.array_equal(whole.triangles, np.arange(op.n_triangles))
-    assert whole.offset.shape == (op.n_triangles, 3, 3) and not whole.offset.any()
+    assert whole.offset is None and whole.offset_adjoint is None
     assert (whole.pinned_tv, whole.pinned_sq, whole.size) == (0.0, 0.0, data.size)
     # one pinned vertex: its offset needs one application
     restrict(op, np.arange(1, mesh.n_vertices), data)
@@ -463,7 +463,8 @@ def _step_case(name, rng, scale=1.0):
     w = np.full(fitted.shape, np.inf)
     w[fitted] = config.lam * rng.uniform(0.5, 2.0, size=np.count_nonzero(fitted))
     state = (rng.normal(scale=0.1, size=part.f_free.shape),
-             rng.normal(scale=0.1, size=part.offset.shape), scale)
+             rng.normal(scale=0.1, size=(part.triangles.size, 3, f.shape[1])),
+             scale)
     return u_k, w, config, part, system, state
 
 
@@ -475,8 +476,11 @@ def _out_of_place_admm(u_k, w, prox_weight, part, system, tol, max_iter, state):
     here from the part, the group shrink's row norms from ``np.add.reduce``,
     one primal residual r_y over every value, and the dual residual measured
     at every step: the reference that ``admm_solve`` must equal bit for
-    bit."""
+    bit.  A part with no offset gets a zero one here, which it adds like any
+    other."""
     f_free, offset, sub_op = part.f_free, part.offset, part.op
+    if offset is None:
+        offset = np.zeros((part.triangles.size, 3, f_free.shape[1]))
     fitted = np.isfinite(w)
     eta, mu, s = state
     # the scaled multipliers

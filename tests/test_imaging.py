@@ -151,7 +151,12 @@ def test_txt_reads_17_significant_digits(tmp_path):
 @pytest.mark.parametrize("text, match", [
     ("0.5\n1.5\n", r"must lie in \[0, 1\]"),
     ("0.5\n0.5 0.5 0.5\n", "line 2"),
-], ids=["out-of-range", "ragged-width"])
+    ("0.5 0.5\n0.5 0.5\n", "^line 1: expected 1 or 3 values per line$"),
+    ("0.1 0.2 0.3\n0.4 0.5 0.6\n0.7 0.8\n", "^line 3: inconsistent channel count$"),
+    ("0.5\n0.5x\n", "^line 2: bad image line: '0.5x'$"),
+    ("# only a comment\n\n   # and another\n", "^empty image file$"),
+], ids=["out-of-range", "ragged-width", "two-values", "short-later-row",
+        "non-numeric", "comment-only"])
 def test_txt_bad_image_rejected(tmp_path, text, match):
     path = tmp_path / "img.txt"
     path.write_text(text)

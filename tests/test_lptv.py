@@ -89,14 +89,18 @@ def test_weights_examples():
     f = np.zeros((3, 1))
     u = np.array([[4.0], [1.0], [0.0]])
     support = np.array([[True], [True], [False]])
-    # one weight per value: the linearization weight on the support, a pin
-    # (+inf) off it, even where the residual is zero
-    w = weights(u, f, support, 0.5)
+    # one weight per value: lam times the linearization weight on the
+    # support, a pin (+inf) off it, even where the residual is zero
+    w = weights(u, f, support, 0.5, 1.0)
     assert w.shape == u.shape
     assert w[0, 0] == pytest.approx(0.25) and w[2, 0] == np.inf
-    w9 = weights(u, f, support, 0.9)
+    w9 = weights(u, f, support, 0.9, 1.0)
     assert w9[1, 0] == pytest.approx(0.9) and w9[2, 0] == np.inf
-    assert np.array_equal(weights(u, f, support, 1.0), [[1.0], [1.0], [np.inf]])
+    assert np.array_equal(weights(u, f, support, 1.0, 1.0), [[1.0], [1.0], [np.inf]])
+    # lam multiplies the weight: lam * (p * |r|^(p-1)), bit for bit
+    assert np.array_equal(weights(u, f, support, 0.5, 0.3), 0.3 * w)
+    assert np.array_equal(weights(u, f, support, 1.0, 0.3),
+                          [[0.3], [0.3], [np.inf]])
 
 
 def test_weights_zero_residual_raises():
@@ -104,7 +108,7 @@ def test_weights_zero_residual_raises():
     u = np.array([[0.0], [1.0]])
     support = np.ones((2, 1), dtype=bool)
     with pytest.raises(ZeroResidualInSupport):
-        weights(u, f, support, 0.5)
+        weights(u, f, support, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("residual, lam", [(1e-310, 1.0), (1e-305, 1e7)],
@@ -125,8 +129,11 @@ def test_an_overflowing_weight_pins_its_value_without_a_warning(residual, lam):
                           beta2=2.0, inner_max_iter=4000)
     support = support_eps(u0, f, config.eps_support)
     assert support[7, 0]
-    w = weights(u0, f, support, config.p)
+    # the power alone overflows only at the subnormal residual; times lam,
+    # the weight the solve takes overflows in both cases
+    w = weights(u0, f, support, config.p, 1.0)
     assert np.isinf(w[7, 0]) == (residual < 1e-308)
+    assert np.isinf(weights(u0, f, support, config.p, config.lam)[7, 0])
     out, trace = plm_solve(MeshImage(f), mesh, op, config, MeshImage(u0))
     assert trace.converged
     assert out.values[7, 0] == 0.0
@@ -700,6 +707,36 @@ def test_solves_on_one_operator_factor_the_whole_mesh_once_per_penalties(
         cold, _ = plm_solve(f, mesh, build_gradient_operator(mesh),
                             dataclasses.replace(config, p=p), u0=u0)
         assert cold.values.tobytes() == kept.values.tobytes()
+
+
+def test_an_lptv_step_with_nothing_pinned_reuses_the_whole_mesh_factor(
+        monkeypatch):
+    # a start off the data by more than eps_support at every value frees
+    # every vertex at the first Lp-TV step: its part has no offset, and it
+    # gets the whole-mesh factor that the L1-TV solve left on the operator
+    mesh = icosphere(2)
+    op = build_gradient_operator(mesh)
+    noisy = add_salt_pepper(two_patch_image(mesh), NoiseSpec(0.1, 0))
+    config = SolverConfig(lam=0.15, p=1.0, beta1=2.0, beta2=2.0)
+    factored = _count_whole_factorizations(monkeypatch, mesh.n_vertices)
+    plm_solve(noisy, mesh, op, config, u0=noisy)
+    kept = op.memo["system"]
+    config = dataclasses.replace(config, p=0.5)
+    start = MeshImage(noisy.values + 0.01)
+    assert support_eps(start.values, noisy.values, config.eps_support).all()
+    calls = []
+    solve = lptv.admm_solve
+    monkeypatch.setattr(lptv, "admm_solve",
+                        lambda *args: calls.append(args) or solve(*args))
+    out, trace = plm_solve(noisy, mesh, op, config, u0=start)
+    part, system = calls[0][3:5]
+    assert part.offset is None and part.offset_adjoint is None
+    assert trace.records[0].free_vertices == mesh.n_vertices == 162
+    assert system is kept and len(factored) == 1
+    # the same bits as the same solve on a new operator
+    cold, _ = plm_solve(noisy, mesh, build_gradient_operator(mesh), config,
+                        u0=start)
+    assert cold.values.tobytes() == out.values.tobytes()
 
 
 def test_a_failed_factorization_leaves_no_factor_behind(monkeypatch):
